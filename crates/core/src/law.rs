@@ -2,7 +2,7 @@
 //!
 //! The paper assumes Poisson error processes, so inter-error times are
 //! exponential and every attempt is a fresh Bernoulli trial — the
-//! property the simulator's geometric fast path is built on. Real
+//! property the simulator's closed-form fast path is built on. Real
 //! platforms also exhibit Weibull- and lognormal-distributed failure
 //! inter-arrival times; this module adds those as [`ErrorLaw`]
 //! variants, *mean-matched* to a nominal rate `λ` so that every law
@@ -52,7 +52,7 @@ impl ErrorLaw {
     }
 
     /// Whether the law is memoryless. Only the exponential law is, and
-    /// memorylessness is exactly what the simulator's geometric fast
+    /// memorylessness is exactly what the simulator's closed-form fast
     /// path needs: it makes every attempt an i.i.d. Bernoulli trial, so
     /// attempt counts are geometric and run-length batching is valid.
     pub fn is_memoryless(&self) -> bool {

@@ -1,8 +1,10 @@
 //! Log-bucketed histogram sketch with lock-free recording.
 //!
-//! Same geometric bucketing as `rexec_sim::Histogram` (constant relative
-//! resolution), but with a fixed bucket array of atomics so concurrent
-//! recorders never lock, plus explicit underflow/overflow buckets.
+//! Geometrically spaced buckets (constant relative resolution, like
+//! HdrHistogram's log-linear scheme but simpler) in a fixed array of
+//! atomics, so concurrent recorders never lock, plus explicit
+//! underflow/overflow buckets. The simulator's outcome distributions
+//! (`MonteCarlo::run_with_histograms`) and the metrics registry share it.
 //! Bucket counts are exact `u64`s, so aggregates are byte-identical for a
 //! given multiset of recorded values regardless of thread count.
 
@@ -380,8 +382,31 @@ mod tests {
         }
         let p50 = h.quantile(0.5).unwrap();
         assert!((p50 - 500.0).abs() / 500.0 < 0.02, "p50 = {p50}");
+        let p99 = h.quantile(0.99).unwrap();
+        assert!((p99 - 990.0).abs() / 990.0 < 0.02, "p99 = {p99}");
         assert_eq!(h.quantile(0.0), Some(1.0));
         assert_eq!(h.quantile(1.0), Some(1000.0));
+    }
+
+    #[test]
+    fn exponential_quantiles_match_theory() {
+        // Exp(λ) through its inverse CDF on a stratified uniform grid:
+        // the q-quantile is −ln(1−q)/λ, within the 1% resolution.
+        let lambda = 1e-4;
+        let h = HistogramSketch::new(1e-2, 0.01, 1e9);
+        let n = 200_000;
+        for i in 0..n {
+            let u = (f64::from(i) + 0.5) / f64::from(n);
+            h.record(-(1.0 - u).ln() / lambda);
+        }
+        for q in [0.5, 0.9, 0.99] {
+            let expect = -(1.0f64 - q).ln() / lambda;
+            let got = h.quantile(q).unwrap();
+            assert!(
+                (got - expect).abs() / expect < 0.03,
+                "q = {q}: {got} vs {expect}"
+            );
+        }
     }
 
     #[test]

@@ -12,12 +12,18 @@
 //! 4. otherwise the verification passes and the pattern checkpoints.
 //!
 //! The first attempt runs at `σ₁`; every further attempt runs at `σ₂` —
-//! or, in the scenario engine, at the speed a [`SpeedSchedule`] assigns
-//! to its attempt index. Silent arrivals may also follow a
-//! non-memoryless [`ErrorLaw`] (Weibull, lognormal): each attempt starts
-//! from a fresh renewal of the error process (the rollback restores a
-//! pristine state), so inter-error times are drawn per attempt by
-//! inverse survival.
+//! or at the speed a [`SpeedSchedule`] assigns to its attempt index.
+//! Silent arrivals may also follow a non-memoryless [`ErrorLaw`]
+//! (Weibull, lognormal): each attempt starts from a fresh renewal of the
+//! error process (the rollback restores a pristine state), so
+//! inter-error times are drawn per attempt by inverse survival. A
+//! pattern may also split its work into `q` verified segments (the
+//! multi-verification pattern); one per-attempt loop, `run_pattern`,
+//! serves every one of these variants.
+//!
+//! For the paper's baseline (exponential law, `σ₁`/`σ₂`, `q = 1`) the
+//! attempt count has a closed form, which [`FastPattern`] samples
+//! directly instead of replaying attempts.
 
 use crate::energy::EnergyMeter;
 use crate::events::{Event, EventKind};
@@ -91,11 +97,11 @@ pub struct PatternOutcome {
 
 /// What ended one attempt.
 enum AttemptEnd {
-    /// Verification passed.
+    /// Every verification passed.
     Success,
     /// Fail-stop interrupt mid-phase.
     FailStop,
-    /// Verification detected a silent error.
+    /// A verification detected a silent error.
     SilentDetected,
 }
 
@@ -114,9 +120,18 @@ fn silent_arrival(law: ErrorLaw, lambda: f64, rng: &mut SimRng) -> f64 {
 }
 
 /// Simulates one attempt of the pattern at `sigma`, metering time/energy.
+///
+/// The `W` work is split into `q ≥ 1` equal segments, each followed by a
+/// verification. A silent error is detected by the verification closing
+/// the segment it struck; a fail-stop error aborts the attempt wherever
+/// it strikes. At `q = 1` this is the paper's single-verification
+/// pattern, and the arithmetic (`0 + t`, `w / 1`) is exact, so the
+/// clock rounds as if the segment loop were not there.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn run_attempt(
     cfg: &SimConfig,
+    q: u32,
     sigma: f64,
     law: ErrorLaw,
     clock: &mut f64,
@@ -124,52 +139,63 @@ fn run_attempt(
     rng: &mut SimRng,
     trace: &mut Option<&mut TraceRecorder>,
 ) -> AttemptEnd {
-    let work_t = cfg.w / sigma;
+    let seg_t = cfg.w / f64::from(q) / sigma;
     let verify_t = cfg.costs.verification / sigma;
-    let phase = work_t + verify_t;
+    // First arrivals over the attempt: fail-stop in attempt-local wall
+    // time, silent in accumulated work time (verifications are immune).
     let t_fail = rng.exponential(cfg.rates.fail_stop);
     let t_silent = silent_arrival(law, cfg.rates.silent, rng);
 
     if let Some(tr) = trace.as_deref_mut() {
         tr.record(Event::new(*clock, EventKind::WorkStart { speed: sigma }));
-        if t_silent < work_t && t_fail >= phase {
-            tr.record(Event::new(*clock + t_silent, EventKind::SilentErrorStruck));
-        }
     }
-
-    if t_fail < phase {
-        // Interrupted mid-phase: t_fail seconds of compute power are lost.
-        *clock += t_fail;
-        meter.add_compute(t_fail, sigma);
+    // Attempt-local wall time and work time at the current segment start.
+    let mut local = 0.0;
+    let mut worked = 0.0;
+    for _ in 0..q {
+        if t_fail < local + seg_t + verify_t {
+            // Interrupted mid-segment: the compute time since the
+            // segment start is lost.
+            let lost = t_fail - local;
+            *clock += lost;
+            meter.add_compute(lost, sigma);
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.record(Event::new(*clock, EventKind::FailStopError));
+            }
+            return AttemptEnd::FailStop;
+        }
+        let struck = t_silent < worked + seg_t;
         if let Some(tr) = trace.as_deref_mut() {
-            tr.record(Event::new(*clock, EventKind::FailStopError));
+            if struck {
+                let at = *clock + (t_silent - worked);
+                tr.record(Event::new(at, EventKind::SilentErrorStruck));
+            }
         }
-        return AttemptEnd::FailStop;
-    }
 
-    // Full computation + verification.
-    *clock += work_t;
-    meter.add_compute(work_t, sigma);
-    if let Some(tr) = trace.as_deref_mut() {
-        tr.record(Event::new(
-            *clock,
-            EventKind::VerificationStart { speed: sigma },
-        ));
-    }
-    *clock += verify_t;
-    meter.add_compute(verify_t, sigma);
-
-    if t_silent < work_t {
+        // Full segment work + verification.
+        *clock += seg_t;
+        meter.add_compute(seg_t, sigma);
         if let Some(tr) = trace.as_deref_mut() {
-            tr.record(Event::new(*clock, EventKind::VerificationFailed));
+            tr.record(Event::new(
+                *clock,
+                EventKind::VerificationStart { speed: sigma },
+            ));
         }
-        AttemptEnd::SilentDetected
-    } else {
+        *clock += verify_t;
+        meter.add_compute(verify_t, sigma);
+        if struck {
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.record(Event::new(*clock, EventKind::VerificationFailed));
+            }
+            return AttemptEnd::SilentDetected;
+        }
         if let Some(tr) = trace.as_deref_mut() {
             tr.record(Event::new(*clock, EventKind::VerificationOk));
         }
-        AttemptEnd::Success
+        local += seg_t + verify_t;
+        worked += seg_t;
     }
+    AttemptEnd::Success
 }
 
 /// Performs a recovery, metering its time and I/O energy.
@@ -201,22 +227,10 @@ pub const MAX_ATTEMPTS: u32 = 10_000_000;
 /// Structured error for configurations the sampling engines cannot run.
 ///
 /// Raised at *construction* time ([`FastPattern::new`],
-/// [`MixedFastPattern::new`], [`ensure_completes`]) and surfaced from
-/// `MonteCarlo::run*` via engine resolution — never mid-sample from
-/// inside a rayon worker.
+/// [`ensure_completes`]) and surfaced from `MonteCarlo::run*` via engine
+/// resolution — never mid-sample from inside a rayon worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineError {
-    /// The silent-only geometric sampler ([`FastPattern`]) was asked to
-    /// handle a config with a fail-stop error source. Mixed configs use
-    /// [`MixedFastPattern`] (which is what `Engine::Auto` and
-    /// `Engine::FastPath` resolve to).
-    FailStopUnsupported {
-        /// The offending fail-stop rate `λᶠ`.
-        fail_stop: f64,
-    },
-    /// The mixed sampler ([`MixedFastPattern`]) was asked to handle a
-    /// config with no fail-stop error source; use [`FastPattern`].
-    SilentOnlyConfig,
     /// Degenerate configuration: the per-attempt success probability at
     /// `σ₂` is so close to zero that a pattern will effectively never
     /// complete (the expected execution count overruns a comfortable
@@ -238,8 +252,8 @@ pub enum EngineError {
         success_probability: f64,
     },
     /// The requested error-law/schedule scenario is outside what the
-    /// selected engine can run (e.g. forcing the geometric fast path on
-    /// a non-memoryless law).
+    /// selected engine can run (e.g. forcing the closed-form fast path
+    /// on a non-memoryless law).
     UnsupportedScenario {
         /// Which eligibility rule failed.
         reason: &'static str,
@@ -249,16 +263,6 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::FailStopUnsupported { fail_stop } => write!(
-                f,
-                "silent-only fast path cannot simulate a fail-stop error source \
-                 (lambda_f = {fail_stop}); use the mixed fast path"
-            ),
-            EngineError::SilentOnlyConfig => write!(
-                f,
-                "mixed fast path requires a fail-stop error source; \
-                 use the silent-only fast path"
-            ),
             EngineError::NeverCompletes {
                 success_probability,
             } => write!(
@@ -283,31 +287,31 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Per-attempt success probability at speed `sigma`:
-/// `e^{−(λᶠ(W+V) + λˢW)/σ}` — both error sources must spare the attempt
-/// (the fail-stop process over the whole `(W+V)/σ` phase, the silent
-/// process over the `W/σ` work sub-phase).
-#[inline]
-fn attempt_success_probability(cfg: &SimConfig, sigma: f64) -> f64 {
-    let hazard = cfg.rates.fail_stop * (cfg.w + cfg.costs.verification) + cfg.rates.silent * cfg.w;
-    (-hazard / sigma).exp()
-}
-
-/// Rejects configurations whose per-attempt success probability at `σ₂`
-/// is so small that sampled attempt counts would overrun
-/// [`MAX_ATTEMPTS`].
+/// Rejects configurations whose per-attempt success probability at the
+/// *settled* retry speed (the schedule's last entry, or `σ₂` without a
+/// schedule) is non-finite or so small that sampled attempt counts
+/// would overrun [`MAX_ATTEMPTS`].
 ///
-/// The bound leaves a factor-128 margin: for accepted configs a single
+/// The success probability is `e^{−λᶠ(W+V)/σ}` (the fail-stop process
+/// spares the whole phase) times the silent law's survival over the
+/// `W/σ` work sub-phase — `e^{−λˢW/σ}` for the exponential law. The
+/// bound leaves a factor-128 margin: for accepted configs a single
 /// pattern reaches the cap with probability at most `e^{−128}`, so the
-/// closed-form samplers clamp at the cap instead of asserting per sample
+/// closed-form sampler clamps at the cap instead of asserting per sample
 /// and `MonteCarlo::run*` cannot panic on a validated config.
 ///
 /// # Errors
-/// [`EngineError::NonFiniteSuccessProbability`] when `q(σ₂)` is NaN or
-/// infinite (a non-finite configuration field), else
-/// [`EngineError::NeverCompletes`] when `1/q(σ₂) > MAX_ATTEMPTS/128`.
-pub fn ensure_completes(cfg: &SimConfig) -> Result<(), EngineError> {
-    let q = attempt_success_probability(cfg, cfg.sigma2);
+/// [`EngineError::NonFiniteSuccessProbability`] when the probability is
+/// NaN or infinite (a non-finite configuration field), else
+/// [`EngineError::NeverCompletes`] when `1/q(σ) > MAX_ATTEMPTS/128`.
+pub fn ensure_completes(
+    cfg: &SimConfig,
+    law: ErrorLaw,
+    schedule: Option<&SpeedSchedule>,
+) -> Result<(), EngineError> {
+    let sigma = schedule.map_or(cfg.sigma2, SpeedSchedule::settled);
+    let q_fail = (-cfg.rates.fail_stop * (cfg.w + cfg.costs.verification) / sigma).exp();
+    let q = q_fail * law.survival(cfg.w / sigma, cfg.rates.silent);
     // Checked *before* the threshold: a NaN `q` compares false against
     // the `< 128` guard below and would sail straight through it.
     if !q.is_finite() {
@@ -323,59 +327,22 @@ pub fn ensure_completes(cfg: &SimConfig) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Scenario analogue of [`ensure_completes`]: rejects configurations
-/// whose per-attempt success probability at the *settled* retry speed
-/// (the schedule's last entry, or `σ₂` without a schedule) is
-/// non-finite or too small under the given inter-error law.
+/// The per-attempt loop: simulates one pattern of `q ≥ 1` verified
+/// segments until it checkpoints, under a silent-error `law` and an
+/// optional per-attempt speed `schedule`, optionally recording a trace.
 ///
-/// For the exponential law without a schedule this is the same bound as
-/// [`ensure_completes`]; non-memoryless laws replace the silent factor
-/// with the law's survival probability over the `W/σ` work sub-phase.
-///
-/// # Errors
-/// Same contract as [`ensure_completes`].
-pub fn ensure_scenario_completes(
+/// Every per-attempt entry point is an instance of this loop: the
+/// reference engine is (`Exponential`, no schedule, `q = 1`), scenarios
+/// vary the law and schedule, and
+/// [`simulate_pattern_segmented`](crate::segmented::simulate_pattern_segmented)
+/// varies `q`. Inlined so that the `q = 1` callers fold the segment
+/// loop away.
+#[inline]
+pub(crate) fn run_pattern(
     cfg: &SimConfig,
     law: ErrorLaw,
     schedule: Option<&SpeedSchedule>,
-) -> Result<(), EngineError> {
-    let sigma = schedule.map_or(cfg.sigma2, SpeedSchedule::settled);
-    let q_fail = (-cfg.rates.fail_stop * (cfg.w + cfg.costs.verification) / sigma).exp();
-    let q_silent = law.survival(cfg.w / sigma, cfg.rates.silent);
-    let q = q_fail * q_silent;
-    if !q.is_finite() {
-        return Err(EngineError::NonFiniteSuccessProbability {
-            success_probability: q,
-        });
-    }
-    if q * f64::from(MAX_ATTEMPTS) < 128.0 {
-        return Err(EngineError::NeverCompletes {
-            success_probability: q,
-        });
-    }
-    Ok(())
-}
-
-/// Simulates one pattern until it checkpoints successfully under an
-/// arbitrary silent-error law and optional per-attempt speed schedule,
-/// optionally recording a trace.
-///
-/// This is the *scenario* engine: the generalization the closed-form
-/// fast paths cannot cover. With `ErrorLaw::Exponential` and no schedule
-/// it is bit-identical to [`simulate_pattern_traced`] (which delegates
-/// here). A schedule overrides the `σ₁`/`σ₂` speed rule with
-/// `schedule.speed_for_attempt(i)`; a non-memoryless law replaces the
-/// per-attempt exponential silent draw with an inverse-survival draw
-/// from a fresh renewal of the error process (rollback restores a
-/// pristine state, so attempts stay i.i.d. and the attempt count remains
-/// geometric — just not in a memoryless per-second hazard).
-///
-/// # Panics
-/// After [`MAX_ATTEMPTS`] failed executions (success probability ≈ 0).
-pub fn simulate_pattern_scenario_traced(
-    cfg: &SimConfig,
-    law: ErrorLaw,
-    schedule: Option<&SpeedSchedule>,
+    q: u32,
     rng: &mut SimRng,
     mut trace: Option<&mut TraceRecorder>,
 ) -> PatternOutcome {
@@ -400,7 +367,7 @@ pub fn simulate_pattern_scenario_traced(
             cfg.rates
         );
         attempts += 1;
-        match run_attempt(cfg, sigma, law, &mut clock, &mut meter, rng, &mut trace) {
+        match run_attempt(cfg, q, sigma, law, &mut clock, &mut meter, rng, &mut trace) {
             AttemptEnd::Success => break,
             AttemptEnd::FailStop => {
                 fail_stop += 1;
@@ -437,6 +404,32 @@ pub fn simulate_pattern_scenario_traced(
 }
 
 /// Simulates one pattern until it checkpoints successfully under an
+/// arbitrary silent-error law and optional per-attempt speed schedule,
+/// optionally recording a trace.
+///
+/// This is the *scenario* engine: the generalization the closed-form
+/// fast path cannot cover. With `ErrorLaw::Exponential` and no schedule
+/// it is the reference engine ([`simulate_pattern_traced`] delegates
+/// here). A schedule overrides the `σ₁`/`σ₂` speed rule with
+/// `schedule.speed_for_attempt(i)`; a non-memoryless law replaces the
+/// per-attempt exponential silent draw with an inverse-survival draw
+/// from a fresh renewal of the error process (rollback restores a
+/// pristine state, so attempts stay i.i.d. and the attempt count remains
+/// geometric — just not in a memoryless per-second hazard).
+///
+/// # Panics
+/// After [`MAX_ATTEMPTS`] failed executions (success probability ≈ 0).
+pub fn simulate_pattern_scenario_traced(
+    cfg: &SimConfig,
+    law: ErrorLaw,
+    schedule: Option<&SpeedSchedule>,
+    rng: &mut SimRng,
+    trace: Option<&mut TraceRecorder>,
+) -> PatternOutcome {
+    run_pattern(cfg, law, schedule, 1, rng, trace)
+}
+
+/// Simulates one pattern until it checkpoints successfully under an
 /// arbitrary silent-error law and optional speed schedule.
 pub fn simulate_pattern_scenario(
     cfg: &SimConfig,
@@ -444,7 +437,7 @@ pub fn simulate_pattern_scenario(
     schedule: Option<&SpeedSchedule>,
     rng: &mut SimRng,
 ) -> PatternOutcome {
-    simulate_pattern_scenario_traced(cfg, law, schedule, rng, None)
+    run_pattern(cfg, law, schedule, 1, rng, None)
 }
 
 /// Simulates one pattern until it checkpoints successfully, optionally
@@ -458,282 +451,17 @@ pub fn simulate_pattern_traced(
     rng: &mut SimRng,
     trace: Option<&mut TraceRecorder>,
 ) -> PatternOutcome {
-    simulate_pattern_scenario_traced(cfg, ErrorLaw::Exponential, None, rng, trace)
+    run_pattern(cfg, ErrorLaw::Exponential, None, 1, rng, trace)
 }
 
 /// Simulates one pattern until it checkpoints successfully.
 pub fn simulate_pattern(cfg: &SimConfig, rng: &mut SimRng) -> PatternOutcome {
-    simulate_pattern_traced(cfg, rng, None)
+    run_pattern(cfg, ErrorLaw::Exponential, None, 1, rng, None)
 }
 
-/// Whether `cfg` qualifies for the *silent-only* closed-form fast path.
-///
-/// Eligible configs have no fail-stop error source: every attempt then
-/// runs its full `(W+V)/σ` phase, so a pattern is fully described by its
-/// attempt count, and that count follows the two-stage geometric law of
-/// Proposition 1 (see [`FastPattern`]). Mixed fail-stop + silent configs
-/// have their own closed-form sampler, [`MixedFastPattern`], which also
-/// draws each abort's random duration; only trace-recording runs still
-/// need the exact per-attempt loop (the fast paths never materialize
-/// events).
-#[inline]
-pub fn fast_path_eligible(cfg: &SimConfig) -> bool {
-    cfg.rates.fail_stop <= 0.0
-}
-
-/// Precomputed closed-form tables for the silent-only fast path.
-///
-/// For a silent-only config every attempt at speed `σ` takes exactly
-/// `(W+V)/σ` and fails (verification detects a latent silent error) with
-/// the Proposition-1 probability `p(σ) = 1 − e^{−λ_s W/σ}`, independently
-/// of every other attempt. The attempt count `n` therefore follows a
-/// two-stage geometric law:
-///
-/// ```text
-/// P(n = 1)      = 1 − p(σ₁)
-/// P(n = 1 + j)  = p(σ₁) · p(σ₂)^{j−1} · (1 − p(σ₂)),   j ≥ 1
-/// ```
-///
-/// Instead of replaying the per-attempt exponential-draw loop, the fast
-/// path samples `n` directly — one uniform for the first attempt, one
-/// more (inverse-CDF geometric) only if it failed — and reconstructs
-/// time and energy arithmetically:
-///
-/// ```text
-/// time(n)   = (W+V)/σ₁ + C  +  (n−1) · ((W+V)/σ₂ + R)
-/// energy(n) = analogous, at the per-phase powers
-/// ```
-///
-/// The sampled distribution of `n` (and hence of time and energy) is
-/// exactly the reference engine's; only the underlying uniform draws
-/// differ, so the equivalence is statistical, not bit-wise — pinned by
-/// the `z = 4` identity tests against the reference engine and Prop 2.
-#[derive(Debug, Clone, Copy)]
-pub struct FastPattern {
-    /// Per-attempt silent-failure probability at `σ₁`.
-    p_first: f64,
-    /// Per-attempt silent-failure probability at `σ₂`.
-    p_retry: f64,
-    /// `ln(p_retry)`, cached for the inverse-CDF geometric draw.
-    ln_p_retry: f64,
-    /// `1/ln(1 − p(σ₁))` with `ln(1 − p(σ₁)) = −λ_s·W/σ₁` exact (no
-    /// cancellation) — the run-length inverse CDF as a multiply.
-    inv_ln_q_first: f64,
-    /// `1/ln p(σ₂)` — the geometric inverse CDF as a multiply.
-    inv_ln_p_retry: f64,
-    /// Time of a one-attempt pattern: `(W+V)/σ₁ + C`.
-    t_first: f64,
-    /// Energy of a one-attempt pattern.
-    e_first: f64,
-    /// Extra time per re-execution: `(W+V)/σ₂ + R`.
-    t_retry: f64,
-    /// Extra energy per re-execution.
-    e_retry: f64,
-    /// The single re-execution speed `σ₂` every retry runs at — what
-    /// [`AttemptLaw::retry_speed`] reports for every attempt index.
-    sigma_retry: f64,
-    /// Success outcome (`n = 1`), precomputed: the common case by far.
-    first_try: PatternOutcome,
-}
-
-impl FastPattern {
-    /// Builds the tables.
-    ///
-    /// # Errors
-    /// [`EngineError::FailStopUnsupported`] if `cfg` has a fail-stop
-    /// error source (see [`fast_path_eligible`]; mixed configs use
-    /// [`MixedFastPattern`]), or [`EngineError::NeverCompletes`] for the
-    /// degenerate regime [`ensure_completes`] rejects.
-    pub fn new(cfg: &SimConfig) -> Result<Self, EngineError> {
-        if !fast_path_eligible(cfg) {
-            return Err(EngineError::FailStopUnsupported {
-                fail_stop: cfg.rates.fail_stop,
-            });
-        }
-        ensure_completes(cfg)?;
-        let phase = |sigma: f64| (cfg.w + cfg.costs.verification) / sigma;
-        // p = 1 − e^{−λW/σ} via expm1, exact down to subnormal rates.
-        let p_at = |sigma: f64| -(-cfg.rates.silent * cfg.w / sigma).exp_m1();
-        let p_first = p_at(cfg.sigma1);
-        let p_retry = p_at(cfg.sigma2);
-        let io = cfg.power.io_power();
-        let t_first = phase(cfg.sigma1) + cfg.costs.checkpoint;
-        let e_first =
-            phase(cfg.sigma1) * cfg.power.compute_power(cfg.sigma1) + cfg.costs.checkpoint * io;
-        let t_retry = phase(cfg.sigma2) + cfg.costs.recovery;
-        let e_retry =
-            phase(cfg.sigma2) * cfg.power.compute_power(cfg.sigma2) + cfg.costs.recovery * io;
-        let ln_q_first = -cfg.rates.silent * cfg.w / cfg.sigma1;
-        let ln_p_retry = p_retry.ln();
-        Ok(FastPattern {
-            p_first,
-            p_retry,
-            ln_p_retry,
-            // The degenerate 1/−0 and 1/−∞ reciprocals are never
-            // consulted: the samplers guard on p ≤ 0 first.
-            inv_ln_q_first: ln_q_first.recip(),
-            inv_ln_p_retry: ln_p_retry.recip(),
-            t_first,
-            e_first,
-            t_retry,
-            e_retry,
-            sigma_retry: cfg.sigma2,
-            first_try: PatternOutcome {
-                time: t_first,
-                energy: e_first,
-                attempts: 1,
-                silent_errors: 0,
-                fail_stop_errors: 0,
-            },
-        })
-    }
-
-    /// The precomputed `n = 1` outcome — what [`sample`](Self::sample)
-    /// returns whenever the first attempt succeeds. Lets accumulators
-    /// batch the dominant case (its outcome never varies) instead of
-    /// re-reading it from every sample.
-    #[inline]
-    pub fn first_try_outcome(&self) -> PatternOutcome {
-        self.first_try
-    }
-
-    /// The outcome of a pattern that took `attempts` executions.
-    #[inline]
-    fn outcome(&self, attempts: u32) -> PatternOutcome {
-        let retries = f64::from(attempts - 1);
-        PatternOutcome {
-            time: self.t_first + retries * self.t_retry,
-            energy: self.e_first + retries * self.e_retry,
-            attempts,
-            silent_errors: attempts - 1,
-            fail_stop_errors: 0,
-        }
-    }
-
-    /// Samples one pattern outcome from a uniform draw source.
-    ///
-    /// Consumes one draw when the first attempt succeeds (probability
-    /// `1 − p(σ₁)`), two otherwise — never more, however many
-    /// re-executions the geometric draw encodes.
-    #[inline]
-    fn sample_with(&self, mut next: impl FnMut() -> f64) -> PatternOutcome {
-        // u ∈ (0, 1] and P(u ≤ p) = p: the first attempt fails iff u ≤ p₁.
-        if next() > self.p_first {
-            return self.first_try;
-        }
-        self.failed_first_with(next)
-    }
-
-    /// Samples the rest of a pattern whose first attempt already failed
-    /// (consumes one draw).
-    #[inline]
-    fn failed_first_with(&self, mut next: impl FnMut() -> f64) -> PatternOutcome {
-        // k = number of σ₂ attempts to first success, k ~ Geom(1 − p₂):
-        // inverse CDF, k = ⌈ln u / ln p₂⌉ (clamped to ≥ 1 for u = 1).
-        // Construction rejected the degenerate p₂ → 1 regime
-        // (`ensure_completes`), so ln p₂ < 0 and the inverse CDF is
-        // well-defined; the cap clamp covers the ≤ e⁻¹²⁸ tail that the
-        // factor-128 construction margin leaves possible.
-        let retries = if self.p_retry <= 0.0 {
-            1.0
-        } else {
-            (next().ln() / self.ln_p_retry)
-                .ceil()
-                .max(1.0)
-                .min(f64::from(MAX_ATTEMPTS - 1))
-        };
-        self.outcome(1 + retries as u32)
-    }
-
-    /// The outcome of a pattern whose first attempt failed, sampled from
-    /// a buffered chunk stream (one draw, with its refill-time log
-    /// feeding the geometric inverse CDF directly). Pairs with
-    /// [`success_run_len`](Self::success_run_len) in the runner's
-    /// run-length-batched hot loop.
-    #[inline]
-    pub(crate) fn sample_failed_first(
-        &self,
-        draws: &mut crate::rng::UniformStream,
-    ) -> PatternOutcome {
-        // Same inverse CDF as `failed_first_with`, but `ln u` comes
-        // precomputed from the stream's batched log sweep and the
-        // division runs as a reciprocal multiply (equal in law — a
-        // quotient ulp can flip a ⌈·⌉ boundary, which no test or run
-        // variant observes bitwise). The degenerate `p₂ = 0` case
-        // consumes no draw, like the scalar form.
-        let retries = if self.p_retry <= 0.0 {
-            1.0
-        } else {
-            let (_, ln_u) = draws.next_uniform_ln();
-            (ln_u * self.inv_ln_p_retry)
-                .ceil()
-                .max(1.0)
-                .min(f64::from(MAX_ATTEMPTS - 1))
-        };
-        self.outcome(1 + retries as u32)
-    }
-
-    /// [`success_run_len_ln`](Self::success_run_len_ln) from the raw
-    /// uniform — test-suite convenience for the per-draw law checks.
-    #[cfg(test)]
-    pub(crate) fn success_run_len(&self, u: f64) -> u64 {
-        self.success_run_len_ln(u.ln())
-    }
-
-    /// Number of consecutive patterns whose first attempt succeeds before
-    /// one fails, from the precomputed log of a single uniform
-    /// `u ∈ (0, 1]` (the stream's refill-time batched sweep).
-    ///
-    /// The run length is `Geom(p(σ₁))`-distributed — `P(run = j) =
-    /// (1 − p₁)^j · p₁` — sampled by inverse CDF as `⌊ln u / ln(1 − p₁)⌋`
-    /// with `ln(1 − p₁) = −λ_s·W/σ₁` computed without cancellation and
-    /// the division a reciprocal multiply. By memorylessness a run may be
-    /// truncated at a chunk boundary and resampled fresh:
-    /// `P(run ≥ k) = (1 − p₁)^k` either way. Saturates (effectively "the
-    /// whole chunk") when `p₁` rounds to 0.
-    #[inline]
-    pub(crate) fn success_run_len_ln(&self, ln_u: f64) -> u64 {
-        if self.p_first <= 0.0 {
-            return u64::MAX;
-        }
-        // Both logs are ≤ 0, the ratio is ≥ 0; the float→int cast
-        // saturates for tiny p₁.
-        (ln_u * self.inv_ln_q_first) as u64
-    }
-
-    /// Samples one pattern outcome from a buffered chunk stream (the
-    /// runner's hot path). Never panics: the degenerate never-completes
-    /// regime is rejected at [construction](Self::new).
-    #[inline]
-    pub fn sample(&self, draws: &mut crate::rng::UniformStream) -> PatternOutcome {
-        self.sample_with(|| draws.next_uniform())
-    }
-
-    /// Samples one pattern outcome directly from an RNG (advancing it).
-    #[inline]
-    pub fn sample_rng(&self, rng: &mut SimRng) -> PatternOutcome {
-        self.sample_with(|| rng.uniform_open())
-    }
-}
-
-/// Simulates one silent-only pattern via the geometric fast path.
-///
-/// Statistically identical to [`simulate_pattern`] (same outcome
-/// distribution), but samples the attempt count in closed form instead of
-/// looping per attempt — see [`FastPattern`].
-///
-/// # Panics
-/// If `cfg` has a fail-stop error source (use [`simulate_pattern`] or
-/// [`MixedFastPattern`]) or is degenerate (see [`ensure_completes`]).
-/// Fallible callers should go through [`FastPattern::new`] instead.
-pub fn simulate_pattern_fast(cfg: &SimConfig, rng: &mut SimRng) -> PatternOutcome {
-    let fast = FastPattern::new(cfg)
-        .expect("fast path requires a silent-only config; see fast_path_eligible()");
-    fast.sample_rng(rng)
-}
-
-/// Precomputed closed-form tables for the mixed fail-stop + silent fast
-/// path (paper §5).
+/// Precomputed closed-form tables for the fast path: the paper's
+/// fail-stop + silent model (§5), of which the silent-only model
+/// (Propositions 2–3) is the `λᶠ = 0` case.
 ///
 /// Per attempt at speed `σ` the outcome is a **three-way categorical**:
 ///
@@ -743,46 +471,38 @@ pub fn simulate_pattern_fast(cfg: &SimConfig, rng: &mut SimRng) -> PatternOutcom
 /// success              q(σ)  = (1 − pᶠ(σ))(1 − pˢ(σ))
 /// ```
 ///
-/// so the attempt count follows the same two-stage geometric law as the
-/// silent-only [`FastPattern`], only in the combined per-attempt success
-/// probability `q(σ)`. Conditioned on a failed attempt, the cause is
-/// fail-stop with probability `pᶠ/p` where `p = 1 − q` — classifying each
-/// failure independently binomially thins the fail-stop aborts out of the
-/// failure count — and each abort's duration follows the exponential
-/// truncated to the phase, sampled by inverse CDF
+/// so the attempt count follows a two-stage geometric law in the
+/// combined per-attempt success probability `q(σ)`:
 ///
 /// ```text
-/// t = −ln(1 − u·pᶠ)/λᶠ,    u ~ U(0, 1]
+/// P(n = 1)      = q(σ₁)
+/// P(n = 1 + j)  = (1 − q(σ₁)) · (1 − q(σ₂))^{j−1} · q(σ₂),   j ≥ 1
 /// ```
 ///
-/// evaluated through `ln_1p` so the `λᶠ t → 0` regime keeps full
-/// precision (the same series discipline as
-/// `rexec_core::expected_time_lost`, which is the analytic mean of this
-/// very draw). Unlike the silent-only law the per-pattern time and energy
-/// are *not* functions of the attempt count alone — each abort
-/// contributes its own random `t` — so failed attempts accumulate
-/// explicitly while successes stay precomputed.
+/// The sampler draws the run of consecutive first-try successes with
+/// one uniform (its outcome is precomputed), then walks each failed
+/// pattern's σ₂ attempts one uniform apiece; the draw that fails an
+/// attempt also classifies its cause and, for an abort, its duration
+/// under the exponential truncated to the phase. At `λᶠ = 0` the abort
+/// stratum is empty — `pᶠ = 0`, no draw ever classifies as fail-stop —
+/// and every failed attempt costs its full phase plus a recovery, which
+/// is Proposition 1's law.
 ///
-/// A success consumes exactly one uniform draw, like [`FastPattern`], so
-/// the runner's first-try run-length batching applies unchanged. The
-/// sampled law is exactly the reference engine's (only the underlying
-/// uniforms differ), pinned by the `z = 4` identity tests against the
-/// reference engine and Propositions 4–5.
+/// The sampled law is exactly the reference engine's; only the
+/// underlying uniforms differ, so the equivalence is statistical, not
+/// bitwise — pinned by the `z = 4` identity tests against the reference
+/// engine and Propositions 2–5.
 #[derive(Debug, Clone, Copy)]
-pub struct MixedFastPattern {
+pub struct FastPattern {
     /// Per-attempt failure probability (any cause) at `σ₁`: `1 − q(σ₁)`.
     p_any_first: f64,
     /// Per-attempt failure probability at `σ₂`.
     p_any_retry: f64,
-    /// `ln(p(σ₂))`, cached for the inverse-CDF geometric draw.
-    ln_p_retry: f64,
     /// `1/ln q(σ₁)` with `ln q(σ₁) = −(λᶠ(W+V) + λˢW)/σ₁` exact (no
     /// cancellation) — the run-length inverse CDF as a multiply.
     inv_ln_q_first: f64,
     /// `P(fail-stop | failure)` at `σ₁`: `pᶠ(σ₁)/p(σ₁)`.
     frac_fail_first: f64,
-    /// `P(fail-stop | failure)` at `σ₂`.
-    frac_fail_retry: f64,
     /// `ln(pᶠ(σ₁)/p(σ₁))` — rebases a classification draw's batched log
     /// into an exponential abort draw (see
     /// [`abort_duration`](Self::abort_duration)).
@@ -793,8 +513,6 @@ pub struct MixedFastPattern {
     /// `ln pᶠ(σ₂)` — rebases a retry draw's batched log into an
     /// exponential abort draw.
     ln_p_fail_retry: f64,
-    /// Fail-stop rate `λᶠ` (> 0 by construction).
-    lambda_fail: f64,
     /// `1/λᶠ`, for the division-free abort-duration map.
     inv_lambda_fail: f64,
     /// Abort-duration truncation bound at `σ₁`: the attempt phase
@@ -826,25 +544,19 @@ pub struct MixedFastPattern {
     t_recovery: f64,
     /// Recovery energy appended to every fail-stop abort: `R·Pio`.
     e_recovery: f64,
-    /// The single re-execution speed `σ₂` every retry runs at — what
-    /// [`AttemptLaw::retry_speed`] reports for every attempt index.
-    sigma_retry: f64,
     /// Success outcome (`n = 1`), precomputed: the common case by far.
     first_try: PatternOutcome,
 }
 
-impl MixedFastPattern {
+impl FastPattern {
     /// Builds the tables.
     ///
     /// # Errors
-    /// [`EngineError::SilentOnlyConfig`] if `cfg` has no fail-stop error
-    /// source (use [`FastPattern`]), or [`EngineError::NeverCompletes`]
-    /// for the degenerate regime [`ensure_completes`] rejects.
+    /// [`EngineError::NeverCompletes`] or
+    /// [`EngineError::NonFiniteSuccessProbability`] for the configs
+    /// [`ensure_completes`] rejects.
     pub fn new(cfg: &SimConfig) -> Result<Self, EngineError> {
-        if cfg.rates.fail_stop <= 0.0 {
-            return Err(EngineError::SilentOnlyConfig);
-        }
-        ensure_completes(cfg)?;
+        ensure_completes(cfg, ErrorLaw::Exponential, None)?;
         let phase = |sigma: f64| (cfg.w + cfg.costs.verification) / sigma;
         // Combined hazard per attempt; q(σ) = e^{−hazard/σ}.
         let hazard =
@@ -852,35 +564,32 @@ impl MixedFastPattern {
         let p_any = |sigma: f64| -(-hazard / sigma).exp_m1();
         let p_fail = |sigma: f64| -(-cfg.rates.fail_stop * phase(sigma)).exp_m1();
         let p_any_first = p_any(cfg.sigma1);
-        let p_any_retry = p_any(cfg.sigma2);
         // P(fail-stop | failure). A subnormal hazard can underflow p to
         // 0; those attempts never fail, so the ratio is never consulted —
         // pin it to 1 to keep the field finite.
-        let frac = |pf: f64, p: f64| if p > 0.0 { pf / p } else { 1.0 };
+        let frac_fail_first = if p_any_first > 0.0 {
+            p_fail(cfg.sigma1) / p_any_first
+        } else {
+            1.0
+        };
         let io = cfg.power.io_power();
         let power_first = cfg.power.compute_power(cfg.sigma1);
         let power_retry = cfg.power.compute_power(cfg.sigma2);
         let t_first = phase(cfg.sigma1) + cfg.costs.checkpoint;
         let e_first = phase(cfg.sigma1) * power_first + cfg.costs.checkpoint * io;
-        let ln_q_first = -hazard / cfg.sigma1;
-        let ln_p_retry = p_any_retry.ln();
-        let frac_fail_first = frac(p_fail(cfg.sigma1), p_any_first);
-        let frac_fail_retry = frac(p_fail(cfg.sigma2), p_any_retry);
-        Ok(MixedFastPattern {
+        Ok(FastPattern {
             p_any_first,
-            p_any_retry,
-            ln_p_retry,
+            p_any_retry: p_any(cfg.sigma2),
             // The degenerate 1/−0 reciprocal is never consulted: the
-            // samplers guard on p ≤ 0 first.
-            inv_ln_q_first: ln_q_first.recip(),
+            // run-length sampler guards on p ≤ 0 first.
+            inv_ln_q_first: (-hazard / cfg.sigma1).recip(),
             frac_fail_first,
-            frac_fail_retry,
-            // pᶠ > 0 in the mixed regime (λᶠ > 0), so the libm logs are
-            // finite.
+            // At λᶠ = 0 these logs are −∞ and 1/λᶠ is +∞: the abort
+            // arm then computes NaN, but no draw ever selects it
+            // (u ≤ 0 never holds for u ∈ (0, 1]).
             ln_frac_fail_first: frac_fail_first.ln(),
             p_fail_retry: p_fail(cfg.sigma2),
             ln_p_fail_retry: p_fail(cfg.sigma2).ln(),
-            lambda_fail: cfg.rates.fail_stop,
             inv_lambda_fail: cfg.rates.fail_stop.recip(),
             t_attempt_first: phase(cfg.sigma1),
             inv_t_attempt_first: phase(cfg.sigma1).recip(),
@@ -896,7 +605,6 @@ impl MixedFastPattern {
             e_success_retry: phase(cfg.sigma2) * power_retry + cfg.costs.checkpoint * io,
             t_recovery: cfg.costs.recovery,
             e_recovery: cfg.costs.recovery * io,
-            sigma_retry: cfg.sigma2,
             first_try: PatternOutcome {
                 time: t_first,
                 energy: e_first,
@@ -908,100 +616,33 @@ impl MixedFastPattern {
     }
 
     /// The precomputed `n = 1` outcome — what sampling returns whenever
-    /// the first attempt succeeds.
+    /// the first attempt succeeds. Lets accumulators batch the dominant
+    /// case (its outcome never varies) instead of re-reading it from
+    /// every sample.
     #[inline]
     pub fn first_try_outcome(&self) -> PatternOutcome {
         self.first_try
     }
 
     /// Number of consecutive patterns whose first attempt succeeds before
-    /// one fails, from the precomputed log of a single uniform — the same
-    /// inverse-CDF geometric as [`FastPattern::success_run_len_ln`], with
-    /// `ln q(σ₁)` the combined two-source log-success.
+    /// one fails, from the precomputed log of a single uniform
+    /// `u ∈ (0, 1]` (the stream's refill-time batched sweep).
+    ///
+    /// The run length is `Geom(p(σ₁))`-distributed — `P(run = j) =
+    /// q(σ₁)^j · p(σ₁)` — sampled by inverse CDF as `⌊ln u / ln q(σ₁)⌋`
+    /// with `ln q(σ₁)` computed without cancellation and the division a
+    /// reciprocal multiply. By memorylessness a run may be truncated at a
+    /// chunk boundary and resampled fresh: `P(run ≥ k) = q(σ₁)^k` either
+    /// way. Saturates (effectively "the whole chunk") when `p(σ₁)`
+    /// rounds to 0.
     #[inline]
     pub(crate) fn success_run_len_ln(&self, ln_u: f64) -> u64 {
         if self.p_any_first <= 0.0 {
             return u64::MAX;
         }
+        // Both logs are ≤ 0, the ratio is ≥ 0; the float→int cast
+        // saturates for tiny p₁.
         (ln_u * self.inv_ln_q_first) as u64
-    }
-
-    /// Samples one pattern outcome from a uniform draw source. A success
-    /// consumes exactly one draw; a failed first attempt reuses that draw
-    /// for its cause and abort duration (see
-    /// [`complete_failed_first`](Self::complete_failed_first)).
-    #[inline]
-    fn sample_with(&self, mut next: impl FnMut() -> f64) -> PatternOutcome {
-        // u ∈ (0, 1] and P(u ≤ p) = p: the first attempt fails iff
-        // u ≤ p₁; conditioned on that, u/p₁ ~ U(0, 1] classifies it.
-        let u = next();
-        if u > self.p_any_first {
-            return self.first_try;
-        }
-        self.complete_failed_first(u / self.p_any_first, next)
-    }
-
-    /// Completes a pattern whose first attempt failed, `v ∈ (0, 1]` being
-    /// the classification draw for that failure: fail-stop iff
-    /// `v ≤ pᶠ(σ₁)/p(σ₁)`, in which case `v·p(σ₁) ~ U(0, pᶠ(σ₁)]` is
-    /// reused as the truncated-exponential abort draw
-    /// `t = −ln(1 − v·p₁)/λᶠ ≤ (W+V)/σ₁`.
-    fn complete_failed_first(&self, v: f64, mut next: impl FnMut() -> f64) -> PatternOutcome {
-        let mut time;
-        let mut energy;
-        let mut silent = 0u32;
-        let mut fail_stop = 0u32;
-        if v <= self.frac_fail_first {
-            fail_stop = 1;
-            let t = -(-v * self.p_any_first).ln_1p() / self.lambda_fail;
-            time = t + self.t_recovery;
-            energy = t * self.power_first + self.e_recovery;
-        } else {
-            silent = 1;
-            time = self.t_silent_first;
-            energy = self.e_silent_first;
-        }
-        // k = number of σ₂ attempts to first success, k ~ Geom(q₂) by
-        // inverse CDF (same clamp discipline as the silent-only path:
-        // `ensure_completes` keeps ln p₂ < 0, the cap covers the e⁻¹²⁸
-        // tail).
-        let k = if self.p_any_retry <= 0.0 {
-            1.0
-        } else {
-            (next().ln() / self.ln_p_retry)
-                .ceil()
-                .max(1.0)
-                .min(f64::from(MAX_ATTEMPTS - 1))
-        };
-        let failed_retries = k as u32 - 1;
-        for _ in 0..failed_retries {
-            // Binomial thinning: each failed σ₂ attempt is independently
-            // a fail-stop abort with probability pᶠ(σ₂)/p(σ₂), and the
-            // same draw re-scales into the truncated-exponential abort
-            // duration (u ≤ pᶠ/p ⇒ u·p ~ U(0, pᶠ], so
-            // t = −ln(1 − u·p₂)/λᶠ ≤ (W+V)/σ₂).
-            let u = next();
-            if u <= self.frac_fail_retry {
-                fail_stop += 1;
-                let t = -(-u * self.p_any_retry).ln_1p() / self.lambda_fail;
-                time += t + self.t_recovery;
-                energy += t * self.power_retry + self.e_recovery;
-            } else {
-                silent += 1;
-                time += self.t_silent_retry;
-                energy += self.e_silent_retry;
-            }
-        }
-        // The k-th σ₂ attempt succeeds: full phase + checkpoint.
-        time += self.t_success_retry;
-        energy += self.e_success_retry;
-        PatternOutcome {
-            time,
-            energy,
-            attempts: 1 + k as u32,
-            silent_errors: silent,
-            fail_stop_errors: fail_stop,
-        }
     }
 
     /// The outcome of a pattern whose first attempt failed, sampled from
@@ -1009,20 +650,14 @@ impl MixedFastPattern {
     /// [`success_run_len_ln`](Self::success_run_len_ln) in the runner's
     /// run-length-batched hot loop.
     ///
-    /// The stream analogue of
-    /// [`complete_failed_first`](Self::complete_failed_first),
-    /// restructured so every logarithm comes from the stream's
-    /// refill-time batched sweep — a scalar `ln` on the abort branch
-    /// costs more serial latency than the rest of the trial combined.
-    /// Each classification draw still doubles as its abort-duration
-    /// draw, through a different (equal in law) inverse map: given
-    /// `u ≤ fᶠ`, `u/fᶠ ~ U(0, 1]`, so `X = (ln fᶠ − ln u)/λᶠ` is
-    /// `Exp(λᶠ)` and [`abort_duration`](Self::abort_duration) folds it
-    /// onto the truncated support. Equal in law, not bitwise, to the
-    /// scalar sampler — the contract every fast path already carries
-    /// relative to the reference engine; every run variant shares this
-    /// sampler, so determinism across threads and range partitions is
-    /// unaffected.
+    /// Every logarithm comes from the stream's refill-time batched sweep
+    /// — a scalar `ln` on the abort branch costs more serial latency
+    /// than the rest of the trial combined. The first draw classifies
+    /// the failed first attempt (fail-stop iff `v ≤ pᶠ(σ₁)/p(σ₁)`) and
+    /// doubles as its abort-duration draw: given `v ≤ fᶠ`,
+    /// `v/fᶠ ~ U(0, 1]`, so `X = (ln fᶠ − ln v)/λᶠ` is `Exp(λᶠ)` and
+    /// [`abort_duration`](Self::abort_duration) folds it onto the
+    /// truncated support.
     #[inline]
     pub(crate) fn sample_failed_first(
         &self,
@@ -1031,8 +666,9 @@ impl MixedFastPattern {
         // Branch-free classification: a failure's cause is a ~50/50
         // coin in the benched regimes, so an `if` here is a hot
         // mispredict per failed trial. Both outcomes are pure values —
-        // the abort math runs unconditionally (its inputs are always
-        // valid) and `if` on the comparison compiles to selects.
+        // the abort math runs unconditionally (its result is discarded
+        // when not selected, even when it is NaN at λᶠ = 0) and `if`
+        // on the comparison compiles to selects.
         let (v, ln_v) = draws.next_uniform_ln();
         let is_fail = v <= self.frac_fail_first;
         let mut fail_stop = 0u32;
@@ -1051,13 +687,11 @@ impl MixedFastPattern {
         // σ₂ attempts as a direct Bernoulli walk: one draw per attempt,
         // success iff `u > p₂`, and a failed attempt's cause falls out
         // of the *same* draw — `u ≤ pᶠ(σ₂)` is the abort stratum (the
-        // abort duration rebases `ln u` off `ln pᶠ(σ₂)`). Equal in law
-        // to `complete_failed_first`'s geometric draw + per-failure
-        // classification, with the same expected draw count
-        // (`E[k] = 1/q₂` either way), but the loop condition is a bare
-        // compare on the fresh draw instead of the end of a
-        // mul → ceil → clamp → cast dependency chain — the attempt
-        // count never materializes through float rounding at all.
+        // abort duration rebases `ln u` off `ln pᶠ(σ₂)`). The loop
+        // condition is a bare compare on the fresh draw, so the attempt
+        // count never materializes through float rounding; the cap
+        // covers the ≤ e⁻¹²⁸ tail that `ensure_completes`'s factor-128
+        // margin leaves possible.
         let mut failed_retries = 0u32;
         while failed_retries < MAX_ATTEMPTS - 2 {
             let (u, ln_u) = draws.next_uniform_ln();
@@ -1100,11 +734,12 @@ impl MixedFastPattern {
     /// batched log: conditioned on the abort branch (`u ≤ f`),
     /// `X = (ln f − ln u)/λᶠ` is a full exponential, and by
     /// memorylessness `X mod T` follows the exponential truncated to the
-    /// attempt phase `T` — the same law `complete_failed_first` realises
-    /// as `−ln(1 − u·p)/λᶠ`. Division-free: reciprocals are precomputed,
-    /// and the final `min` absorbs the ≤ 1 ulp a reciprocal quotient can
-    /// slip past a wrap boundary (an `ln f` rounded above a boundary
-    /// `ln u` similarly lands in the last wrap, still on-support).
+    /// attempt phase `T` — the law whose mean is
+    /// `rexec_core::expected_time_lost`. Division-free: reciprocals are
+    /// precomputed, and the final `min` absorbs the ≤ 1 ulp a reciprocal
+    /// quotient can slip past a wrap boundary (an `ln f` rounded above a
+    /// boundary `ln u` similarly lands in the last wrap, still
+    /// on-support).
     #[inline]
     fn abort_duration(&self, ln_u: f64, ln_frac: f64, t_attempt: f64, inv_t_attempt: f64) -> f64 {
         let x = (ln_frac - ln_u) * self.inv_lambda_fail;
@@ -1112,76 +747,17 @@ impl MixedFastPattern {
         t.min(t_attempt)
     }
 
-    /// Samples one pattern outcome from a buffered chunk stream. Never
-    /// panics: the degenerate regime is rejected at
-    /// [construction](Self::new).
+    /// Samples one pattern outcome from a buffered stream: one draw
+    /// decides the first attempt, and a failed one continues with the
+    /// runner's failed-first sampler. Never panics: the degenerate
+    /// regime is rejected at [construction](Self::new).
     #[inline]
     pub fn sample(&self, draws: &mut crate::rng::UniformStream) -> PatternOutcome {
-        self.sample_with(|| draws.next_uniform())
-    }
-
-    /// Samples one pattern outcome directly from an RNG (advancing it).
-    #[inline]
-    pub fn sample_rng(&self, rng: &mut SimRng) -> PatternOutcome {
-        self.sample_with(|| rng.uniform_open())
-    }
-}
-
-/// The closed-form attempt-law interface the runner's chunked hot loop
-/// drives — both fast-path samplers expose a precomputed first-try
-/// outcome, geometric success-run sampling (one draw per run), and a
-/// failed-first completion sampler, so one generic loop serves both.
-pub(crate) trait AttemptLaw {
-    /// Precomputed `n = 1` outcome.
-    fn first_try_outcome(&self) -> PatternOutcome;
-    /// Consecutive first-try successes encoded by one uniform's
-    /// precomputed `ln` (the stream's refill-time log sweep).
-    fn success_run_len_ln(&self, ln_u: f64) -> u64;
-    /// Completes a pattern whose first attempt failed.
-    fn sample_failed_first(&self, draws: &mut crate::rng::UniformStream) -> PatternOutcome;
-    /// The speed a retry at 1-based `attempt_index ≥ 1` runs at. The
-    /// geometric fast paths are constant in the index (a single `σ₂` is
-    /// what makes the attempt count a two-stage geometric); per-attempt
-    /// schedules route to the scenario engine instead, and the runner
-    /// asserts this invariant when it picks a fast path.
-    fn retry_speed(&self, attempt_index: u32) -> f64;
-}
-
-impl AttemptLaw for FastPattern {
-    #[inline]
-    fn first_try_outcome(&self) -> PatternOutcome {
-        FastPattern::first_try_outcome(self)
-    }
-    #[inline]
-    fn success_run_len_ln(&self, ln_u: f64) -> u64 {
-        FastPattern::success_run_len_ln(self, ln_u)
-    }
-    #[inline]
-    fn sample_failed_first(&self, draws: &mut crate::rng::UniformStream) -> PatternOutcome {
-        FastPattern::sample_failed_first(self, draws)
-    }
-    #[inline]
-    fn retry_speed(&self, _attempt_index: u32) -> f64 {
-        self.sigma_retry
-    }
-}
-
-impl AttemptLaw for MixedFastPattern {
-    #[inline]
-    fn first_try_outcome(&self) -> PatternOutcome {
-        MixedFastPattern::first_try_outcome(self)
-    }
-    #[inline]
-    fn success_run_len_ln(&self, ln_u: f64) -> u64 {
-        MixedFastPattern::success_run_len_ln(self, ln_u)
-    }
-    #[inline]
-    fn sample_failed_first(&self, draws: &mut crate::rng::UniformStream) -> PatternOutcome {
-        MixedFastPattern::sample_failed_first(self, draws)
-    }
-    #[inline]
-    fn retry_speed(&self, _attempt_index: u32) -> f64 {
-        self.sigma_retry
+        // u ∈ (0, 1] and P(u ≤ p) = p: the first attempt fails iff u ≤ p₁.
+        if draws.next_uniform() > self.p_any_first {
+            return self.first_try;
+        }
+        self.sample_failed_first(draws)
     }
 }
 
@@ -1390,25 +966,9 @@ mod tests {
         simulate_application(&c, 0.0, &mut SimRng::new(1));
     }
 
-    #[test]
-    fn fast_path_eligibility_excludes_fail_stop() {
-        assert!(fast_path_eligible(&cfg(
-            ErrorRates::silent_only(1e-4).unwrap()
-        )));
-        assert!(fast_path_eligible(&cfg(ErrorRates::new(0.0, 0.0).unwrap())));
-        assert!(!fast_path_eligible(&cfg(
-            ErrorRates::new(1e-4, 1e-5).unwrap()
-        )));
-        // Each sampler rejects the other's domain with a structured error.
-        assert_eq!(
-            FastPattern::new(&cfg(ErrorRates::new(1e-4, 1e-5).unwrap())).err(),
-            Some(EngineError::FailStopUnsupported { fail_stop: 1e-5 })
-        );
-        assert_eq!(
-            MixedFastPattern::new(&cfg(ErrorRates::silent_only(1e-4).unwrap())).err(),
-            Some(EngineError::SilentOnlyConfig)
-        );
-        assert!(MixedFastPattern::new(&cfg(ErrorRates::new(1e-4, 1e-5).unwrap())).is_ok());
+    /// A fresh buffered draw stream for sampler tests.
+    fn draws(seed: u64) -> crate::rng::UniformStream {
+        crate::rng::UniformStream::new(SimRng::new(seed))
     }
 
     #[test]
@@ -1416,7 +976,7 @@ mod tests {
         // λ = 0: both engines are deterministic and must agree exactly.
         let c = cfg(ErrorRates::new(0.0, 0.0).unwrap());
         let reference = simulate_pattern(&c, &mut SimRng::new(1));
-        let fast = simulate_pattern_fast(&c, &mut SimRng::new(1));
+        let fast = FastPattern::new(&c).unwrap().sample(&mut draws(1));
         assert_eq!(fast.attempts, 1);
         assert!((fast.time - reference.time).abs() < 1e-9);
         assert!((fast.energy - reference.energy).abs() < 1e-6);
@@ -1424,17 +984,18 @@ mod tests {
 
     #[test]
     fn fast_path_outcomes_match_reference_per_attempt_count() {
-        // For any sampled attempt count n the fast-path time/energy must
-        // equal the reference formula: all attempts run full phases.
+        // Silent-only (λᶠ = 0): for any sampled attempt count n the
+        // fast-path time must equal the reference formula — every
+        // attempt runs its full phase.
         let mut c = cfg(ErrorRates::silent_only(3e-4).unwrap());
         c.sigma2 = 0.8;
         let fast = FastPattern::new(&c).unwrap();
-        let mut rng = SimRng::new(77);
+        let mut stream = draws(77);
         let phase1 = (c.w + c.costs.verification) / c.sigma1;
         let phase2 = (c.w + c.costs.verification) / c.sigma2;
         let mut multi = 0;
         for _ in 0..500 {
-            let p = fast.sample_rng(&mut rng);
+            let p = fast.sample(&mut stream);
             let n = f64::from(p.attempts);
             let expected_t =
                 phase1 + (n - 1.0) * phase2 + (n - 1.0) * c.costs.recovery + c.costs.checkpoint;
@@ -1450,16 +1011,18 @@ mod tests {
 
     #[test]
     fn fast_path_mean_attempts_match_geometric_law() {
-        // E[n] = 1 + p₁ / (1 − p₂) for the two-stage geometric law.
+        // E[n] = 1 + p₁ / (1 − p₂) for the two-stage geometric law of a
+        // silent-only config.
         let mut c = cfg(ErrorRates::silent_only(2e-4).unwrap());
         c.sigma2 = 0.8;
         let p1 = -(-2e-4 * c.w / c.sigma1).exp_m1();
         let p2 = -(-2e-4 * c.w / c.sigma2).exp_m1();
         let expected = 1.0 + p1 / (1.0 - p2);
-        let mut rng = SimRng::new(4242);
+        let fast = FastPattern::new(&c).unwrap();
+        let mut stream = draws(4242);
         let n = 200_000;
         let mean = (0..n)
-            .map(|_| f64::from(simulate_pattern_fast(&c, &mut rng).attempts))
+            .map(|_| f64::from(fast.sample(&mut stream).attempts))
             .sum::<f64>()
             / f64::from(n);
         // SE ≈ 0.002; allow 5σ.
@@ -1479,7 +1042,7 @@ mod tests {
         let mut rng = SimRng::new(31337);
         let n = 100_000;
         let mean = (0..n)
-            .map(|_| fp.success_run_len(rng.uniform_open()) as f64)
+            .map(|_| fp.success_run_len_ln(rng.uniform_open().ln()) as f64)
             .sum::<f64>()
             / f64::from(n);
         // std(run) ≈ E[run] ≈ 1.0 here (λW/σ₁ ≈ 0.69): SE ≈ 0.004.
@@ -1488,22 +1051,35 @@ mod tests {
             "mean run {mean} vs analytic {expected}"
         );
         // u = 1 ⇒ the shortest run; an error-free config never fails.
-        assert_eq!(fp.success_run_len(1.0), 0);
+        assert_eq!(fp.success_run_len_ln(0.0), 0);
         let error_free = FastPattern::new(&cfg(ErrorRates::new(0.0, 0.0).unwrap())).unwrap();
-        assert_eq!(error_free.success_run_len(0.5), u64::MAX);
+        assert_eq!(error_free.success_run_len_ln(0.5f64.ln()), u64::MAX);
     }
 
     #[test]
-    #[should_panic(expected = "silent-only")]
-    fn fast_path_rejects_mixed_configs() {
-        let c = cfg(ErrorRates::new(1e-4, 1e-5).unwrap());
-        simulate_pattern_fast(&c, &mut SimRng::new(1));
+    fn silent_only_fast_path_reports_no_fail_stops_and_finite_outcomes() {
+        // At λᶠ = 0 the abort arm of every failed trial computes with
+        // ln 0 = −∞ and 1/λᶠ = +∞; its non-finite value must never be
+        // selected into an outcome.
+        let mut c = cfg(ErrorRates::silent_only(5e-4).unwrap());
+        c.sigma2 = 0.8;
+        let fast = FastPattern::new(&c).unwrap();
+        let mut stream = draws(2016);
+        let mut failed = 0u32;
+        for _ in 0..20_000 {
+            let p = fast.sample(&mut stream);
+            assert_eq!(p.fail_stop_errors, 0);
+            assert_eq!(p.silent_errors, p.attempts - 1);
+            assert!(p.time.is_finite() && p.energy.is_finite(), "{p:?}");
+            failed += p.silent_errors;
+        }
+        assert!(failed > 0, "λW/σ₁ ≈ 3.5 must produce silent errors");
     }
 
     #[test]
     fn degenerate_configs_are_rejected_at_construction() {
         // λW/σ₂ ≈ 700: e^{−700} underflows the retry success probability
-        // to ~0. Both samplers must refuse at construction (never in the
+        // to ~0. The sampler must refuse at construction (never in the
         // sampling hot loop) so degenerate configs surface as a
         // structured error, not a panic inside a rayon worker.
         let mut c = cfg(ErrorRates::silent_only(1.0).unwrap());
@@ -1514,17 +1090,17 @@ mod tests {
             FastPattern::new(&c),
             Err(EngineError::NeverCompletes { .. })
         ));
-        assert!(ensure_completes(&c).is_err());
+        assert!(ensure_completes(&c, ErrorLaw::Exponential, None).is_err());
         c.rates = ErrorRates::new(0.5, 0.5).unwrap();
         assert!(matches!(
-            MixedFastPattern::new(&c),
+            FastPattern::new(&c),
             Err(EngineError::NeverCompletes { .. })
         ));
         // Just inside the margin: 1/q(σ₂) ≤ MAX_ATTEMPTS/128 constructs.
         let mut ok = cfg(ErrorRates::new(8e-5, 5e-5).unwrap());
         ok.sigma2 = 0.8;
-        assert!(MixedFastPattern::new(&ok).is_ok());
-        assert!(ensure_completes(&ok).is_ok());
+        assert!(FastPattern::new(&ok).is_ok());
+        assert!(ensure_completes(&ok, ErrorLaw::Exponential, None).is_ok());
     }
 
     #[test]
@@ -1533,15 +1109,15 @@ mod tests {
         // combined per-attempt success probability.
         let mut c = cfg(ErrorRates::new(2e-4, 8e-5).unwrap());
         c.sigma2 = 0.8;
-        let mixed = MixedFastPattern::new(&c).unwrap();
+        let mixed = FastPattern::new(&c).unwrap();
         let hazard = |sigma: f64| (8e-5 * (c.w + c.costs.verification) + 2e-4 * c.w) / sigma;
         let p1 = -(-hazard(c.sigma1)).exp_m1();
         let q2 = (-hazard(c.sigma2)).exp();
         let expected = 1.0 + p1 / q2;
-        let mut rng = SimRng::new(4242);
+        let mut rng = draws(4242);
         let n = 200_000;
         let mean = (0..n)
-            .map(|_| f64::from(mixed.sample_rng(&mut rng).attempts))
+            .map(|_| f64::from(mixed.sample(&mut rng).attempts))
             .sum::<f64>()
             / f64::from(n);
         assert!(
@@ -1554,14 +1130,14 @@ mod tests {
     fn mixed_outcomes_are_internally_consistent() {
         let mut c = cfg(ErrorRates::new(1e-4, 8e-5).unwrap());
         c.sigma2 = 0.8;
-        let mixed = MixedFastPattern::new(&c).unwrap();
+        let mixed = FastPattern::new(&c).unwrap();
         let phase1 = (c.w + c.costs.verification) / c.sigma1;
         let phase2 = (c.w + c.costs.verification) / c.sigma2;
-        let mut rng = SimRng::new(77);
+        let mut rng = draws(77);
         let mut saw_fail_stop = false;
         let mut saw_silent = false;
         for _ in 0..2000 {
-            let p = mixed.sample_rng(&mut rng);
+            let p = mixed.sample(&mut rng);
             assert_eq!(p.attempts, 1 + p.silent_errors + p.fail_stop_errors);
             // Every attempt takes at most its full phase; every failure
             // adds one recovery, the success one checkpoint.
@@ -1586,11 +1162,11 @@ mod tests {
         // λˢ = 0 makes every failure a fail-stop abort: the categorical
         // collapses and P(fail-stop | failure) = 1.
         let c = cfg(ErrorRates::fail_stop_only(2e-4).unwrap());
-        let mixed = MixedFastPattern::new(&c).unwrap();
-        let mut rng = SimRng::new(9);
+        let mixed = FastPattern::new(&c).unwrap();
+        let mut rng = draws(9);
         let mut failures = 0u32;
         for _ in 0..2000 {
-            let p = mixed.sample_rng(&mut rng);
+            let p = mixed.sample(&mut rng);
             assert_eq!(p.silent_errors, 0);
             failures += p.fail_stop_errors;
         }
@@ -1602,11 +1178,11 @@ mod tests {
         // Regression: `q * MAX_ATTEMPTS < 128.0` is *false* when q is
         // NaN (NaN compares false against everything), so before the
         // explicit finiteness check a NaN config sailed through
-        // `ensure_completes` and was accepted by both samplers.
+        // `ensure_completes` and was accepted by the samplers.
         let mut c = cfg(ErrorRates::silent_only(1e-4).unwrap());
         c.w = f64::NAN;
         assert!(matches!(
-            ensure_completes(&c),
+            ensure_completes(&c, ErrorLaw::Exponential, None),
             Err(EngineError::NonFiniteSuccessProbability { .. })
         ));
         assert!(matches!(
@@ -1616,26 +1192,26 @@ mod tests {
 
         let mut nan_speed = cfg(ErrorRates::new(1e-4, 5e-5).unwrap());
         nan_speed.sigma2 = f64::NAN;
-        assert!(ensure_completes(&nan_speed).is_err());
-        assert!(MixedFastPattern::new(&nan_speed).is_err());
+        assert!(ensure_completes(&nan_speed, ErrorLaw::Exponential, None).is_err());
+        assert!(FastPattern::new(&nan_speed).is_err());
 
         // +∞ hazard → q = 0 is *finite* and stays a NeverCompletes;
         // −∞ work → q = +∞ is the non-finite rejection.
         let mut inf_w = cfg(ErrorRates::silent_only(1e-4).unwrap());
         inf_w.w = f64::NEG_INFINITY;
         assert!(matches!(
-            ensure_completes(&inf_w),
+            ensure_completes(&inf_w, ErrorLaw::Exponential, None),
             Err(EngineError::NonFiniteSuccessProbability { .. })
         ));
 
-        // Scenario variant shares the guard, for every law.
+        // The guard holds for every law.
         for law in [
             ErrorLaw::Exponential,
             ErrorLaw::Weibull { shape: 0.7 },
             ErrorLaw::LogNormal { sigma: 1.2 },
         ] {
             assert!(matches!(
-                ensure_scenario_completes(&c, law, None),
+                ensure_completes(&c, law, None),
                 Err(EngineError::NonFiniteSuccessProbability { .. })
             ));
         }
@@ -1721,18 +1297,5 @@ mod tests {
             saw_retry |= p.attempts > 1;
         }
         assert!(saw_retry, "λW ≈ 1.4 must produce detected silent errors");
-    }
-
-    #[test]
-    fn fast_paths_report_a_constant_retry_speed() {
-        let mut c = cfg(ErrorRates::silent_only(1e-4).unwrap());
-        c.sigma2 = 0.8;
-        let fast = FastPattern::new(&c).unwrap();
-        assert_eq!(AttemptLaw::retry_speed(&fast, 1), 0.8);
-        assert_eq!(AttemptLaw::retry_speed(&fast, 999), 0.8);
-        c.rates = ErrorRates::new(1e-4, 5e-5).unwrap();
-        let mixed = MixedFastPattern::new(&c).unwrap();
-        assert_eq!(AttemptLaw::retry_speed(&mixed, 1), 0.8);
-        assert_eq!(AttemptLaw::retry_speed(&mixed, 2), 0.8);
     }
 }

@@ -26,7 +26,6 @@ pub mod energy;
 pub mod engine;
 pub mod events;
 pub mod fastmath;
-pub mod histogram;
 pub mod rng;
 pub mod runner;
 pub mod segmented;
@@ -35,13 +34,11 @@ pub mod trace;
 
 pub use energy::EnergyMeter;
 pub use engine::{
-    ensure_completes, ensure_scenario_completes, fast_path_eligible, simulate_application,
-    simulate_pattern, simulate_pattern_fast, simulate_pattern_scenario,
-    simulate_pattern_scenario_traced, AppOutcome, EngineError, FastPattern, MixedFastPattern,
-    PatternOutcome, SimConfig,
+    ensure_completes, simulate_application, simulate_pattern, simulate_pattern_scenario,
+    simulate_pattern_scenario_traced, AppOutcome, EngineError, FastPattern, PatternOutcome,
+    SimConfig,
 };
 pub use events::{Event, EventKind};
-pub use histogram::Histogram;
 pub use rng::{SimRng, UniformStream};
 pub use runner::{Engine, MonteCarlo, Summary, ValidationReport};
 pub use segmented::simulate_pattern_segmented;
@@ -52,13 +49,11 @@ pub use trace::{events_from_jsonl, events_to_jsonl, render_timeline, TraceRecord
 pub mod prelude {
     pub use crate::energy::EnergyMeter;
     pub use crate::engine::{
-        ensure_completes, ensure_scenario_completes, fast_path_eligible, simulate_application,
-        simulate_pattern, simulate_pattern_fast, simulate_pattern_scenario,
-        simulate_pattern_scenario_traced, AppOutcome, EngineError, FastPattern, MixedFastPattern,
-        PatternOutcome, SimConfig,
+        ensure_completes, simulate_application, simulate_pattern, simulate_pattern_scenario,
+        simulate_pattern_scenario_traced, AppOutcome, EngineError, FastPattern, PatternOutcome,
+        SimConfig,
     };
     pub use crate::events::{Event, EventKind};
-    pub use crate::histogram::Histogram;
     pub use crate::rng::{SimRng, UniformStream};
     pub use crate::runner::{Engine, MonteCarlo, Summary, ValidationReport};
     pub use crate::segmented::simulate_pattern_segmented;

@@ -1,18 +1,18 @@
 //! Parallel Monte Carlo replication and analytic-vs-sampled validation.
 //!
-//! Two engines drive the replication (selected via [`Engine`]):
+//! Two samplers drive the replication (selected via [`Engine`]):
 //!
-//! * **reference** — the exact per-attempt loop of
-//!   [`simulate_pattern`], one RNG stream per trial: bit-reproducible
-//!   against historical runs and required for trace recording;
-//! * **fast path** — a closed-form attempt-law sampler, one RNG stream
-//!   per fixed-size trial *chunk* (stream id = chunk id), drawing
-//!   through a buffered [`UniformStream`]:
-//!   [`FastPattern`](crate::engine::FastPattern) for silent-only configs
-//!   and [`MixedFastPattern`](crate::engine::MixedFastPattern) for mixed
-//!   fail-stop + silent ones. Statistically identical to the reference
-//!   (same outcome law), over an order of magnitude faster (see
-//!   `sim_fastpath` and `sim_mixed_fastpath` in `BENCH_sweeps.json`).
+//! * **per-attempt loop** — the exact attempt-by-attempt simulation of
+//!   [`simulate_pattern_scenario`], one RNG stream per trial:
+//!   bit-reproducible against historical runs, and the only sampler for
+//!   non-memoryless error laws, speed schedules, traces and histograms;
+//! * **fast path** — the closed-form [`FastPattern`] sampler, one RNG
+//!   stream per fixed-size trial *chunk* (stream id = chunk id), drawing
+//!   through a buffered [`UniformStream`]. It serves silent-only
+//!   (`λᶠ = 0`) and mixed fail-stop + silent configs alike, is
+//!   statistically identical to the per-attempt loop (same outcome law),
+//!   and is over an order of magnitude faster (see `sim_fastpath` and
+//!   `sim_mixed_fastpath` in `BENCH_sweeps.json`).
 //!
 //! Engine resolution is fallible, never panicking: a degenerate
 //! never-completes config surfaces as an
@@ -29,17 +29,15 @@
 //! update per pattern, nor one sketch per chunk.
 
 use crate::engine::{
-    ensure_completes, ensure_scenario_completes, fast_path_eligible, simulate_pattern,
-    simulate_pattern_scenario, simulate_pattern_scenario_traced, AttemptLaw, EngineError,
-    FastPattern, MixedFastPattern, PatternOutcome, SimConfig,
+    ensure_completes, simulate_pattern_scenario, simulate_pattern_scenario_traced, EngineError,
+    FastPattern, PatternOutcome, SimConfig,
 };
-use crate::histogram::Histogram;
 use crate::rng::{SimRng, UniformStream};
 use crate::stats::Stats;
 use crate::trace::TraceRecorder;
 use rayon::prelude::*;
 use rexec_core::{ErrorLaw, SpeedSchedule};
-use rexec_obs::Shard;
+use rexec_obs::{HistogramSketch, Shard};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated result of many independent pattern simulations.
@@ -238,36 +236,64 @@ impl RetriedSums {
 /// Which simulation engine a [`MonteCarlo`] run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Engine {
-    /// Fast path when the config is eligible (silent-only), reference
-    /// loop otherwise. The default.
+    /// The closed-form fast path for the paper's baseline scenario
+    /// (exponential errors, a single `σ₂`), the per-attempt loop for
+    /// other error laws and speed schedules. The default.
     #[default]
     Auto,
     /// Always the exact per-attempt loop with per-trial RNG streams —
     /// bit-reproducible against historical runs.
     Reference,
-    /// Always a closed-form fast path with chunked RNG streams: the
-    /// silent-only geometric sampler or, for configs with a fail-stop
-    /// error source, the mixed attempt-law sampler.
+    /// Always the closed-form fast path with chunked RNG streams, for
+    /// silent-only and mixed fail-stop + silent configs alike.
     FastPath,
 }
+
+/// Upper edge of the [`MonteCarlo::run_with_histograms`] sketches, in
+/// seconds or millijoules: far above any pattern time or energy of the
+/// paper's platforms, so the overflow bucket stays empty (it would
+/// still report the exact maximum).
+const OUTCOME_SKETCH_MAX: f64 = 1e12;
 
 /// A resolved engine selection: the concrete sampler `run*` drives.
 #[derive(Debug, Clone)]
 enum Sampler {
-    /// Exact per-attempt loop, one RNG stream per trial.
-    Reference,
-    /// Silent-only geometric fast path.
-    Silent(FastPattern),
-    /// Mixed fail-stop + silent fast path.
-    Mixed(MixedFastPattern),
-    /// Per-attempt scenario loop (non-memoryless law and/or speed
-    /// schedule), one RNG stream per trial like the reference engine.
-    Scenario {
+    /// Closed-form fast path, one RNG stream per trial chunk.
+    Fast(FastPattern),
+    /// The per-attempt loop, one RNG stream per trial; the reference
+    /// engine is its (exponential law, no schedule) instance.
+    PerAttempt {
         /// Silent inter-error law.
         law: ErrorLaw,
         /// Per-attempt speed schedule, when one overrides `σ₁`/`σ₂`.
         schedule: Option<SpeedSchedule>,
     },
+}
+
+/// A worker's private copy of a run's (time, energy) outcome sketches:
+/// its trials record into it uncontended, and it folds into the run's
+/// pair when the worker finishes (on drop). Bucket counts are integers
+/// and extremes are exact, so the fold is order-independent.
+struct WorkerSketches<'a> {
+    run: &'a [HistogramSketch; 2],
+    local: [HistogramSketch; 2],
+}
+
+impl<'a> WorkerSketches<'a> {
+    fn new(run: &'a [HistogramSketch; 2]) -> Self {
+        WorkerSketches {
+            run,
+            local: [run[0].empty_like(), run[1].empty_like()],
+        }
+    }
+}
+
+impl Drop for WorkerSketches<'_> {
+    fn drop(&mut self) {
+        for (run, local) in self.run.iter().zip(&self.local) {
+            run.merge_from(local);
+        }
+    }
 }
 
 /// Monte Carlo driver: replicates a pattern simulation `trials` times,
@@ -310,8 +336,8 @@ impl MonteCarlo {
     }
 
     /// Selects the silent inter-error law (builder style). Non-memoryless
-    /// laws route to the per-attempt scenario engine; forcing
-    /// [`Engine::FastPath`] on one fails at resolution with
+    /// laws route to the per-attempt loop; forcing [`Engine::FastPath`]
+    /// on one fails at resolution with
     /// [`EngineError::UnsupportedScenario`].
     pub fn with_law(mut self, law: ErrorLaw) -> Self {
         self.law = law;
@@ -319,26 +345,20 @@ impl MonteCarlo {
     }
 
     /// Installs a per-attempt speed schedule (builder style). Schedules
-    /// route to the scenario engine; the schedule's `σ₁` and retry
+    /// route to the per-attempt loop; the schedule's `σ₁` and retry
     /// speeds override `config.sigma1`/`config.sigma2`.
     pub fn with_schedule(mut self, schedule: SpeedSchedule) -> Self {
         self.schedule = Some(schedule);
         self
     }
 
-    /// Whether this run is the paper's baseline scenario (memoryless
-    /// errors, single re-execution speed) — the domain where the
-    /// geometric fast paths are valid.
-    fn baseline_scenario(&self) -> bool {
-        self.law.is_memoryless() && self.schedule.is_none()
-    }
-
     /// Resolves the engine selection into a concrete sampler.
     ///
-    /// `Auto` and `FastPath` pick the silent-only geometric sampler or
-    /// the mixed attempt-law sampler from the config's error sources;
-    /// the reference loop is also pre-checked so that no engine can hit
-    /// the `MAX_ATTEMPTS` assertion mid-run.
+    /// `Auto` picks the closed-form sampler for the paper's baseline
+    /// scenario (memoryless errors, single re-execution speed) and the
+    /// per-attempt loop otherwise. Every sampler is guarded by
+    /// [`ensure_completes`], so no engine can hit the `MAX_ATTEMPTS`
+    /// assertion mid-run.
     ///
     /// # Errors
     /// [`EngineError::NeverCompletes`] for a degenerate config whose
@@ -346,37 +366,30 @@ impl MonteCarlo {
     /// [`EngineError::NonFiniteSuccessProbability`] when it is NaN or
     /// infinite, and [`EngineError::UnsupportedScenario`] when
     /// [`Engine::FastPath`] is forced on a non-memoryless law or a speed
-    /// schedule (the geometric closed forms require both memorylessness
-    /// and a single `σ₂`).
+    /// schedule (the closed forms require both memorylessness and a
+    /// single `σ₂`).
     fn resolve(&self) -> Result<Sampler, EngineError> {
-        if !self.baseline_scenario() {
-            return match self.engine {
-                Engine::FastPath => Err(EngineError::UnsupportedScenario {
-                    reason: "the geometric fast path requires a memoryless \
-                             (exponential) error law and a single re-execution speed",
-                }),
-                Engine::Auto | Engine::Reference => {
-                    ensure_scenario_completes(&self.config, self.law, self.schedule.as_ref())?;
-                    Ok(Sampler::Scenario {
-                        law: self.law,
-                        schedule: self.schedule.clone(),
-                    })
-                }
-            };
-        }
+        let baseline = self.law.is_memoryless() && self.schedule.is_none();
         match self.engine {
-            Engine::Reference => {
-                ensure_completes(&self.config)?;
-                Ok(Sampler::Reference)
+            Engine::Reference => self.per_attempt(),
+            Engine::Auto | Engine::FastPath if baseline => {
+                FastPattern::new(&self.config).map(Sampler::Fast)
             }
-            Engine::Auto | Engine::FastPath => {
-                if fast_path_eligible(&self.config) {
-                    FastPattern::new(&self.config).map(Sampler::Silent)
-                } else {
-                    MixedFastPattern::new(&self.config).map(Sampler::Mixed)
-                }
-            }
+            Engine::Auto => self.per_attempt(),
+            Engine::FastPath => Err(EngineError::UnsupportedScenario {
+                reason: "the closed-form fast path requires a memoryless \
+                         (exponential) error law and a single re-execution speed",
+            }),
         }
+    }
+
+    /// The guarded per-attempt sampler for this run's law and schedule.
+    fn per_attempt(&self) -> Result<Sampler, EngineError> {
+        ensure_completes(&self.config, self.law, self.schedule.as_ref())?;
+        Ok(Sampler::PerAttempt {
+            law: self.law,
+            schedule: self.schedule.clone(),
+        })
     }
 
     /// Chunk triples `(chunk_lo, lo, hi)` covering `[start, end)`,
@@ -399,32 +412,25 @@ impl MonteCarlo {
     }
 
     /// Simulates one grid chunk: trials `[lo, hi)` of the chunk whose
-    /// grid origin is `chunk_lo`. Returns the folded summary plus the
-    /// chunk's plain-integer obs accumulator. Allocation-free per
-    /// pattern: outcomes fold straight into SoA `Stats` accumulators and
-    /// integer totals.
-    fn run_chunk(&self, sampler: &Sampler, chunk_lo: u64, lo: u64, hi: u64) -> (Summary, ChunkObs) {
+    /// grid origin is `chunk_lo`, recording each trial's time and energy
+    /// into `sketches` when given (per-attempt loop only). Returns the
+    /// folded summary plus the chunk's plain-integer obs accumulator.
+    /// Allocation-free per pattern: outcomes fold straight into SoA
+    /// `Stats` accumulators and integer totals.
+    fn run_chunk(
+        &self,
+        sampler: &Sampler,
+        (chunk_lo, lo, hi): (u64, u64, u64),
+        sketches: Option<&[HistogramSketch; 2]>,
+    ) -> (Summary, ChunkObs) {
         match sampler {
-            Sampler::Reference => {
-                let mut s = Summary::default();
-                let mut obs = ChunkObs {
-                    trials: hi - lo,
-                    ..ChunkObs::default()
-                };
-                for i in lo..hi {
-                    let mut rng = SimRng::for_trial(self.seed, i);
-                    let p = simulate_pattern(&self.config, &mut rng);
-                    s.push(&p);
-                    obs.totals.push(&p);
-                    obs.record_attempts(p.attempts, 1);
-                }
-                (s, obs)
+            Sampler::Fast(fp) => {
+                debug_assert!(sketches.is_none(), "the fast path records no sketches");
+                self.run_chunk_fast(fp, chunk_lo, lo, hi)
             }
-            Sampler::Silent(fp) => self.run_chunk_fast(fp, chunk_lo, lo, hi),
-            Sampler::Mixed(fp) => self.run_chunk_fast(fp, chunk_lo, lo, hi),
-            Sampler::Scenario { law, schedule } => {
-                // Per-trial streams like the reference engine: thread
-                // determinism and range-partition replay are automatic.
+            Sampler::PerAttempt { law, schedule } => {
+                // Per-trial streams: thread determinism and
+                // range-partition replay are automatic.
                 let mut s = Summary::default();
                 let mut obs = ChunkObs {
                     trials: hi - lo,
@@ -437,31 +443,25 @@ impl MonteCarlo {
                     s.push(&p);
                     obs.totals.push(&p);
                     obs.record_attempts(p.attempts, 1);
+                    if let Some([time, energy]) = sketches {
+                        time.record(p.time);
+                        energy.record(p.energy);
+                    }
                 }
                 (s, obs)
             }
         }
     }
 
-    /// The chunked fast-path hot loop, generic over the two closed-form
-    /// samplers (they share the [`AttemptLaw`] surface: one draw per
-    /// first-try success run, a bounded number per failed trial).
-    fn run_chunk_fast<S: AttemptLaw>(
+    /// The chunked fast-path hot loop: one draw per first-try success
+    /// run, a bounded number per failed trial.
+    fn run_chunk_fast(
         &self,
-        fp: &S,
+        fp: &FastPattern,
         chunk_lo: u64,
         lo: u64,
         hi: u64,
     ) -> (Summary, ChunkObs) {
-        // The geometric closed forms are only valid with a single
-        // constant retry speed — the invariant the [`AttemptLaw`]
-        // per-attempt-index hook lets us state (schedules resolve to the
-        // scenario sampler instead).
-        debug_assert!(
-            fp.retry_speed(1).to_bits() == self.config.sigma2.to_bits()
-                && fp.retry_speed(2).to_bits() == self.config.sigma2.to_bits(),
-            "fast-path samplers must retry at the single sigma2"
-        );
         let mut s = Summary::default();
         let mut obs = ChunkObs {
             trials: hi - lo,
@@ -472,12 +472,11 @@ impl MonteCarlo {
         // whose first attempt succeeds is geometric, so one
         // uniform samples the whole run (its identical outcomes
         // tally arithmetically), and a bounded number more sample
-        // each failing trial's completion (re-execution count, and
-        // for the mixed sampler each failure's cause and abort
-        // duration) — no per-trial Welford updates for the dominant
-        // single-attempt case. A range starting mid-chunk replays
-        // the same draw sequence from the grid origin and only
-        // counts trials in `[lo, hi)`.
+        // each failing trial's completion (re-execution count,
+        // each failure's cause and abort duration) — no per-trial
+        // Welford updates for the dominant single-attempt case. A
+        // range starting mid-chunk replays the same draw sequence
+        // from the grid origin and only counts trials in `[lo, hi)`.
         let mut first_try = 0u64;
         // Failed-trial moments accumulate as raw power sums — three adds
         // and a fused multiply-add per field — rather than per-trial
@@ -514,6 +513,32 @@ impl MonteCarlo {
         obs.totals.attempts += first_try;
         obs.record_attempts(1, first_try);
         (s, obs)
+    }
+
+    /// Simulates the grid chunks covering `[start, end)` in parallel,
+    /// merges them in chunk order and absorbs the run's obs shard into
+    /// the global registry — the one chunk driver behind every parallel
+    /// `run*` entry. With `sketches`, every trial's time and energy is
+    /// also recorded there (through per-worker copies).
+    fn run_grid(
+        &self,
+        sampler: &Sampler,
+        start: u64,
+        end: u64,
+        sketches: Option<&[HistogramSketch; 2]>,
+    ) -> Summary {
+        let (summary, obs) = Self::chunk_grid(start, end)
+            .into_par_iter()
+            .map_init(
+                || sketches.map(WorkerSketches::new),
+                |worker, chunk| self.run_chunk(sampler, chunk, worker.as_ref().map(|w| &w.local)),
+            )
+            .reduce(
+                || (Summary::default(), ChunkObs::default()),
+                |(sa, oa), (sb, ob)| (sa.merge(sb), oa.merge(ob)),
+            );
+        rexec_obs::global().absorb(&obs.into_shard());
+        summary
     }
 
     /// Runs all replications in parallel and aggregates.
@@ -587,7 +612,7 @@ impl MonteCarlo {
     /// in chunk order, so for any `RAYON_NUM_THREADS` the summary is
     /// bit-identical to a sequential evaluation, and any partition of
     /// `0..trials` replays exactly the trials of a single
-    /// [`run`](Self::run): the reference engine re-derives per-trial
+    /// [`run`](Self::run): the per-attempt loop re-derives per-trial
     /// streams, the fast path replays each partial chunk's stream prefix.
     /// Gluing range summaries left-to-right is bit-identical to
     /// [`run`](Self::run) when the splits are chunk-aligned and every
@@ -604,15 +629,7 @@ impl MonteCarlo {
             return Ok(Summary::default());
         }
         let sampler = self.resolve()?;
-        let (summary, obs) = Self::chunk_grid(start, end)
-            .into_par_iter()
-            .map(|(chunk_lo, lo, hi)| self.run_chunk(&sampler, chunk_lo, lo, hi))
-            .reduce(
-                || (Summary::default(), ChunkObs::default()),
-                |(sa, oa), (sb, ob)| (sa.merge(sb), oa.merge(ob)),
-            );
-        rexec_obs::global().absorb(&obs.into_shard());
-        Ok(summary)
+        Ok(self.run_grid(&sampler, start, end, None))
     }
 
     /// Trials per chunk: the RNG-stream and reduction granule.
@@ -626,74 +643,26 @@ impl MonteCarlo {
     }
 
     /// Runs all replications in parallel, additionally collecting full
-    /// time/energy distributions (1 % relative resolution). Returns
-    /// `(summary, time_histogram, energy_histogram)`.
+    /// time/energy distributions (1 % relative resolution from 1e-3 up).
+    /// Returns `(summary, time_sketch, energy_sketch)`.
     ///
-    /// Always uses the per-trial reference/scenario engine: distribution
-    /// studies want the historical bit-reproducible trial streams (the
-    /// configured law and schedule are honoured — quantile studies of
-    /// scenario runs ride the same per-trial streams).
+    /// Always uses the per-attempt loop, whatever the [`Engine`]:
+    /// distribution studies want the historical bit-reproducible trial
+    /// streams (the configured law and schedule are honoured). The
+    /// summary and the published `runner.*`/`sim.*` aggregates are those
+    /// of an [`Engine::Reference`] [`run`](Self::run).
     ///
     /// # Errors
     /// [`EngineError::NeverCompletes`] for a degenerate config.
-    pub fn run_with_histograms(&self) -> Result<(Summary, Histogram, Histogram), EngineError> {
-        ensure_scenario_completes(&self.config, self.law, self.schedule.as_ref())?;
-        const CHUNK: u64 = 256;
-        let chunks: Vec<(u64, u64)> = (0..self.trials)
-            .step_by(CHUNK as usize)
-            .map(|start| (start, (start + CHUNK).min(self.trials)))
-            .collect();
-        let (summary, th, eh, totals) = chunks
-            .into_par_iter()
-            .map(|(start, end)| {
-                let mut s = Summary::default();
-                let mut th = Histogram::with_default_resolution();
-                let mut eh = Histogram::with_default_resolution();
-                let mut totals = Totals::default();
-                for i in start..end {
-                    let mut rng = SimRng::for_trial(self.seed, i);
-                    let p = simulate_pattern_scenario(
-                        &self.config,
-                        self.law,
-                        self.schedule.as_ref(),
-                        &mut rng,
-                    );
-                    s.push(&p);
-                    totals.push(&p);
-                    th.record(p.time);
-                    eh.record(p.energy);
-                }
-                (s, th, eh, totals)
-            })
-            .reduce(
-                || {
-                    (
-                        Summary::default(),
-                        Histogram::with_default_resolution(),
-                        Histogram::with_default_resolution(),
-                        Totals::default(),
-                    )
-                },
-                |(sa, mut tha, mut eha, ta), (sb, thb, ehb, tb)| {
-                    tha.merge(&thb);
-                    eha.merge(&ehb);
-                    (
-                        sa.merge(sb),
-                        tha,
-                        eha,
-                        Totals {
-                            patterns: ta.patterns + tb.patterns,
-                            attempts: ta.attempts + tb.attempts,
-                            silent: ta.silent + tb.silent,
-                            fail_stop: ta.fail_stop + tb.fail_stop,
-                        },
-                    )
-                },
-            );
-        let mut shard = Shard::new();
-        totals.flush(&mut shard);
-        rexec_obs::global().absorb(&shard);
-        Ok((summary, th, eh))
+    pub fn run_with_histograms(
+        &self,
+    ) -> Result<(Summary, HistogramSketch, HistogramSketch), EngineError> {
+        let sampler = self.per_attempt()?;
+        let sketch = || HistogramSketch::new(1e-3, 0.01, OUTCOME_SKETCH_MAX);
+        let sketches = [sketch(), sketch()];
+        let summary = self.run_grid(&sampler, 0, self.trials, Some(&sketches));
+        let [time, energy] = sketches;
+        Ok((summary, time, energy))
     }
 
     /// Runs sequentially — no thread pool, same chunk grid. The summary
@@ -707,8 +676,8 @@ impl MonteCarlo {
         let sampler = self.resolve()?;
         let mut summary = Summary::default();
         let mut obs = ChunkObs::default();
-        for (chunk_lo, lo, hi) in Self::chunk_grid(0, self.trials) {
-            let (s, o) = self.run_chunk(&sampler, chunk_lo, lo, hi);
+        for chunk in Self::chunk_grid(0, self.trials) {
+            let (s, o) = self.run_chunk(&sampler, chunk, None);
             summary = summary.merge(s);
             obs = obs.merge(o);
         }
@@ -720,13 +689,13 @@ impl MonteCarlo {
     /// bounded trace (at most `capacity` events; the rest are counted as
     /// dropped and surfaced in [`Summary::dropped_events`]).
     ///
-    /// Always uses the reference engine: the fast path never materializes
-    /// events.
+    /// Always uses the per-attempt loop: the fast path never
+    /// materializes events.
     ///
     /// # Errors
     /// [`EngineError::NeverCompletes`] for a degenerate config.
     pub fn run_with_trace(&self, capacity: usize) -> Result<(Summary, TraceRecorder), EngineError> {
-        ensure_scenario_completes(&self.config, self.law, self.schedule.as_ref())?;
+        ensure_completes(&self.config, self.law, self.schedule.as_ref())?;
         let mut recorder = TraceRecorder::new(capacity);
         let mut s = Summary::default();
         let mut totals = Totals::default();
@@ -850,7 +819,7 @@ mod tests {
     #[test]
     fn auto_engine_matches_explicit_selection() {
         let m = silent_model(1e-4);
-        // Silent-only: Auto must resolve to the silent-only fast path...
+        // Silent-only: Auto must resolve to the fast path (at λᶠ = 0)...
         let cfg = SimConfig::from_silent_model(&m, 2764.0, 0.4, 0.8);
         let auto = MonteCarlo::new(cfg, 1024, 9).run().unwrap();
         let fast = MonteCarlo::new(cfg, 1024, 9)
@@ -858,8 +827,8 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(auto, fast);
-        // ...and with fail-stop errors, to the mixed fast path (also what
-        // forcing FastPath selects — the former panic path).
+        // ...and with fail-stop errors too (also what forcing FastPath
+        // selects — the former panic path).
         let mixed = mixed_config();
         let auto = MonteCarlo::new(mixed, 1024, 9).run().unwrap();
         let forced = MonteCarlo::new(mixed, 1024, 9)
@@ -1024,12 +993,16 @@ mod tests {
         let cfg = SimConfig::from_silent_model(&m, 2764.0, 0.4, 0.8);
         let mc = MonteCarlo::new(cfg, 5000, 42);
         let (summary, th, eh) = mc.run_with_histograms().unwrap();
+        // Same chunk driver and per-trial streams as a reference run.
+        let reference = mc.clone().with_engine(Engine::Reference).run().unwrap();
+        assert_eq!(summary, reference);
         assert_eq!(th.count(), summary.time.count());
         assert_eq!(eh.count(), summary.energy.count());
+        assert_eq!(th.overflow_count() + eh.overflow_count(), 0);
         // Exact extremes agree; histogram median sits between them.
         assert_eq!(th.min(), summary.time.min());
         assert_eq!(th.max(), summary.time.max());
-        let med = th.median().unwrap();
+        let med = th.quantile(0.5).unwrap();
         assert!(summary.time.min() <= med && med <= summary.time.max());
         // With λW/σ1 ≈ 0.7 the distribution is multi-modal (0, 1, 2…
         // re-executions): p95 must exceed the error-free completion time.
@@ -1091,8 +1064,8 @@ mod tests {
         );
         let (w, s1, s2) = (3000.0, 0.6, 1.0);
         let cfg = SimConfig::from_mixed_model(&mm, w, s1, s2);
-        // Auto now resolves mixed configs to the mixed fast path, so this
-        // pins the new sampler against the Props 4–5 recursion values.
+        // Auto resolves mixed configs to the fast path, so this pins it
+        // against the Props 4–5 recursion values.
         let mc = MonteCarlo::new(cfg, 60_000, 13);
         let report = mc
             .validate(

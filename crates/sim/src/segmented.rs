@@ -6,113 +6,22 @@
 //! verification. A silent error is detected by the verification at the
 //! end of the segment it struck (earlier segments' verifications cannot
 //! see it); a fail-stop error aborts the attempt wherever it strikes.
+//! This is the engine's one per-attempt loop with `q` segments, so
 //! `q = 1` is exactly [`simulate_pattern`](crate::engine::simulate_pattern).
 
-use crate::energy::EnergyMeter;
-use crate::engine::{PatternOutcome, SimConfig, MAX_ATTEMPTS};
+use crate::engine::{run_pattern, PatternOutcome, SimConfig};
 use crate::rng::SimRng;
-
-/// What ended one segmented attempt.
-enum SegmentedEnd {
-    /// All `q` verifications passed.
-    Success,
-    /// Fail-stop interrupt.
-    FailStop,
-    /// A verification detected a silent error.
-    SilentDetected,
-}
-
-/// Runs one attempt of `q` segments at `sigma`, metering time and energy.
-fn run_attempt(
-    cfg: &SimConfig,
-    q: u32,
-    sigma: f64,
-    clock: &mut f64,
-    meter: &mut EnergyMeter,
-    rng: &mut SimRng,
-) -> SegmentedEnd {
-    let seg_work_t = cfg.w / f64::from(q) / sigma;
-    let verify_t = cfg.costs.verification / sigma;
-    // First arrivals over the whole attempt, in *attempt-local* time.
-    let t_fail = rng.exponential(cfg.rates.fail_stop);
-    // Silent errors strike during work only; track accumulated work time.
-    let t_silent_work = rng.exponential(cfg.rates.silent);
-
-    let mut local = 0.0; // attempt-local wall time
-    let mut worked = 0.0; // accumulated work time (excludes verifications)
-    for _seg in 0..q {
-        // Work portion of this segment.
-        if t_fail < local + seg_work_t {
-            let dt = t_fail - local;
-            *clock += dt;
-            meter.add_compute(dt, sigma);
-            return SegmentedEnd::FailStop;
-        }
-        local += seg_work_t;
-        *clock += seg_work_t;
-        meter.add_compute(seg_work_t, sigma);
-        let struck_this_segment = t_silent_work < worked + seg_work_t;
-        worked += seg_work_t;
-        // Verification of this segment.
-        if t_fail < local + verify_t {
-            let dt = t_fail - local;
-            *clock += dt;
-            meter.add_compute(dt, sigma);
-            return SegmentedEnd::FailStop;
-        }
-        local += verify_t;
-        *clock += verify_t;
-        meter.add_compute(verify_t, sigma);
-        if struck_this_segment {
-            return SegmentedEnd::SilentDetected;
-        }
-    }
-    SegmentedEnd::Success
-}
+use rexec_core::ErrorLaw;
 
 /// Simulates one segmented pattern (`q` verifications, one checkpoint)
 /// until it checkpoints successfully.
 ///
 /// # Panics
-/// If `q == 0`, or after [`MAX_ATTEMPTS`] failed executions.
+/// If `q == 0`, or after
+/// [`MAX_ATTEMPTS`](crate::engine::MAX_ATTEMPTS) failed executions.
 pub fn simulate_pattern_segmented(cfg: &SimConfig, q: u32, rng: &mut SimRng) -> PatternOutcome {
     assert!(q >= 1, "need at least one verification per pattern");
-    let mut clock = 0.0;
-    let mut meter = EnergyMeter::new(cfg.power);
-    let mut attempts = 0u32;
-    let mut silent = 0u32;
-    let mut fail_stop = 0u32;
-    loop {
-        let sigma = if attempts == 0 {
-            cfg.sigma1
-        } else {
-            cfg.sigma2
-        };
-        assert!(attempts < MAX_ATTEMPTS, "segmented pattern never completes");
-        attempts += 1;
-        match run_attempt(cfg, q, sigma, &mut clock, &mut meter, rng) {
-            SegmentedEnd::Success => break,
-            SegmentedEnd::FailStop => {
-                fail_stop += 1;
-                clock += cfg.costs.recovery;
-                meter.add_io(cfg.costs.recovery);
-            }
-            SegmentedEnd::SilentDetected => {
-                silent += 1;
-                clock += cfg.costs.recovery;
-                meter.add_io(cfg.costs.recovery);
-            }
-        }
-    }
-    clock += cfg.costs.checkpoint;
-    meter.add_io(cfg.costs.checkpoint);
-    PatternOutcome {
-        time: clock,
-        energy: meter.total(),
-        attempts,
-        silent_errors: silent,
-        fail_stop_errors: fail_stop,
-    }
+    run_pattern(cfg, ErrorLaw::Exponential, None, q, rng, None)
 }
 
 #[cfg(test)]
@@ -133,13 +42,23 @@ mod tests {
 
     #[test]
     fn q1_equals_plain_pattern_simulation() {
+        // Same RNG consumption order and the same clock arithmetic →
+        // identical outcomes, silent-only and mixed. The mixed case
+        // covers fail-stops that strike during a verification, whose
+        // lost time must round exactly like the reference's single
+        // `clock += t_fail`.
         let m = model(1e-4);
-        let cfg = SimConfig::from_silent_model(&m, 2764.0, 0.4, 0.8);
-        for seed in 0..50 {
-            let a = simulate_pattern_segmented(&cfg, 1, &mut SimRng::new(seed));
-            let b = simulate_pattern(&cfg, &mut SimRng::new(seed));
-            // Same RNG consumption order → identical outcomes.
-            assert_eq!(a, b, "seed {seed}");
+        let silent = SimConfig::from_silent_model(&m, 2764.0, 0.4, 0.8);
+        let mixed = SimConfig {
+            rates: ErrorRates::new(5e-5, 8e-5).unwrap(),
+            ..silent
+        };
+        for (label, cfg, seeds) in [("silent", silent, 50u64), ("mixed", mixed, 4000)] {
+            for seed in 0..seeds {
+                let a = simulate_pattern_segmented(&cfg, 1, &mut SimRng::new(seed));
+                let b = simulate_pattern(&cfg, &mut SimRng::new(seed));
+                assert_eq!(a, b, "{label} seed {seed}");
+            }
         }
     }
 

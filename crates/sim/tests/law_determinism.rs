@@ -1,9 +1,9 @@
-//! The `AttemptLaw` determinism contract, pinned for *every* sampler —
-//! not just the geometric fast paths.
+//! The determinism contract, pinned for *every* sampler — not just the
+//! closed-form fast path.
 //!
-//! Any attempt law the runner can drive (silent fast path, mixed fast
-//! path, and the per-attempt scenario engine under Weibull, lognormal,
-//! or a re-execution speed schedule) must keep `run`,
+//! Any attempt law the runner can drive (the fast path on silent-only
+//! and mixed configs, and the per-attempt loop under Weibull,
+//! lognormal, or a re-execution speed schedule) must keep `run`,
 //! `run_sequential`, and any chunk-respecting composition of
 //! `run_range` **byte-identical** regardless of the rayon pool size.
 //! The scenario samplers draw per-trial ChaCha streams exactly like the
@@ -48,15 +48,36 @@ fn bytes(s: &Summary) -> String {
 
 /// Asserts the full determinism contract for one configured driver:
 /// sequential baseline == parallel run at 1/2/7 threads == chunk-aligned
-/// `run_range` glue, all at the byte level. Generic over however the
-/// `MonteCarlo` was built, so every `AttemptLaw` impl (and any future
+/// `run_range` glue, all at the byte level, and `run_with_histograms`
+/// (per-worker sketches folded into one pair) returns the same summary
+/// and the same sketches at every thread count. Generic over however
+/// the `MonteCarlo` was built, so every sampler and law (and any future
 /// one) is checked by the same code path.
 fn assert_determinism_contract(label: &str, mc: &MonteCarlo) {
     const TRIALS: u64 = 5000;
     let baseline = bytes(&mc.run_sequential().unwrap());
+    let mut histograms = None;
 
     for threads in ["1", "2", "7"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
+
+        let (summary, time, energy) = mc.run_with_histograms().unwrap();
+        assert_eq!(time.count(), TRIALS);
+        let this = (bytes(&summary), time, energy);
+        match &histograms {
+            None => histograms = Some(this),
+            Some((s, t, e)) => {
+                assert_eq!(
+                    &this.0, s,
+                    "[{label}] histogram-run summary at {threads} threads"
+                );
+                for (got, want) in [(&this.1, t), (&this.2, e)] {
+                    assert!(got == want, "[{label}] sketch buckets at {threads} threads");
+                    assert_eq!(got.min().to_bits(), want.min().to_bits());
+                    assert_eq!(got.max().to_bits(), want.max().to_bits());
+                }
+            }
+        }
 
         let parallel = bytes(&mc.run().unwrap());
         assert_eq!(

@@ -433,7 +433,7 @@ fn run_monte_carlo(seed: u64) -> ExperimentResult {
             }
         }
     };
-    // Silent-only, so the geometric fast path applies; select it
+    // Silent-only, i.e. the closed-form fast path at λᶠ = 0; select it
     // explicitly so the validation row keeps exercising it even if the
     // `Engine::Auto` heuristic changes.
     let rep = MonteCarlo::new(cfg, trials, seed)
@@ -730,7 +730,8 @@ fn run_laws(seed: u64) -> ExperimentResult {
             let (te, ee, ne, [p99_lo, p99, p99_hi]) = expected;
             match run {
                 Ok((summary, th, _)) => {
-                    let (summary, th): (rexec_sim::Summary, rexec_sim::Histogram) = (summary, th);
+                    let (summary, th): (rexec_sim::Summary, rexec_obs::HistogramSketch) =
+                        (summary, th);
                     let p99_s = th.quantile(q99).unwrap_or(f64::NAN);
                     let ok = (summary.time.mean() - te).abs()
                         <= z * summary.time.std_dev() / n.sqrt()

@@ -1,12 +1,12 @@
 //! Property tests of the shard-merge algebra behind the parallel sweep
-//! and Monte Carlo reductions: merging per-shard `Stats` / `Histogram`
+//! and Monte Carlo reductions: merging per-shard `Stats` / `HistogramSketch`
 //! aggregates must equal a single pass over the concatenated data, for
 //! *any* partition. This is the invariant that makes the parallel
 //! reductions thread-count independent.
 
 use proptest::prelude::*;
-use rexec::obs::Shard;
-use rexec::sim::{Histogram, Stats};
+use rexec::obs::{HistogramSketch, Shard};
+use rexec::sim::Stats;
 
 /// Positive, finite sample values in a range the default histogram
 /// resolution covers comfortably.
@@ -79,29 +79,37 @@ proptest! {
         prop_assert!((merged.mean() - all.mean()).abs() <= 1e-12 * all.mean().abs().max(1.0));
     }
 
-    /// `Histogram::merge` is *exact*: bucket counts are integers, so a
-    /// merge of shards equals single-pass recording bit-for-bit — counts,
-    /// extremes and every quantile.
+    /// `HistogramSketch::merge_from` is *exact*: bucket counts are
+    /// integers, so a merge of shards equals single-pass recording
+    /// bit-for-bit — counts, extremes and every quantile. Checked for the
+    /// registry's default sketch and for the (1e-3, 1 %, 1e12) sketch
+    /// `MonteCarlo::run_with_histograms` records outcomes into.
     #[test]
     fn histogram_merge_of_shards_equals_single_pass(
         values in arb_values(),
         cut in 0usize..301,
     ) {
         let (left, right) = split(&values, cut);
-        let mut a = Histogram::with_default_resolution();
-        left.iter().for_each(|&v| a.record(v));
-        let mut b = Histogram::with_default_resolution();
-        right.iter().for_each(|&v| b.record(v));
-        a.merge(&b);
+        let sketches: [fn() -> HistogramSketch; 2] = [
+            HistogramSketch::with_default_resolution,
+            || HistogramSketch::new(1e-3, 0.01, 1e12),
+        ];
+        for sketch in sketches {
+            let a = sketch();
+            left.iter().for_each(|&v| a.record(v));
+            let b = sketch();
+            right.iter().for_each(|&v| b.record(v));
+            a.merge_from(&b);
 
-        let mut all = Histogram::with_default_resolution();
-        values.iter().for_each(|&v| all.record(v));
+            let all = sketch();
+            values.iter().for_each(|&v| all.record(v));
 
-        prop_assert_eq!(a.count(), all.count());
-        prop_assert_eq!(a.min(), all.min());
-        prop_assert_eq!(a.max(), all.max());
-        for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
-            prop_assert_eq!(a.quantile(q), all.quantile(q), "q = {}", q);
+            prop_assert_eq!(a.count(), all.count());
+            prop_assert_eq!(a.min(), all.min());
+            prop_assert_eq!(a.max(), all.max());
+            for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(a.quantile(q), all.quantile(q), "q = {}", q);
+            }
         }
     }
 }

@@ -121,7 +121,7 @@ fn aggregates_are_byte_identical_across_thread_counts() {
         "batched counter flush lost attempts"
     );
 
-    // Same invariant on the geometric fast path (silent-only config),
+    // Same invariant on the fast path at λᶠ = 0 (silent-only config),
     // where it degenerates to attempts = patterns + silent errors.
     let silent_cfg = SimConfig {
         rates: rexec::core::ErrorRates::silent_only(1e-4).unwrap(),

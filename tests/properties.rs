@@ -282,23 +282,29 @@ proptest! {
         }
     }
 
-    /// Histogram quantiles are monotone and bracketed by the extremes.
+    /// Histogram quantiles are monotone and bracketed by the extremes —
+    /// for the registry's default sketch and for the (1e-3, 1 %, 1e12)
+    /// sketch `MonteCarlo::run_with_histograms` records outcomes into.
     #[test]
     fn histogram_quantiles_are_monotone(
         values in proptest::collection::vec(1e-2..1e6f64, 10..500),
     ) {
-        use rexec::sim::Histogram;
-        let mut h = Histogram::with_default_resolution();
-        for &v in &values {
-            h.record(v);
+        use rexec::obs::HistogramSketch;
+        for h in [
+            HistogramSketch::with_default_resolution(),
+            HistogramSketch::new(1e-3, 0.01, 1e12),
+        ] {
+            for &v in &values {
+                h.record(v);
+            }
+            let mut last = h.quantile(0.0).unwrap();
+            for i in 1..=20 {
+                let q = h.quantile(i as f64 / 20.0).unwrap();
+                prop_assert!(q >= last - 1e-12, "quantiles must be monotone");
+                last = q;
+            }
+            prop_assert_eq!(h.quantile(0.0).unwrap(), h.min());
+            prop_assert_eq!(h.quantile(1.0).unwrap(), h.max());
         }
-        let mut last = h.quantile(0.0).unwrap();
-        for i in 1..=20 {
-            let q = h.quantile(i as f64 / 20.0).unwrap();
-            prop_assert!(q >= last - 1e-12, "quantiles must be monotone");
-            last = q;
-        }
-        prop_assert_eq!(h.quantile(0.0).unwrap(), h.min());
-        prop_assert_eq!(h.quantile(1.0).unwrap(), h.max());
     }
 }

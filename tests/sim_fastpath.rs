@@ -1,9 +1,9 @@
-//! Acceptance tests for the fast-path engines: bit-identical summaries
-//! across thread counts (chunked RNG streams + deterministic merge), and
-//! statistical identity with both the per-attempt reference engine and
-//! the analytic expectations — Propositions 2–3 for the silent-only
-//! geometric fast path, Propositions 4–5 for the mixed fail-stop +
-//! silent fast path.
+//! Acceptance tests for the closed-form fast path: bit-identical
+//! summaries across thread counts (chunked RNG streams + deterministic
+//! merge), and statistical identity with both the per-attempt reference
+//! engine and the analytic expectations — Propositions 2–3 on
+//! silent-only configs (λᶠ = 0), Propositions 4–5 on mixed fail-stop +
+//! silent ones.
 //!
 //! The thread-count sections live in a single `#[test]` because they
 //! mutate process-global state (`RAYON_NUM_THREADS`), which must not
@@ -73,8 +73,8 @@ fn fast_path_is_bit_identical_and_statistically_exact() {
         }
     }
 
-    // Statistical identity on 10⁵ trials: the fast path samples attempt
-    // counts geometrically instead of replaying attempts, so its draws
+    // Statistical identity on 10⁵ trials: the fast path samples outcomes
+    // in closed form instead of replaying attempts, so its draws
     // differ from the reference engine's — but both must agree with
     // Propositions 2–3 within z = 4, and with each other within 4
     // combined standard errors (two-sample z-test).
