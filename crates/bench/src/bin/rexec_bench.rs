@@ -393,9 +393,8 @@ fn simulator_stage(quick: bool, out: &mut Vec<StageResult>) {
     ));
 }
 
-/// xorshift64* — the same deterministic stream generator `rexec-loadgen`
-/// uses, so the in-process bench and the TCP smoke exercise the same
-/// query distribution.
+/// xorshift64* — the deterministic query-stream generator (the same one
+/// `tests/serve_stream.rs` uses).
 fn next_rand(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;

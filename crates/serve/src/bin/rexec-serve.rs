@@ -16,9 +16,6 @@ USAGE:
 OPTIONS:
   --addr A            bind address (default 127.0.0.1:7464; port 0 = ephemeral)
   --workers N         batch worker threads (default 2)
-  --batch-max N       flush a batch at N requests (default 128)
-  --batch-window-us T ...or after T microseconds (default 200)
-  --queue-cap N       bounded request-queue depth (default 1024)
   --cache-capacity N  plan-cache capacity in plans, 0 disables (default 65536)
   --drain-secs S      shutdown drain deadline (default 5)
   --metrics-prom PATH write Prometheus metrics exposition on shutdown
@@ -57,9 +54,6 @@ fn parse_args() -> ServeOptions {
             }
             "--addr" => opts.addr = value(&mut args, &arg),
             "--workers" => opts.workers = parse(&value(&mut args, &arg), &arg),
-            "--batch-max" => opts.batch_max = parse(&value(&mut args, &arg), &arg),
-            "--batch-window-us" => opts.batch_window_us = parse(&value(&mut args, &arg), &arg),
-            "--queue-cap" => opts.queue_cap = parse(&value(&mut args, &arg), &arg),
             "--cache-capacity" => {
                 service.plan_cache_capacity = parse(&value(&mut args, &arg), &arg)
             }

@@ -19,12 +19,13 @@
 //!   table per platform) and the batched `solve_many_into` path.
 //! - [`wire`]: the NDJSON protocol with typed `{"err": ...}` responses
 //!   that reuse the CLI's domain validator ([`rexec_cli::spec`]).
-//! - [`server`]: the daemon — accept loop, bounded MPSC queue, adaptive
-//!   batcher (flush on N requests or T µs), per-connection reorder
-//!   writers, graceful drain on shutdown, rexec-obs metrics throughout.
+//! - [`server`]: the daemon — accept loop, one batch per socket read
+//!   through a bounded queue to a worker pool, per-connection writers
+//!   that keep request order by waiting on each batch's ticket in turn,
+//!   graceful drain on shutdown, rexec-obs metrics throughout.
 //!
-//! Binaries: `rexec-serve` (the daemon) and `rexec-loadgen` (an
-//! open-loop generator reporting queries/sec and latency quartiles).
+//! Binary: `rexec-serve` (the daemon). Its end-to-end benchmark is
+//! `perfbench/` at the repository root.
 
 #![warn(missing_docs)]
 

@@ -1,22 +1,14 @@
-//! The TCP daemon: accept loop → bounded queue → batch workers →
-//! per-connection reorder writers.
+//! The TCP daemon (diagram in DESIGN.md §12). The complete lines of one
+//! socket read form one batch: the connection's reader queues the batch
+//! as one `Job` for the worker pool and, in read order, hands the
+//! batch's reply receiver (its ticket) to the connection's writer. The
+//! writer waits on each ticket in turn, so responses leave in request
+//! order however the workers interleave batches — no sequence numbers,
+//! no reorder buffer.
 //!
-//! ```text
-//!  clients ──► accept loop ──► reader (per conn) ──► bounded MPSC queue
-//!                                                        │
-//!                              batch workers ×W ◄────────┘
-//!                        (drain ≤ N jobs or T µs window, then one
-//!                         PlanService::plan_batch over the batch)
-//!                                    │ (seq, response line)
-//!                              writer (per conn): reorders by seq,
-//!                              writes responses in request order
-//! ```
-//!
-//! Ordering: each reader stamps requests with a per-connection sequence
-//! number; workers answer out of order (batches interleave connections
-//! freely) and the writer holds a reorder buffer, so every connection
-//! sees responses in exactly request order no matter the batch window
-//! or worker count.
+//! Backpressure is counted in batches (`QUEUE_BATCHES`). A line longer
+//! than `MAX_LINE` gets a `bad_request` error and is skipped through
+//! its newline; the connection stays open.
 //!
 //! Graceful shutdown ([`Server::shutdown`], or SIGTERM/ctrl-c in the
 //! binary): the accept loop closes the listener (new connections are
@@ -28,15 +20,24 @@
 use crate::service::{PlanService, Query, ServiceConfig};
 use crate::wire;
 use rexec_obs::{counter, gauge, sketch, RollingWindow};
-use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Batches waiting for a worker before readers block, and batches one
+/// connection may have unwritten before its reader blocks.
+const QUEUE_BATCHES: usize = 64;
+
+/// Longest accepted request line in bytes, newline excluded.
+const MAX_LINE: usize = 64 * 1024;
+
+/// Bytes taken off the socket per read: the largest batch.
+const READ_BUF: usize = 64 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -45,14 +46,6 @@ pub struct ServeOptions {
     pub addr: String,
     /// Batch worker threads.
     pub workers: usize,
-    /// Flush a batch at this many requests...
-    pub batch_max: usize,
-    /// ...or when the oldest request has waited this long (µs),
-    /// whichever comes first.
-    pub batch_window_us: u64,
-    /// Bounded request-queue depth (readers block when full — TCP
-    /// backpressure instead of unbounded memory).
-    pub queue_cap: usize,
     /// How long shutdown waits for open connections to reach EOF
     /// before abandoning their sockets.
     pub drain_secs: f64,
@@ -67,9 +60,6 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            batch_max: 128,
-            batch_window_us: 200,
-            queue_cap: 1024,
             drain_secs: 5.0,
             service: ServiceConfig::default(),
             metrics_prom: None,
@@ -92,19 +82,24 @@ pub struct ServeReport {
     pub cache: crate::cache::CacheStats,
 }
 
-/// One queued request.
+/// A batch's rendered response lines and how many there are.
+type Reply = (String, u64);
+
+/// One queued batch: the complete lines of one socket read.
 struct Job {
-    resp: Sender<(u64, String)>,
-    seq: u64,
-    line: String,
-    t: Instant,
+    lines: String,
+    reply: SyncSender<Reply>,
 }
+
+/// The writer's handle on one batch: when it was read, and where its
+/// reply will arrive.
+type Ticket = (Instant, Receiver<Reply>);
 
 struct Inner {
     service: PlanService,
     opts: ServeOptions,
-    stop: AtomicBool,
-    stop_at: Mutex<Option<Instant>>,
+    /// When shutdown was requested; set once.
+    stop_at: OnceLock<Instant>,
     started: Instant,
     latency: RollingWindow,
     connections: AtomicU64,
@@ -115,13 +110,10 @@ struct Inner {
 }
 
 impl Inner {
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    fn drain_deadline(&self) -> Option<Instant> {
-        let stop_at = (*self.stop_at.lock().expect("stop_at poisoned"))?;
-        Some(stop_at + Duration::from_secs_f64(self.opts.drain_secs))
+    fn drain_expired(&self) -> bool {
+        self.stop_at
+            .get()
+            .is_some_and(|at| at.elapsed() >= Duration::from_secs_f64(self.opts.drain_secs))
     }
 }
 
@@ -142,8 +134,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             service: PlanService::new(opts.service.clone()),
-            stop: AtomicBool::new(false),
-            stop_at: Mutex::new(None),
+            stop_at: OnceLock::new(),
             started: Instant::now(),
             latency: RollingWindow::new(8, 0.5),
             connections: AtomicU64::new(0),
@@ -154,7 +145,7 @@ impl Server {
             opts,
         });
 
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(inner.opts.queue_cap.max(1));
+        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(QUEUE_BATCHES);
         let job_rx = Arc::new(Mutex::new(job_rx));
         let workers = (0..inner.opts.workers.max(1))
             .map(|i| {
@@ -189,9 +180,7 @@ impl Server {
     /// Requests shutdown: stop accepting, drain in-flight work.
     /// Idempotent; returns immediately — follow with [`Server::join`].
     pub fn shutdown(&self) {
-        if !self.inner.stop.swap(true, Ordering::SeqCst) {
-            *self.inner.stop_at.lock().expect("stop_at poisoned") = Some(Instant::now());
-        }
+        self.inner.stop_at.get_or_init(Instant::now);
     }
 
     /// Waits for the drain to complete (bounded by `drain_secs` past
@@ -224,7 +213,7 @@ impl Server {
 }
 
 fn accept_loop(inner: &Arc<Inner>, listener: TcpListener, job_tx: SyncSender<Job>) {
-    while !inner.stopped() {
+    while inner.stop_at.get().is_none() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 inner.connections.fetch_add(1, Ordering::Relaxed);
@@ -248,19 +237,19 @@ fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream, job_tx: SyncSender<Jo
         Ok(s) => s,
         Err(_) => return, // connection already dead
     };
-    let (resp_tx, resp_rx) = mpsc::channel::<(u64, String)>();
+    let (ticket_tx, ticket_rx) = mpsc::sync_channel::<Ticket>(QUEUE_BATCHES);
     let reader = {
         let inner = Arc::clone(inner);
         std::thread::Builder::new()
             .name("serve-conn-reader".into())
-            .spawn(move || reader_loop(&inner, stream, job_tx, resp_tx))
+            .spawn(move || reader_loop(&inner, stream, &job_tx, &ticket_tx))
             .expect("spawn reader")
     };
     let writer = {
         let inner = Arc::clone(inner);
         std::thread::Builder::new()
             .name("serve-conn-writer".into())
-            .spawn(move || writer_loop(&inner, write_half, resp_rx))
+            .spawn(move || writer_loop(&inner, write_half, ticket_rx))
             .expect("spawn writer")
     };
     let mut threads = inner.conn_threads.lock().expect("threads");
@@ -268,157 +257,152 @@ fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream, job_tx: SyncSender<Jo
     threads.push(writer);
 }
 
-/// Reads newline-delimited requests until EOF (or the drain deadline
-/// after shutdown) and queues them with per-connection sequence
-/// numbers. Dropping `resp_tx` at exit is what lets the writer finish.
+/// Queues `lines` as one job and hands its ticket to the writer.
+/// False once the writer or the workers are gone.
+fn send_batch(
+    job_tx: &SyncSender<Job>,
+    tickets: &SyncSender<Ticket>,
+    lines: Vec<u8>,
+    t: Instant,
+) -> bool {
+    let lines = String::from_utf8(lines)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    let (reply, ticket) = mpsc::sync_channel(1);
+    tickets.send((t, ticket)).is_ok() && job_tx.send(Job { lines, reply }).is_ok()
+}
+
+/// Answers an over-long line with a ticket that is already answered.
+fn send_too_long(inner: &Inner, tickets: &SyncSender<Ticket>, t: Instant) -> bool {
+    inner.requests.fetch_add(1, Ordering::Relaxed);
+    inner.errors.fetch_add(1, Ordering::Relaxed);
+    counter!("serve.requests").incr();
+    counter!("serve.wire_errors").incr();
+    let err = wire::WireError {
+        kind: wire::kind::BAD_REQUEST,
+        msg: format!("request line longer than {MAX_LINE} bytes"),
+    };
+    let mut text = String::new();
+    wire::render_error(&mut text, None, &err);
+    text.push('\n');
+    let (reply, ticket) = mpsc::sync_channel(1);
+    reply.send((text, 1)).ok();
+    tickets.send((t, ticket)).is_ok()
+}
+
+/// Reads until EOF (or the drain deadline after shutdown) and sends the
+/// complete lines of each read as one batch. Dropping `tickets` at exit
+/// is what lets the writer finish.
 fn reader_loop(
     inner: &Arc<Inner>,
     mut stream: TcpStream,
-    job_tx: SyncSender<Job>,
-    resp_tx: Sender<(u64, String)>,
+    job_tx: &SyncSender<Job>,
+    tickets: &SyncSender<Ticket>,
 ) {
     stream
         .set_read_timeout(Some(Duration::from_millis(10)))
         .ok();
-    let mut pending: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 8192];
-    let mut seq = 0u64;
-    let queue_line = |line: &[u8], seq: &mut u64| -> bool {
-        let text = String::from_utf8_lossy(line);
-        let text = text.trim_end_matches(['\r', '\n']);
-        if text.trim().is_empty() {
-            return true; // blank keep-alive lines are not requests
+    let mut buf = vec![0u8; READ_BUF];
+    // The unterminated tail of the last read, and whether it belongs to
+    // an over-long line being skipped.
+    let mut line: Vec<u8> = Vec::new();
+    let mut skipping = false;
+    loop {
+        if inner.drain_expired() {
+            break; // shutdown drain expired; abandon the socket
         }
-        *seq += 1;
-        inner.requests.fetch_add(1, Ordering::Relaxed);
-        counter!("serve.requests").incr();
-        job_tx
-            .send(Job {
-                resp: resp_tx.clone(),
-                seq: *seq,
-                line: text.to_string(),
-                t: Instant::now(),
-            })
-            .is_ok()
-    };
-    'conn: loop {
-        if let Some(deadline) = inner.drain_deadline() {
-            if Instant::now() >= deadline {
-                break; // shutdown drain expired; abandon the socket
-            }
-        }
-        match stream.read(&mut buf) {
+        let n = match stream.read(&mut buf) {
             Ok(0) => break, // EOF: client is done sending
-            Ok(n) => {
-                pending.extend_from_slice(&buf[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    if !queue_line(&line, &mut seq) {
-                        break 'conn; // workers are gone
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => break, // reset / broken pipe: nothing left to read
+        };
+        let t = Instant::now();
+        let mut batch = Vec::new();
+        for piece in buf[..n].split_inclusive(|&b| b == b'\n') {
+            let complete = piece.ends_with(b"\n");
+            if skipping {
+                skipping = !complete;
+            } else if line.len() + piece.len() - usize::from(complete) > MAX_LINE {
+                let ok = (batch.is_empty() || send_batch(job_tx, tickets, batch, t))
+                    && send_too_long(inner, tickets, t);
+                if !ok {
+                    return;
+                }
+                batch = Vec::new();
+                line.clear();
+                skipping = !complete;
+            } else if complete {
+                batch.append(&mut line);
+                batch.extend_from_slice(piece);
+            } else {
+                line.extend_from_slice(piece);
+            }
+        }
+        if !batch.is_empty() && !send_batch(job_tx, tickets, batch, t) {
+            return;
         }
     }
     // A final unterminated line still counts as a request.
-    if !pending.is_empty() {
-        queue_line(&pending, &mut seq);
+    if !line.is_empty() {
+        send_batch(job_tx, tickets, line, Instant::now());
     }
 }
 
-/// Receives `(seq, response)` pairs from the workers and writes them in
-/// sequence order, holding out-of-order arrivals in a reorder buffer.
-fn writer_loop(inner: &Arc<Inner>, stream: TcpStream, resp_rx: Receiver<(u64, String)>) {
-    let mut out = std::io::BufWriter::new(stream);
-    let mut next_seq = 1u64;
-    let mut reorder: BTreeMap<u64, String> = BTreeMap::new();
-    let write_ready = |reorder: &mut BTreeMap<u64, String>,
-                       next_seq: &mut u64,
-                       out: &mut std::io::BufWriter<TcpStream>|
-     -> bool {
-        while let Some(text) = reorder.remove(next_seq) {
-            if out.write_all(text.as_bytes()).is_err() {
-                return false;
-            }
-            inner.responses.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.responses").incr();
-            *next_seq += 1;
+/// Takes the tickets in read order and writes each batch's bytes as
+/// they arrive; the request latency it records spans read to write.
+fn writer_loop(inner: &Arc<Inner>, mut stream: TcpStream, tickets: Receiver<Ticket>) {
+    for (t, ticket) in tickets {
+        let Ok((text, n)) = ticket.recv() else {
+            continue; // the job never reached a worker
+        };
+        if stream.write_all(text.as_bytes()).is_err() {
+            break;
         }
-        true
-    };
-    'writer: while let Ok((seq, text)) = resp_rx.recv() {
-        reorder.insert(seq, text);
-        // Drain whatever else is already queued before flushing once.
-        while let Ok((seq, text)) = resp_rx.try_recv() {
-            reorder.insert(seq, text);
-        }
-        if !write_ready(&mut reorder, &mut next_seq, &mut out) {
-            break 'writer;
-        }
-        if out.flush().is_err() {
-            break 'writer;
+        inner.responses.fetch_add(n, Ordering::Relaxed);
+        counter!("serve.responses").add(n);
+        let (now, latency) = (
+            inner.started.elapsed().as_secs_f64(),
+            t.elapsed().as_secs_f64(),
+        );
+        for _ in 0..n {
+            inner.latency.record_at(now, latency);
         }
     }
-    // Channel closed: reader finished and every job was answered.
-    write_ready(&mut reorder, &mut next_seq, &mut out);
-    out.flush().ok();
-    if let Ok(stream) = out.into_inner() {
-        stream.shutdown(std::net::Shutdown::Both).ok();
-    }
+    stream.shutdown(std::net::Shutdown::Both).ok();
 }
 
-/// Drains the queue into batches (≤ `batch_max` jobs or the batch
-/// window, whichever first) and answers each batch through one
-/// `plan_batch` sweep.
+/// Answers one job at a time, each with one `plan_batch` sweep.
 fn worker_loop(inner: &Arc<Inner>, rx: &Mutex<Receiver<Job>>) {
-    let window = Duration::from_micros(inner.opts.batch_window_us.max(1));
-    let batch_max = inner.opts.batch_max.max(1);
-    let mut batch: Vec<Job> = Vec::with_capacity(batch_max);
     let mut queries: Vec<Query> = Vec::new();
     let mut answers = Vec::new();
     loop {
-        batch.clear();
-        {
-            let rx = rx.lock().expect("job queue poisoned");
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(job) => {
-                    batch.push(job);
-                    let deadline = Instant::now() + window;
-                    while batch.len() < batch_max {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(job) => batch.push(job),
-                            Err(_) => break,
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        process_batch(inner, &batch, &mut queries, &mut answers);
+        let job = rx.lock().expect("job queue poisoned").recv();
+        let Ok(job) = job else {
+            break; // every reader is done and the queue is empty
+        };
+        let reply = process_batch(inner, &job.lines, &mut queries, &mut answers);
+        job.reply.send(reply).ok();
     }
 }
 
+/// Parses, resolves, plans and renders the request lines of one batch.
+/// Blank lines are keep-alives, not requests.
 fn process_batch(
-    inner: &Arc<Inner>,
-    batch: &[Job],
+    inner: &Inner,
+    lines: &str,
     queries: &mut Vec<Query>,
     answers: &mut Vec<crate::service::PlanAnswer>,
-) {
-    sketch!("serve.batch.occupancy").record(batch.len() as f64);
-    // Parse and resolve every job; valid ones join the solve batch.
+) -> Reply {
+    // Parse and resolve every line; valid ones join the solve batch.
     queries.clear();
-    let mut parsed: Vec<(Option<u64>, Result<usize, wire::WireError>)> =
-        Vec::with_capacity(batch.len());
-    for job in batch {
-        let (id, result) = wire::parse_request(&job.line);
+    let mut parsed: Vec<(Option<u64>, Result<usize, wire::WireError>)> = Vec::new();
+    let requests = lines
+        .split('\n')
+        .map(|l| l.trim_end_matches('\r'))
+        .filter(|l| !l.trim().is_empty());
+    for line in requests {
+        let (id, result) = wire::parse_request(line);
         match result {
             Ok(spec) => match inner.service.resolve(&spec) {
                 Ok(query) => {
@@ -430,27 +414,26 @@ fn process_batch(
             Err(e) => parsed.push((id, Err(e))),
         }
     }
+    let n = parsed.len() as u64;
+    inner.requests.fetch_add(n, Ordering::Relaxed);
+    counter!("serve.requests").add(n);
+    if n > 0 {
+        sketch!("serve.batch.occupancy").record(n as f64);
+    }
     inner.service.plan_batch(queries, answers);
-    // Render and dispatch responses; record per-request latency.
-    let mut line = String::new();
-    for (job, (id, result)) in batch.iter().zip(&parsed) {
-        line.clear();
+    let mut out = String::new();
+    for (id, result) in &parsed {
         match result {
-            Ok(query_idx) => wire::render_answer(&mut line, *id, &answers[*query_idx]),
+            Ok(query_idx) => wire::render_answer(&mut out, *id, &answers[*query_idx]),
             Err(e) => {
                 inner.errors.fetch_add(1, Ordering::Relaxed);
                 counter!("serve.wire_errors").incr();
-                wire::render_error(&mut line, *id, e);
+                wire::render_error(&mut out, *id, e);
             }
         }
-        line.push('\n');
-        job.resp.send((job.seq, line.clone())).ok();
-        let latency = job.t.elapsed().as_secs_f64();
-        inner
-            .latency
-            .record_at(inner.started.elapsed().as_secs_f64(), latency);
+        out.push('\n');
     }
-    publish_metrics(inner);
+    (out, n)
 }
 
 /// Publishes the rolling-window gauges: `serve.qps`,

@@ -3,9 +3,9 @@
 //! [`PlanService`] is the transport-free heart of `rexec-serve`: it owns
 //! the solver cache (one [`BiCritSolver`] per distinct quantized table,
 //! so the O(K²) candidate table is built once per platform, not per
-//! query) and the sharded plan cache. The TCP daemon, the loadgen bench
-//! stage and the in-process tests all drive exactly this type, so what
-//! the benchmarks measure is what the daemon serves.
+//! query) and the sharded plan cache. The TCP daemon, the in-process
+//! bench stages and the tests all drive exactly this type, so what the
+//! benchmarks measure is what the daemon serves.
 //!
 //! Determinism contract: an answer is a pure function of the quantized
 //! query. Cache state, batch boundaries and worker interleavings can

@@ -12,7 +12,7 @@
 //! Responses are rendered with Rust's shortest-roundtrip float
 //! formatting and a fixed field order, so a response is a deterministic
 //! byte string of the (quantized) answer — the property the
-//! determinism test pins across batch windows, worker counts and cache
+//! determinism test pins across batch shapes, worker counts and cache
 //! states.
 
 use crate::service::PlanAnswer;

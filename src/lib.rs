@@ -16,8 +16,7 @@
 //! * [`obs`] — lightweight observability: counters, histogram sketches,
 //!   RAII span timers and a registry with deterministic JSON snapshots.
 //! * [`serve`] — the batching, plan-caching planning daemon
-//!   (`rexec-serve`/`rexec-loadgen`) answering plan queries over
-//!   newline-delimited JSON.
+//!   (`rexec-serve`) answering plan queries over newline-delimited JSON.
 //!
 //! See `examples/quickstart.rs` for a five-line tour.
 

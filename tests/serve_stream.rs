@@ -1,32 +1,37 @@
 //! End-to-end pins for the planning service (`rexec-serve`):
 //!
-//! * **stream determinism** — a fixed single-connection query stream
-//!   must produce a byte-identical response stream regardless of the
-//!   batch window, batch size, worker-thread count, plan-cache state
-//!   (cold, warm, or disabled) — answers are pure functions of the
-//!   query, never of batch shape or cache residency;
+//! * **stream determinism** — a fixed query stream must produce a
+//!   byte-identical response stream regardless of the worker-thread
+//!   count, the plan-cache state (cold, warm, tiny or disabled), how the
+//!   client splits its writes (which sets the batch shapes, one batch
+//!   per socket read), and how many connections send it at once —
+//!   answers are pure functions of the query, never of batch shape or
+//!   cache residency;
 //! * **graceful shutdown** — requests accepted before and during the
 //!   drain are all answered, and the listener refuses new connections
 //!   once the server has exited;
-//! * **typed wire errors** — malformed or invalid requests come back as
-//!   `{"err": ...}` responses with stable kinds, and the connection
-//!   stays fully usable afterwards;
+//! * **typed wire errors** — malformed, invalid or over-long requests
+//!   come back as `{"err": ...}` responses with stable kinds, and the
+//!   connection stays fully usable afterwards;
+//! * **serve = CLI** — random explicit specs already on the
+//!   quantization grid get, bit for bit, the plan `rexec-plan` computes
+//!   (`PlanSpec::resolve` then `BiCritSolver::solve`);
 //! * **cache transparency** — a proptest that a cache-enabled service
 //!   and a cache-disabled service render identical response lines for
 //!   random valid query streams.
 
 use proptest::prelude::*;
-use rexec_serve::{PlanService, ServeOptions, Server, ServiceConfig};
+use rexec_core::BiCritSolver;
+use rexec_serve::{quantize, PlanService, PlanSpec, ServeOptions, Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
 
 /// Starts an in-process server on an ephemeral port.
-fn start(batch_window_us: u64, batch_max: usize, workers: usize, cache: usize) -> Server {
+fn start(workers: usize, cache: usize) -> Server {
     Server::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers,
-        batch_max,
-        batch_window_us,
         service: ServiceConfig {
             plan_cache_capacity: cache,
             ..ServiceConfig::default()
@@ -36,25 +41,53 @@ fn start(batch_window_us: u64, batch_max: usize, workers: usize, cache: usize) -
     .expect("bind ephemeral port")
 }
 
+/// How a client writes its request stream.
+#[derive(Debug, Clone, Copy)]
+enum Writes {
+    /// The whole stream in one `write_all`.
+    Whole,
+    /// One `write_all` and flush per line.
+    PerLine,
+}
+
 /// Sends `lines` over one connection, half-closes, and returns the raw
-/// response bytes until EOF.
-fn roundtrip(server: &Server, lines: &str) -> Vec<u8> {
+/// response bytes until EOF. Responses are read concurrently, so a long
+/// stream cannot stall on full socket buffers.
+fn roundtrip(server: &Server, lines: &str, writes: Writes) -> Vec<u8> {
+    roundtrip_gated(server, lines, writes, &Barrier::new(1))
+}
+
+/// [`roundtrip`] that waits at `gate` after connecting and before
+/// sending, so several connections are open and sending at once.
+fn roundtrip_gated(server: &Server, lines: &str, writes: Writes, gate: &Barrier) -> Vec<u8> {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).ok();
+    gate.wait();
     let mut read_half = stream.try_clone().expect("clone stream");
+    let reader = std::thread::spawn(move || {
+        let mut response = Vec::new();
+        read_half
+            .read_to_end(&mut response)
+            .expect("read responses");
+        response
+    });
     let mut write_half = stream;
-    write_half.write_all(lines.as_bytes()).expect("send");
+    match writes {
+        Writes::Whole => write_half.write_all(lines.as_bytes()).expect("send"),
+        Writes::PerLine => {
+            for line in lines.split_inclusive('\n') {
+                write_half.write_all(line.as_bytes()).expect("send");
+                write_half.flush().expect("flush");
+            }
+        }
+    }
     write_half
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
-    let mut response = Vec::new();
-    read_half
-        .read_to_end(&mut response)
-        .expect("read responses");
-    response
+    reader.join().expect("reader thread")
 }
 
-/// xorshift64* — the loadgen's deterministic stream generator.
+/// xorshift64* — the deterministic stream generator.
 fn next_rand(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -64,6 +97,10 @@ fn next_rand(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545F4914F6CDD1D)
 }
 
+/// A uniform draw in `[0, 1)`.
+fn next_unit(state: &mut u64) -> f64 {
+    (next_rand(state) >> 11) as f64 / (1u64 << 53) as f64
+}
 /// A mixed query stream: hot ρ pool plus fresh ρ values over the paper
 /// tables, a custom-parameter table, and a sprinkling of invalid
 /// requests (whose error responses are part of the determinism pin).
@@ -108,9 +145,9 @@ fn fixed_stream(n: u64) -> String {
 fn response_stream_is_byte_identical_across_server_shapes() {
     let stream = fixed_stream(1500);
 
-    // Reference shape: no batching at all, one worker, cold cache.
-    let server = start(0, 1, 1, 65536);
-    let reference = roundtrip(&server, &stream);
+    // Reference shape: one worker, cold cache, the stream in one write.
+    let server = start(1, 65536);
+    let reference = roundtrip(&server, &stream, Writes::Whole);
     server.shutdown();
     server.join();
     assert_eq!(
@@ -119,31 +156,33 @@ fn response_stream_is_byte_identical_across_server_shapes() {
         "every request line gets exactly one response line"
     );
 
-    // Wide batches, many workers; plus cache disabled; plus a tiny
-    // cache under eviction pressure. All must match byte for byte.
-    for (window, batch_max, workers, cache) in
-        [(5000, 512, 4, 65536), (200, 128, 2, 0), (1000, 64, 3, 8)]
-    {
-        let server = start(window, batch_max, workers, cache);
-        let got = roundtrip(&server, &stream);
-        let report = {
-            server.shutdown();
-            server.join()
-        };
-        assert_eq!(
-            got, reference,
-            "stream diverged at window={window}us batch={batch_max} \
-             workers={workers} cache={cache}"
-        );
-        assert_eq!(report.requests, 1500);
-        assert_eq!(report.responses, 1500);
+    // Worker counts × cache disabled / tiny under eviction pressure /
+    // default × one write or one write per line (batch shapes change
+    // with the write pattern). All must match byte for byte.
+    for workers in [1, 2, 4] {
+        for cache in [0, 8, 65536] {
+            for writes in [Writes::Whole, Writes::PerLine] {
+                let server = start(workers, cache);
+                let got = roundtrip(&server, &stream, writes);
+                let report = {
+                    server.shutdown();
+                    server.join()
+                };
+                assert_eq!(
+                    got, reference,
+                    "stream diverged at workers={workers} cache={cache} writes={writes:?}"
+                );
+                assert_eq!(report.requests, 1500);
+                assert_eq!(report.responses, 1500);
+            }
+        }
     }
 
     // Warm cache: the same server answering the stream twice must give
     // the same bytes both times (hits replay the solved plan exactly).
-    let server = start(200, 128, 2, 65536);
-    let cold = roundtrip(&server, &stream);
-    let warm = roundtrip(&server, &stream);
+    let server = start(2, 65536);
+    let cold = roundtrip(&server, &stream, Writes::Whole);
+    let warm = roundtrip(&server, &stream, Writes::PerLine);
     let report = {
         server.shutdown();
         server.join()
@@ -155,11 +194,38 @@ fn response_stream_is_byte_identical_across_server_shapes() {
         "second pass should be answered mostly from cache (hits = {})",
         report.cache.hits
     );
+
+    // Four connections sending the stream at once: batches from
+    // different connections interleave in the queue and the workers,
+    // yet each connection receives exactly the reference bytes.
+    let server = start(2, 65536);
+    let gate = Barrier::new(4);
+    std::thread::scope(|scope| {
+        let (server, stream, gate) = (&server, &stream, &gate);
+        let conns: Vec<_> = [
+            Writes::Whole,
+            Writes::PerLine,
+            Writes::Whole,
+            Writes::PerLine,
+        ]
+        .into_iter()
+        .map(|writes| scope.spawn(move || roundtrip_gated(server, stream, writes, gate)))
+        .collect();
+        for (k, conn) in conns.into_iter().enumerate() {
+            let got = conn.join().expect("connection thread");
+            assert_eq!(got, reference, "concurrent connection {k} diverged");
+        }
+    });
+    server.shutdown();
+    let report = server.join();
+    assert_eq!(report.connections, 4);
+    assert_eq!(report.requests, 4 * 1500);
+    assert_eq!(report.responses, 4 * 1500);
 }
 
 #[test]
 fn graceful_shutdown_answers_everything_then_refuses_connections() {
-    let server = start(200, 128, 2, 65536);
+    let server = start(2, 65536);
     let addr = server.local_addr();
 
     let stream = TcpStream::connect(addr).expect("connect");
@@ -225,7 +291,7 @@ fn graceful_shutdown_answers_everything_then_refuses_connections() {
 
 #[test]
 fn typed_errors_keep_the_connection_usable() {
-    let server = start(200, 128, 2, 65536);
+    let server = start(2, 65536);
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
@@ -269,6 +335,141 @@ fn typed_errors_keep_the_connection_usable() {
     let report = server.join();
     assert_eq!(report.responses, 7);
     assert_eq!(report.errors, 6);
+}
+
+#[test]
+fn over_long_line_gets_a_typed_error_and_the_connection_survives() {
+    let server = start(2, 65536);
+    // 1 MiB with no newline, far past the line cap, then a real query.
+    let mut stream = "x".repeat(1 << 20);
+    stream.push_str("\n{\"id\":7,\"platform\":\"hera\",\"processor\":\"xscale\",\"rho\":3}\n");
+    let response = String::from_utf8(roundtrip(&server, &stream, Writes::Whole)).expect("utf-8");
+    server.shutdown();
+    let report = server.join();
+
+    let lines: Vec<&str> = response.lines().collect();
+    assert_eq!(lines.len(), 2, "one error, then the plan: {response}");
+    assert!(
+        lines[0].starts_with("{\"err\":{\"kind\":\"bad_request\""),
+        "expected a bad_request error first, got: {}",
+        lines[0]
+    );
+    assert!(
+        lines[1].starts_with("{\"id\":7,\"digest\":\"fnv1a:") && lines[1].contains("\"wopt\":"),
+        "the query after the long line went unanswered: {}",
+        lines[1]
+    );
+    assert_eq!(report.requests, 2);
+    assert_eq!(report.responses, 2);
+    assert_eq!(report.errors, 1);
+}
+
+/// The number after `"name":` in a response line.
+fn field(line: &str, name: &str) -> Option<f64> {
+    let key = format!("\"{name}\":");
+    let rest = &line[line.find(&key)? + key.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].parse().expect("numeric field"))
+}
+
+/// A random explicit spec with every parameter, ρ included, already on
+/// the quantization grid, so the service's quantization is the
+/// identity: 1–20 speeds, λ over three decades, ρ from infeasible to
+/// loose.
+fn grid_spec(rng: &mut u64) -> PlanSpec {
+    let k = 1 + next_rand(rng) % 20;
+    let mut draw = |lo: f64, hi: f64| quantize(lo + (hi - lo) * next_unit(rng));
+    let speeds: Vec<f64> = (0..k).map(|_| draw(0.05, 1.0)).collect();
+    let checkpoint = draw(10.0, 3000.0);
+    PlanSpec {
+        lambda: Some(quantize(10f64.powf(draw(-7.0, -4.0)))),
+        checkpoint: Some(checkpoint),
+        verification: Some(draw(1.0, 300.0)),
+        recovery: Some(draw(0.0, checkpoint)),
+        kappa: Some(draw(100.0, 5000.0)),
+        pidle: Some(draw(0.0, 500.0)),
+        pio: Some(draw(0.0, 500.0)),
+        speeds: Some(speeds),
+        rho: Some(draw(1.0, 4.0)),
+        ..PlanSpec::default()
+    }
+}
+
+/// The spec as one wire request line (shortest-roundtrip floats, so the
+/// daemon parses back the same bits).
+fn request_line(id: usize, spec: &PlanSpec) -> String {
+    let speeds: Vec<String> = spec.speeds.iter().flatten().map(f64::to_string).collect();
+    format!(
+        "{{\"id\":{id},\"lambda\":{},\"checkpoint\":{},\"verification\":{},\"recovery\":{},\
+         \"kappa\":{},\"pidle\":{},\"pio\":{},\"speeds\":[{}],\"rho\":{}}}\n",
+        spec.lambda.unwrap(),
+        spec.checkpoint.unwrap(),
+        spec.verification.unwrap(),
+        spec.recovery.unwrap(),
+        spec.kappa.unwrap(),
+        spec.pidle.unwrap(),
+        spec.pio.unwrap(),
+        speeds.join(","),
+        spec.rho.unwrap(),
+    )
+}
+
+#[test]
+fn served_plans_equal_single_shot_cli_solves_bit_for_bit() {
+    const SPECS: usize = 600;
+    let mut rng = 0x5EED_CAFE_u64;
+    let specs: Vec<PlanSpec> = (0..SPECS).map(|_| grid_spec(&mut rng)).collect();
+    let stream: String = specs
+        .iter()
+        .enumerate()
+        .map(|(id, spec)| request_line(id, spec))
+        .collect();
+    let server = start(2, 65536);
+    let response = String::from_utf8(roundtrip(&server, &stream, Writes::Whole)).expect("utf-8");
+    server.shutdown();
+    server.join();
+
+    let lines: Vec<&str> = response.lines().collect();
+    assert_eq!(lines.len(), SPECS);
+    let (mut feasible, mut infeasible) = (0, 0);
+    for (id, (spec, line)) in specs.iter().zip(&lines).enumerate() {
+        assert!(
+            line.starts_with(&format!("{{\"id\":{id},")),
+            "out of order: {line}"
+        );
+        // The rexec-plan path: resolve, build the solver, one solve.
+        let resolved = spec.resolve().expect("grid specs are valid models");
+        let solver = BiCritSolver::new(resolved.model, resolved.speeds);
+        let bits = |name| field(line, name).map(f64::to_bits);
+        assert_eq!(bits("rho"), Some(resolved.rho.to_bits()), "{line}");
+        match solver.solve(resolved.rho) {
+            Some(plan) => {
+                feasible += 1;
+                for (name, want) in [
+                    ("sigma1", plan.sigma1),
+                    ("sigma2", plan.sigma2),
+                    ("wopt", plan.w_opt),
+                    ("energy_overhead", plan.energy_overhead),
+                    ("time_overhead", plan.time_overhead),
+                ] {
+                    assert_eq!(bits(name), Some(want.to_bits()), "{name} differs: {line}");
+                }
+            }
+            None => {
+                infeasible += 1;
+                assert!(line.contains("\"feasible\":false"), "{line}");
+                assert_eq!(
+                    bits("min_rho"),
+                    Some(solver.min_feasible_rho().to_bits()),
+                    "{line}"
+                );
+            }
+        }
+    }
+    assert!(
+        feasible >= 100 && infeasible >= 50,
+        "both outcomes must be exercised ({feasible} feasible, {infeasible} infeasible)"
+    );
 }
 
 /// Renders a full answer stream through the transport-free service.
