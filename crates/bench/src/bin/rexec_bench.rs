@@ -54,6 +54,8 @@
 //! across passes, which is what `compare` and `BENCH_history.jsonl`
 //! track.
 
+#![forbid(unsafe_code)]
+
 use rexec_bench::stats::{median_sorted, quartiles_sorted, regressions, sorted, StageSample};
 use rexec_bench::{atlas_crusoe, hera_xscale, synthetic_solver};
 use rexec_sim::{Engine, MonteCarlo, SimConfig, Summary};

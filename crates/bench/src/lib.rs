@@ -18,6 +18,7 @@
 //!
 //! This library exposes the shared fixtures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 use rexec_core::{BiCritSolver, ModelError, SilentModel, SpeedSet};
 use rexec_platforms::{configuration, ConfigId, Configuration, PlatformId, ProcessorId};

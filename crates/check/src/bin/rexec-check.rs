@@ -6,6 +6,8 @@
 //! explored state is consistent, exit 1 when any violation is found,
 //! exit 2 on bad usage.
 
+#![forbid(unsafe_code)]
+
 use rexec_check::{explore, CheckConfig};
 use std::process::ExitCode;
 

@@ -31,6 +31,7 @@
 //!    flagged (`digest mismatch`) and recomputed, never served as
 //!    intact.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rexec_harness::{

@@ -8,6 +8,8 @@
 //! Transient write failures are retried under capped backoff, and
 //! `--fault-plan` injects deterministic failures for testing.
 
+#![forbid(unsafe_code)]
+
 use rexec_cli::args::{Args, USAGE};
 use rexec_cli::run::execute;
 use rexec_harness::{atomic_write, FaultInjector, RetryPolicy};

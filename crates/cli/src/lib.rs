@@ -12,6 +12,7 @@
 //!            --rho 2.5 --wbase 1e8 --validate 20000
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod args;
 pub mod run;

@@ -61,6 +61,7 @@
 //! assert!((best.energy_overhead - 416.0).abs() < 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod approx;
 pub mod bicrit;

@@ -35,6 +35,7 @@
 //! `harness.artifacts_verified`, `harness.corrupt_artifacts_detected`,
 //! plus the `harness.verify` span.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod atomic;

@@ -1,6 +1,5 @@
-//! Exporters over the registry snapshot: Prometheus text exposition, a
-//! strict in-repo format checker for it, and a snapshot differ for
-//! before/after accounting.
+//! Exporters over the registry snapshot: Prometheus text exposition and
+//! a strict in-repo format checker for it.
 //!
 //! The exposition is rendered straight from the live [`Registry`] in a
 //! fixed section order (counters, gauges, histogram summaries, span
@@ -12,7 +11,6 @@
 use crate::metrics::SpanStat;
 use crate::registry::Registry;
 use crate::sketch::HistogramSketch;
-use serde::{Number, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -386,97 +384,6 @@ pub fn check_prometheus_text(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Snapshot diff
-// ---------------------------------------------------------------------
-
-fn as_u64(v: Option<&Value>) -> Option<u64> {
-    match v {
-        Some(Value::Number(n)) => n.as_u64(),
-        _ => None,
-    }
-}
-
-fn section<'a>(snap: &'a Value, key: &str) -> BTreeMap<String, &'a Value> {
-    match snap.get(key) {
-        Some(Value::Object(m)) => m.iter().map(|(k, v)| (k.clone(), v)).collect(),
-        _ => BTreeMap::new(),
-    }
-}
-
-/// Subtracts two registry snapshots (`after − before`), for before/after
-/// accounting around a phase of a run. Both arguments are snapshot
-/// `Value`s from [`Registry::snapshot_value`] or
-/// [`Registry::deterministic_value`].
-///
-/// Semantics per section:
-/// * **counters** — exact `u64` difference (a metric absent from
-///   `before` counts as 0; saturates at 0 if `after` regressed, e.g.
-///   across a reset);
-/// * **histograms** — differences of the exact `count` / `ignored` /
-///   `overflow` fields only (quantiles and extremes are not
-///   subtractable and are omitted);
-/// * **spans** — differences of `count` and `total_nanos`, with
-///   `mean_nanos` recomputed from the diff (`max_nanos` is omitted);
-/// * **gauges** — last-value observations are not subtractable: the
-///   `after` value is reported unchanged.
-pub fn snapshot_diff(before: &Value, after: &Value) -> Value {
-    let mut counters = BTreeMap::new();
-    let b = section(before, "counters");
-    for (name, v) in section(after, "counters") {
-        let prev = as_u64(b.get(&name).copied()).unwrap_or(0);
-        let now = as_u64(Some(v)).unwrap_or(0);
-        counters.insert(name, Value::Number(Number::U64(now.saturating_sub(prev))));
-    }
-
-    let mut histograms = BTreeMap::new();
-    let b = section(before, "histograms");
-    for (name, v) in section(after, "histograms") {
-        let mut entry = BTreeMap::new();
-        for field in ["count", "ignored", "overflow"] {
-            let prev = as_u64(b.get(&name).copied().and_then(|p| p.get(field))).unwrap_or(0);
-            let now = as_u64(v.get(field)).unwrap_or(0);
-            entry.insert(
-                field.to_string(),
-                Value::Number(Number::U64(now.saturating_sub(prev))),
-            );
-        }
-        histograms.insert(name, Value::Object(entry));
-    }
-
-    let mut spans = BTreeMap::new();
-    let b = section(before, "spans");
-    for (name, v) in section(after, "spans") {
-        let prev = b.get(&name).copied();
-        let count = as_u64(v.get("count"))
-            .unwrap_or(0)
-            .saturating_sub(as_u64(prev.and_then(|p| p.get("count"))).unwrap_or(0));
-        let total = as_u64(v.get("total_nanos"))
-            .unwrap_or(0)
-            .saturating_sub(as_u64(prev.and_then(|p| p.get("total_nanos"))).unwrap_or(0));
-        let mut entry = BTreeMap::new();
-        entry.insert("count".to_string(), Value::Number(Number::U64(count)));
-        entry.insert("total_nanos".to_string(), Value::Number(Number::U64(total)));
-        entry.insert(
-            "mean_nanos".to_string(),
-            Value::Number(Number::U64(total.checked_div(count).unwrap_or(0))),
-        );
-        spans.insert(name, Value::Object(entry));
-    }
-
-    let gauges: BTreeMap<String, Value> = section(after, "gauges")
-        .into_iter()
-        .map(|(k, v)| (k, v.clone()))
-        .collect();
-
-    let mut doc = BTreeMap::new();
-    doc.insert("counters".to_string(), Value::Object(counters));
-    doc.insert("gauges".to_string(), Value::Object(gauges));
-    doc.insert("histograms".to_string(), Value::Object(histograms));
-    doc.insert("spans".to_string(), Value::Object(spans));
-    Value::Object(doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,50 +492,5 @@ rexec_h_sum 0.3
 rexec_h_count 2
 ";
         check_prometheus_text(text).unwrap();
-    }
-
-    #[test]
-    fn snapshot_diff_subtracts_exact_sections() {
-        let r = Registry::new();
-        r.counter("hits").add(10);
-        r.sketch("lat").record(1.0);
-        r.set_spans_enabled(true);
-        drop(r.span("work"));
-        let before = r.snapshot_value();
-
-        r.counter("hits").add(5);
-        r.counter("fresh").add(2);
-        r.sketch("lat").record(2.0);
-        r.sketch("lat").record(3.0);
-        drop(r.span("work"));
-        r.gauge("speed").set(9.0);
-        let after = r.snapshot_value();
-
-        let diff = snapshot_diff(&before, &after);
-        assert_eq!(as_u64(diff.get("counters").unwrap().get("hits")), Some(5));
-        assert_eq!(as_u64(diff.get("counters").unwrap().get("fresh")), Some(2));
-        let lat = diff.get("histograms").unwrap().get("lat").unwrap();
-        assert_eq!(as_u64(lat.get("count")), Some(2));
-        assert!(lat.get("p50").is_none(), "quantiles are not subtractable");
-        let work = diff.get("spans").unwrap().get("work").unwrap();
-        assert_eq!(as_u64(work.get("count")), Some(1));
-        assert!(work.get("max_nanos").is_none());
-        // Gauges pass through as last observations.
-        match diff.get("gauges").unwrap().get("speed").unwrap() {
-            Value::Number(n) => assert_eq!(n.as_f64(), 9.0),
-            other => panic!("gauge diff should be a number, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_diff_saturates_across_resets() {
-        let r = Registry::new();
-        r.counter("c").add(7);
-        let before = r.snapshot_value();
-        r.reset();
-        r.counter("c").add(3);
-        let after = r.snapshot_value();
-        let diff = snapshot_diff(&before, &after);
-        assert_eq!(as_u64(diff.get("counters").unwrap().get("c")), Some(0));
     }
 }

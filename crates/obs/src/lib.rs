@@ -3,14 +3,15 @@
 //! Zero external dependencies beyond the workspace's serde stack: RAII
 //! [`Span`] timers, [`Counter`]s and [`Gauge`]s, a log-bucketed
 //! [`HistogramSketch`], and a [`Registry`] whose snapshots serialize in a
-//! stable order. Parallel workers record into thread-local [`Shard`]s and
-//! merge them deterministically (the `sim::stats::Stats::merge` pattern),
-//! so counter and histogram aggregates are byte-identical for a fixed
-//! seed regardless of `RAYON_NUM_THREADS`.
+//! stable order. Every metric records straight into its registry
+//! handle; parallel callers accumulate plain integers along their own
+//! reduction and flush the totals once (as `MonteCarlo` does), so
+//! counter and histogram aggregates are byte-identical for a fixed seed
+//! regardless of `RAYON_NUM_THREADS`.
 //!
 //! Determinism contract:
-//! - **Counters, histogram sketches, shards** — exact `u64` counts,
-//!   commutative merges: identical across thread counts and merge orders.
+//! - **Counters, histogram sketches** — exact `u64` counts, commutative
+//!   additions and merges: identical across thread counts and orders.
 //! - **Gauges, span timings** — wall-clock values, reported in separate
 //!   snapshot sections and *excluded* from the guarantee.
 //!
@@ -26,34 +27,28 @@
 //! disabled); enable it with [`set_spans_enabled`] when timings are
 //! wanted, e.g. when the CLI is asked for a `--metrics` snapshot.
 
+#![forbid(unsafe_code)]
+
 mod export;
 mod metrics;
 mod registry;
-mod shard;
 mod sketch;
 mod timeline;
 mod window;
 
-pub use export::{check_prometheus_text, prometheus_text, snapshot_diff};
-pub use metrics::{Counter, Gauge, Span, SpanStat, Toggle};
+pub use export::{check_prometheus_text, prometheus_text};
+pub use metrics::{Counter, Gauge, Span, SpanStat};
 pub use registry::{global, Registry};
-pub use shard::Shard;
 pub use sketch::HistogramSketch;
 pub use timeline::{
-    chrome_trace_from_events, chrome_trace_json, set_timeline_capacity, set_timeline_enabled,
-    timeline_drain, timeline_enabled, validate_chrome_trace, TimelineEvent, TraceError,
-    DEFAULT_RING_CAPACITY,
+    chrome_trace_from_events, chrome_trace_json, set_timeline_enabled, timeline_drain,
+    validate_chrome_trace, TimelineEvent, TraceError,
 };
 pub use window::{RollingWindow, WindowStats};
 
 /// Turns span timing on or off in the [`global`] registry.
 pub fn set_spans_enabled(on: bool) {
     global().set_spans_enabled(on);
-}
-
-/// Whether span timing is enabled in the [`global`] registry.
-pub fn spans_enabled() -> bool {
-    global().spans_enabled()
 }
 
 /// Zeroes every metric in the [`global`] registry (registrations remain).
@@ -136,8 +131,7 @@ mod tests {
     #[test]
     fn span_macro_honours_the_global_toggle() {
         {
-            let s = span!("obs.test.span");
-            assert!(!s.is_active());
+            let _s = span!("obs.test.span");
         }
         assert_eq!(crate::global().span_stat("obs.test.span").count(), 0);
     }

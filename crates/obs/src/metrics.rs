@@ -139,16 +139,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// Starts timing into `stat` if `enabled`, otherwise a no-op span.
-    /// Never records on the timeline (it has no name); prefer the
-    /// `span!` macro or [`crate::Registry::span`], which do.
-    pub fn start(stat: &Arc<SpanStat>, enabled: bool) -> Span {
-        Span {
-            active: enabled.then(|| (Arc::clone(stat), Instant::now())),
-            timeline: None,
-        }
-    }
-
     /// Starts a span with an optional aggregate stat and an optional
     /// timeline half-event (used by the registry entry points).
     pub(crate) fn with_timeline(
@@ -159,19 +149,6 @@ impl Span {
             active: stat.map(|s| (Arc::clone(s), Instant::now())),
             timeline,
         }
-    }
-
-    /// A span that records nothing.
-    pub fn noop() -> Span {
-        Span {
-            active: None,
-            timeline: None,
-        }
-    }
-
-    /// Whether this span is recording an aggregate timing.
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
     }
 }
 
@@ -187,25 +164,25 @@ impl Drop for Span {
     }
 }
 
-/// Process-wide on/off switch for span timing (see [`Span::start`]).
+/// On/off switch for span timing and the span timeline.
 #[derive(Debug, Default)]
-pub struct Toggle {
+pub(crate) struct Toggle {
     on: AtomicBool,
 }
 
 impl Toggle {
-    pub const fn new(initial: bool) -> Self {
+    pub(crate) const fn new(initial: bool) -> Self {
         Toggle {
             on: AtomicBool::new(initial),
         }
     }
 
     #[inline]
-    pub fn get(&self) -> bool {
+    pub(crate) fn get(&self) -> bool {
         self.on.load(Ordering::Relaxed)
     }
 
-    pub fn set(&self, value: bool) {
+    pub(crate) fn set(&self, value: bool) {
         self.on.store(value, Ordering::Relaxed);
     }
 }
@@ -245,11 +222,11 @@ mod tests {
     fn span_records_only_when_enabled() {
         let stat = Arc::new(SpanStat::new());
         {
-            let _s = Span::start(&stat, false);
+            let _s = Span::with_timeline(None, None);
         }
         assert_eq!(stat.count(), 0);
         {
-            let _s = Span::start(&stat, true);
+            let _s = Span::with_timeline(Some(&stat), None);
         }
         assert_eq!(stat.count(), 1);
         assert!(stat.max_nanos() >= stat.mean_nanos());

@@ -7,7 +7,6 @@
 //! stable across runs and thread counts.
 
 use crate::metrics::{Counter, Gauge, Span, SpanStat, Toggle};
-use crate::shard::Shard;
 use crate::sketch::HistogramSketch;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -77,25 +76,11 @@ impl Registry {
     /// Registers (or finds) the named histogram sketch, created with the
     /// default resolution on first use.
     pub fn sketch(&self, name: &str) -> Arc<HistogramSketch> {
-        self.sketch_with(name, HistogramSketch::with_default_resolution)
-    }
-
-    /// Registers (or finds) the named sketch, created merge-compatible
-    /// with `like` on first use.
-    pub fn sketch_like(&self, name: &str, like: &HistogramSketch) -> Arc<HistogramSketch> {
-        self.sketch_with(name, || like.empty_like())
-    }
-
-    fn sketch_with(
-        &self,
-        name: &str,
-        make: impl FnOnce() -> HistogramSketch,
-    ) -> Arc<HistogramSketch> {
         let mut t = self.lock();
         if let Some(s) = t.sketches.get(name) {
             return Arc::clone(s);
         }
-        let s = Arc::new(make());
+        let s = Arc::new(HistogramSketch::with_default_resolution());
         t.sketches.insert(name.to_string(), Arc::clone(&s));
         s
     }
@@ -174,11 +159,6 @@ impl Registry {
             .iter()
             .map(|(k, s)| (k.clone(), Arc::clone(s)))
             .collect()
-    }
-
-    /// Adds a shard's totals into this registry's metrics.
-    pub fn absorb(&self, shard: &Shard) {
-        shard.absorb_into(self);
     }
 
     /// Zeroes every registered metric, keeping the registrations.
@@ -328,18 +308,6 @@ mod tests {
         let det = serde_json::to_string(&r.deterministic_value()).unwrap();
         assert!(!det.contains("spans"));
         assert!(!det.contains("gauges"));
-    }
-
-    #[test]
-    fn absorb_adds_shard_totals() {
-        let r = Registry::new();
-        r.counter("hits").add(10);
-        let mut shard = Shard::new();
-        shard.incr("hits", 5);
-        shard.record("lat", 1.0);
-        r.absorb(&shard);
-        assert_eq!(r.counter("hits").get(), 15);
-        assert_eq!(r.sketch("lat").count(), 1);
     }
 
     #[test]

@@ -127,10 +127,15 @@ impl HistogramSketch {
         update_extreme(&self.max_bits, value, |new, cur| new > cur);
     }
 
-    /// Merges another sketch's counts (must share parameters).
+    /// Merges another sketch's counts (must share parameters and range).
     pub fn merge_from(&self, other: &HistogramSketch) {
         assert_eq!(self.min_value, other.min_value, "parameter mismatch");
         assert_eq!(self.resolution, other.resolution, "parameter mismatch");
+        assert_eq!(
+            self.buckets.len(),
+            other.buckets.len(),
+            "parameter mismatch"
+        );
         for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
             mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
         }
@@ -264,6 +269,7 @@ impl PartialEq for HistogramSketch {
     fn eq(&self, other: &Self) -> bool {
         self.min_value == other.min_value
             && self.resolution == other.resolution
+            && self.buckets.len() == other.buckets.len()
             && self.count() == other.count()
             && self.ignored() == other.ignored()
             && self
@@ -460,6 +466,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "parameter mismatch")]
     fn merge_rejects_mismatched_parameters() {
+        // Same resolution, different range: zipping the buckets would
+        // drop the short sketch's overflow into an ordinary bucket.
+        let short = HistogramSketch::new(1.0, 0.1, 10.0);
+        let long = HistogramSketch::new(1.0, 0.1, 1000.0);
+        short.record(1e6);
+        assert!(std::panic::catch_unwind(|| long.merge_from(&short)).is_err());
+        assert_eq!(long.count(), 0);
+        assert_ne!(long, short.empty_like());
+
         let a = HistogramSketch::new(1.0, 0.01, 100.0);
         let b = HistogramSketch::new(1.0, 0.02, 100.0);
         a.merge_from(&b);

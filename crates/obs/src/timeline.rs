@@ -1,16 +1,15 @@
-//! Span timeline profiler: per-thread lock-free event rings with a
+//! Span timeline profiler: per-thread bounded event buffers with a
 //! Chrome trace-event JSON exporter.
 //!
 //! When the timeline is enabled (see [`crate::set_timeline_enabled`]),
 //! every RAII [`Span`](crate::Span) additionally records one *complete
 //! event* — name, thread, begin/end wall timestamps, a per-thread logical
 //! sequence number, and the ID of the enclosing span — into its thread's
-//! [`EventRing`]. The ring is a bounded single-producer/single-consumer
-//! queue: the owning thread pushes without locks or atomic RMW beyond a
-//! store, and the exporter drains under a consumer-side mutex. A full
-//! ring drops the newest events and counts them (`dropped_events` in the
-//! export, `obs.timeline.dropped` in the registry) instead of blocking
-//! the traced code or silently losing data.
+//! `EventBuffer`: a `Mutex<Vec<_>>` that only its owning thread appends
+//! to. A drain swaps the whole `Vec` out, so a producer waits at most for
+//! that pointer swap. A full buffer drops the newest events and counts
+//! them (`dropped_events` in the export, `obs.timeline.dropped` in the
+//! registry) instead of blocking the traced code or silently losing data.
 //!
 //! Determinism contract: wall timestamps (`ts`/`dur`) are wall-clock and
 //! excluded from any byte-identity guarantee. Everything *structural* is
@@ -21,12 +20,11 @@
 //! the serialized form of a hand-built timeline is byte-stable (the
 //! golden test in `tests/chrome_trace.rs` pins it).
 
+use crate::metrics::Toggle;
 use serde::{Serialize, Value};
-use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// One finished span on the timeline.
@@ -50,147 +48,100 @@ pub struct TimelineEvent {
     pub seq: u64,
 }
 
-/// Bounded single-producer/single-consumer event ring.
+/// One thread's bounded event buffer, in push (FIFO) order.
 ///
-/// The *owning thread* is the only producer ([`push`](Self::push)); any
-/// thread may drain, but drains are serialized by the [`Timeline`]'s
-/// consumer lock. A full ring counts the rejected event in `dropped`
-/// rather than overwriting history — the oldest (outermost, usually most
+/// The owning thread is the only producer; any thread may drain. A full
+/// buffer counts the rejected event in `dropped` rather than
+/// overwriting history — the oldest (outermost, usually most
 /// interesting) spans survive.
-pub struct EventRing {
-    slots: Box<[UnsafeCell<MaybeUninit<TimelineEvent>>]>,
-    /// Next write position (monotone; producer-owned, consumer reads).
-    head: AtomicUsize,
-    /// Next read position (monotone; consumer-owned, producer reads).
-    tail: AtomicUsize,
+struct EventBuffer {
+    capacity: usize,
+    events: Mutex<Vec<TimelineEvent>>,
     dropped: AtomicU64,
 }
 
-// SAFETY: slot access is coordinated by the head/tail indices — the
-// producer only writes slots in `[head, tail + capacity)`, the consumer
-// only reads slots in `[tail, head)`, and both advance their index with
-// Release stores after the access (matched by Acquire loads).
-unsafe impl Sync for EventRing {}
-unsafe impl Send for EventRing {}
-
-impl EventRing {
+impl EventBuffer {
     fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        EventRing {
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
+        EventBuffer {
+            capacity,
+            events: Mutex::new(vec![]),
             dropped: AtomicU64::new(0),
         }
     }
 
-    fn capacity(&self) -> usize {
-        self.slots.len()
+    fn lock(&self) -> MutexGuard<'_, Vec<TimelineEvent>> {
+        self.events.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Producer side: appends `event`, or counts it as dropped when the
-    /// ring is full. Must only be called by the owning thread.
+    /// Appends `event`, or counts it as dropped when the buffer is full.
     fn push(&self, event: TimelineEvent) {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head.wrapping_sub(tail) >= self.capacity() {
+        let mut events = self.lock();
+        if events.len() < self.capacity {
+            events.push(event);
+        } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
         }
-        let slot = &self.slots[head % self.capacity()];
-        // SAFETY: `[tail, head)` excludes this slot, so no consumer reads
-        // it; we are the single producer, so no other writer touches it.
-        unsafe { (*slot.get()).write(event) };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
     }
 
-    /// Consumer side: takes every currently visible event. Callers must
-    /// hold the timeline's consumer lock (a second concurrent drain of
-    /// the same ring would race on `tail`).
+    /// Takes every event recorded since the last drain.
     fn drain(&self) -> Vec<TimelineEvent> {
-        let mut out = vec![];
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        while tail != head {
-            let slot = &self.slots[tail % self.capacity()];
-            // SAFETY: `[tail, head)` was published by the producer's
-            // Release store and is not touched again until we advance
-            // `tail` past it.
-            out.push(unsafe { (*slot.get()).assume_init_read() });
-            tail = tail.wrapping_add(1);
-            self.tail.store(tail, Ordering::Release);
-        }
-        out
+        std::mem::take(&mut *self.lock())
     }
 
-    /// Events rejected because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    /// Events rejected because the buffer was full.
+    fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }
 
-impl Drop for EventRing {
-    fn drop(&mut self) {
-        // Drop any undrained events (they own heap strings).
-        self.drain();
-    }
-}
-
-/// Per-thread timeline state: the event ring plus the open-span stack
+/// Per-thread timeline state: the event buffer plus the open-span stack
 /// that provides parent IDs and the logical sequence counter.
 struct ThreadState {
     tid: u64,
-    ring: Arc<EventRing>,
+    buffer: Arc<EventBuffer>,
     /// IDs of the currently open spans, innermost last.
     stack: std::cell::RefCell<Vec<u64>>,
     seq: std::cell::Cell<u64>,
 }
 
-/// Process-wide timeline: the toggle, the trace epoch, and the registry
-/// of per-thread rings.
+/// Process-wide timeline: the toggle, the trace epoch, and every
+/// thread's buffer in registration order.
 struct Timeline {
-    enabled: crate::Toggle,
+    enabled: Toggle,
     epoch: OnceLock<Instant>,
     next_tid: AtomicU64,
     next_span_id: AtomicU64,
-    capacity: AtomicUsize,
-    /// Every thread's ring, in registration order. Consumer-side lock:
-    /// drains and registrations serialize here; producers never touch it
-    /// after their first event.
-    rings: Mutex<Vec<Arc<EventRing>>>,
+    buffers: Mutex<Vec<Arc<EventBuffer>>>,
 }
 
-/// Default per-thread ring capacity (events). At ~100 bytes per event
-/// this is ~1.6 MiB per traced thread.
-pub const DEFAULT_RING_CAPACITY: usize = 16_384;
+/// Per-thread buffer capacity (events). At ~100 bytes per event this is
+/// ~1.6 MiB per traced thread.
+const BUFFER_CAPACITY: usize = 16_384;
 
 static TIMELINE: OnceLock<Timeline> = OnceLock::new();
 
 fn timeline() -> &'static Timeline {
     TIMELINE.get_or_init(|| Timeline {
-        enabled: crate::Toggle::new(false),
+        enabled: Toggle::new(false),
         epoch: OnceLock::new(),
         next_tid: AtomicU64::new(0),
         next_span_id: AtomicU64::new(0),
-        capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
-        rings: Mutex::new(vec![]),
+        buffers: Mutex::new(vec![]),
     })
 }
 
 thread_local! {
     static THREAD_STATE: ThreadState = {
         let tl = timeline();
-        let ring = Arc::new(EventRing::new(tl.capacity.load(Ordering::Relaxed)));
+        let buffer = Arc::new(EventBuffer::new(BUFFER_CAPACITY));
         let tid = tl.next_tid.fetch_add(1, Ordering::Relaxed);
-        tl.rings
+        tl.buffers
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&ring));
+            .push(Arc::clone(&buffer));
         ThreadState {
             tid,
-            ring,
+            buffer,
             stack: std::cell::RefCell::new(vec![]),
             seq: std::cell::Cell::new(0),
         }
@@ -206,17 +157,6 @@ pub fn set_timeline_enabled(on: bool) {
         tl.epoch.get_or_init(Instant::now);
     }
     tl.enabled.set(on);
-}
-
-/// Whether timeline recording is on.
-pub fn timeline_enabled() -> bool {
-    timeline().enabled.get()
-}
-
-/// Sets the per-thread ring capacity for threads that have not recorded
-/// yet (existing rings keep their size). Call before enabling.
-pub fn set_timeline_capacity(events: usize) {
-    timeline().capacity.store(events.max(1), Ordering::Relaxed);
 }
 
 /// Nanoseconds since the trace epoch (0 before the timeline was first
@@ -247,7 +187,7 @@ pub struct TimelineSpan {
 /// records on the destination thread and is dropped from the origin's
 /// open-span stack on its next pop).
 pub fn timeline_begin(name: &str) -> Option<TimelineSpan> {
-    if !timeline_enabled() {
+    if !timeline().enabled.get() {
         return None;
     }
     let id = timeline().next_span_id.fetch_add(1, Ordering::Relaxed);
@@ -269,7 +209,7 @@ pub fn timeline_begin(name: &str) -> Option<TimelineSpan> {
 
 impl TimelineSpan {
     /// Ends the span: pops it from the open-span stack and pushes the
-    /// complete event into the current thread's ring.
+    /// complete event into the current thread's buffer.
     pub fn finish(self) {
         let end_ns = now_ns();
         THREAD_STATE.with(|ts| {
@@ -282,7 +222,7 @@ impl TimelineSpan {
                 stack.retain(|&open| open != self.id);
             }
             drop(stack);
-            ts.ring.push(TimelineEvent {
+            ts.buffer.push(TimelineEvent {
                 name: self.name,
                 tid: self.tid,
                 id: self.id,
@@ -295,22 +235,21 @@ impl TimelineSpan {
     }
 }
 
-/// Drains every thread's ring: all completed events recorded since the
-/// last drain, sorted by `(tid, seq)`, plus the total number of dropped
-/// events (cumulative over the process).
+/// Drains every thread's buffer: all completed events recorded since
+/// the last drain, sorted by `(tid, seq)`, plus the total number of
+/// dropped events (cumulative over the process).
 pub fn timeline_drain() -> (Vec<TimelineEvent>, u64) {
-    let tl = timeline();
-    let rings = tl.rings.lock().unwrap_or_else(|e| e.into_inner());
+    let buffers = timeline().buffers.lock().unwrap_or_else(|e| e.into_inner());
     let mut events = vec![];
     let mut dropped = 0;
-    for ring in rings.iter() {
-        events.extend(ring.drain());
-        dropped += ring.dropped();
+    for buffer in buffers.iter() {
+        events.extend(buffer.drain());
+        dropped += buffer.dropped();
     }
-    drop(rings);
+    drop(buffers);
     events.sort_by_key(|e| (e.tid, e.seq));
     if dropped > 0 {
-        // Surface ring overflow in the metrics snapshot too.
+        // Surface buffer overflow in the metrics snapshot too.
         let c = crate::global().counter("obs.timeline.dropped");
         let cur = c.get();
         if dropped > cur {
@@ -321,7 +260,7 @@ pub fn timeline_drain() -> (Vec<TimelineEvent>, u64) {
 }
 
 /// Renders the current timeline as Chrome trace-event JSON (drains the
-/// rings): the object form `{"traceEvents": [...], ...}` that
+/// buffers): the object form `{"traceEvents": [...], ...}` that
 /// `chrome://tracing` and Perfetto load directly.
 pub fn chrome_trace_json() -> String {
     let (events, dropped) = timeline_drain();
@@ -486,6 +425,9 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, TraceError> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that flip the process-wide timeline toggle.
+    static TOGGLE: Mutex<()> = Mutex::new(());
+
     fn ev(name: &str, tid: u64, id: u64, parent: Option<u64>, range: (u64, u64)) -> TimelineEvent {
         TimelineEvent {
             name: name.to_string(),
@@ -500,27 +442,27 @@ mod tests {
 
     #[test]
     fn ring_preserves_fifo_and_counts_drops() {
-        let ring = EventRing::new(3);
+        let buffer = EventBuffer::new(3);
         for i in 0..5 {
-            ring.push(ev("e", 0, i, None, (i, i + 1)));
+            buffer.push(ev("e", 0, i, None, (i, i + 1)));
         }
-        assert_eq!(ring.dropped(), 2);
-        let drained = ring.drain();
+        assert_eq!(buffer.dropped(), 2);
+        let drained = buffer.drain();
         assert_eq!(
             drained.iter().map(|e| e.id).collect::<Vec<_>>(),
             vec![0, 1, 2],
             "oldest events survive, newest are dropped"
         );
-        // The ring is reusable after a drain.
-        ring.push(ev("e", 0, 9, None, (9, 10)));
-        assert_eq!(ring.drain().len(), 1);
-        assert_eq!(ring.dropped(), 2);
+        // The buffer is reusable after a drain.
+        buffer.push(ev("e", 0, 9, None, (9, 10)));
+        assert_eq!(buffer.drain().len(), 1);
+        assert_eq!(buffer.dropped(), 2);
     }
 
     #[test]
     fn ring_drains_concurrently_with_production() {
-        let ring = Arc::new(EventRing::new(1024));
-        let producer = Arc::clone(&ring);
+        let buffer = Arc::new(EventBuffer::new(1024));
+        let producer = Arc::clone(&buffer);
         let handle = std::thread::spawn(move || {
             for i in 0..10_000u64 {
                 producer.push(ev("e", 0, i, None, (i, i + 1)));
@@ -528,14 +470,14 @@ mod tests {
         });
         let mut seen = vec![];
         loop {
-            seen.extend(ring.drain());
+            seen.extend(buffer.drain());
             if handle.is_finished() {
                 break;
             }
         }
         handle.join().unwrap();
-        seen.extend(ring.drain());
-        assert_eq!(seen.len() as u64 + ring.dropped(), 10_000);
+        seen.extend(buffer.drain());
+        assert_eq!(seen.len() as u64 + buffer.dropped(), 10_000);
         // FIFO per producer: ids strictly increase.
         assert!(seen.windows(2).all(|w| w[0].id < w[1].id));
     }
@@ -598,6 +540,7 @@ mod tests {
 
     #[test]
     fn begin_finish_records_nesting_on_this_thread() {
+        let _toggle = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         set_timeline_enabled(true);
         let outer = timeline_begin("test.outer").unwrap();
         let inner = timeline_begin("test.inner").unwrap();
@@ -619,6 +562,7 @@ mod tests {
 
     #[test]
     fn disabled_timeline_records_nothing() {
+        let _toggle = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         set_timeline_enabled(false);
         assert!(timeline_begin("test.disabled").is_none());
     }

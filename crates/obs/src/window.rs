@@ -66,21 +66,12 @@ impl RollingWindow {
     /// seconds each, with the default sketch resolution. Panics if
     /// `windows` is 0 or `window_secs` is not strictly positive.
     pub fn new(windows: usize, window_secs: f64) -> Self {
-        Self::with_sketch(
-            windows,
-            window_secs,
-            HistogramSketch::with_default_resolution(),
-        )
-    }
-
-    /// Like [`new`](Self::new), with a caller-shaped sketch (resolution
-    /// and range) used as the template for every window shard.
-    pub fn with_sketch(windows: usize, window_secs: f64, template: HistogramSketch) -> Self {
         assert!(windows > 0, "need at least one window");
         assert!(
             window_secs > 0.0 && window_secs.is_finite(),
             "window length must be positive"
         );
+        let template = HistogramSketch::with_default_resolution();
         let shards = (0..windows)
             .map(|_| WindowShard {
                 index: u64::MAX,
@@ -97,11 +88,6 @@ impl RollingWindow {
         }
     }
 
-    /// Total span covered by the ring, in seconds.
-    pub fn span_secs(&self) -> f64 {
-        self.windows as f64 * self.window_secs
-    }
-
     fn window_index(&self, t_secs: f64) -> u64 {
         if t_secs <= 0.0 {
             0
@@ -115,22 +101,36 @@ impl RollingWindow {
     }
 
     /// Records `value` at explicit time `t_secs` (seconds on the
-    /// caller's clock). Reuses or recycles the ring slot for that
-    /// window; a slot whose window has scrolled out of range is reset
-    /// before reuse. Timestamps may arrive slightly out of order: any
-    /// window still in the ring accepts records.
+    /// caller's clock); see [`record_n_at`](Self::record_n_at).
     pub fn record_at(&self, t_secs: f64, value: f64) {
+        self.record_n_at(t_secs, value, 1);
+    }
+
+    /// Records `n` copies of `value` at `t_secs` under one lock —
+    /// identical to `n` [`record_at`](Self::record_at) calls. Reuses or
+    /// recycles the ring slot for that window: a slot holding an older
+    /// window is reset before reuse, and a record older than the slot's
+    /// window (its own window has already scrolled out) is dropped.
+    /// Timestamps may arrive slightly out of order: any window still in
+    /// the ring accepts records.
+    pub fn record_n_at(&self, t_secs: f64, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self.window_index(t_secs);
         let slot = (idx % self.windows as u64) as usize;
         let mut inner = self.lock();
         let shard = &mut inner.shards[slot];
         if shard.index != idx {
+            if shard.index != u64::MAX && idx < shard.index {
+                return;
+            }
             shard.index = idx;
             shard.count = 0;
             shard.sketch.reset();
         }
-        shard.count += 1;
-        shard.sketch.record(value);
+        shard.count += n;
+        shard.sketch.record_n(value, n);
     }
 
     /// Merged statistics over the windows still live at `t_secs`: the
@@ -150,7 +150,7 @@ impl RollingWindow {
         drop(inner);
         WindowStats {
             count,
-            events_per_sec: count as f64 / self.span_secs(),
+            events_per_sec: count as f64 / (self.windows as f64 * self.window_secs),
             p50: merged.quantile(0.5),
             p99: merged.quantile(0.99),
             min: (merged.count() > 0).then(|| merged.min()),
@@ -244,6 +244,36 @@ mod tests {
         let s = w.stats_at(4.9);
         assert_eq!(s.count, 1);
         assert_eq!(s.min, Some(99.0));
+    }
+
+    #[test]
+    fn stale_record_does_not_wipe_a_live_window() {
+        // Window 92 (t = 46 s) shares slot 4 with the live window 100
+        // (t = 50 s) but scrolled out long ago: its record is dropped.
+        let w = RollingWindow::new(8, 0.5);
+        w.record_at(50.0, 1.0);
+        w.record_at(46.0, 2.0);
+        let s = w.stats_at(50.0);
+        assert_eq!(s.count, 1);
+        assert_eq!(s.max, Some(1.0));
+    }
+
+    #[test]
+    fn counted_record_equals_repeated_single_records() {
+        let (counted, single) = (RollingWindow::new(8, 0.5), RollingWindow::new(8, 0.5));
+        for (t, value, n) in [
+            (0.1, 2.5e-4, 3),
+            (0.7, 1e-3, 1),
+            (1.2, 4e-5, 7),
+            (1.3, 0.0, 0),
+        ] {
+            counted.record_n_at(t, value, n);
+            for _ in 0..n {
+                single.record_at(t, value);
+            }
+        }
+        assert_eq!(counted.stats_at(1.4), single.stats_at(1.4));
+        assert_eq!(counted.stats_at(1.4).count, 11);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! processor; [`catalog`] enumerates the eight virtual configurations of
 //! the paper with its default settings (`R = C`, `Pio = κσ_min³`, `ρ = 3`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod catalog;
 pub mod config;

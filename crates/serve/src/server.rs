@@ -365,9 +365,7 @@ fn writer_loop(inner: &Arc<Inner>, mut stream: TcpStream, tickets: Receiver<Tick
             inner.started.elapsed().as_secs_f64(),
             t.elapsed().as_secs_f64(),
         );
-        for _ in 0..n {
-            inner.latency.record_at(now, latency);
-        }
+        inner.latency.record_n_at(now, latency, n);
     }
     stream.shutdown(std::net::Shutdown::Both).ok();
 }

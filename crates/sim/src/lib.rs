@@ -21,6 +21,7 @@
 //! which is asserted by the statistical test-suite. Replications fan out
 //! in parallel with rayon; every run is reproducible from a `u64` seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod energy;
 pub mod engine;

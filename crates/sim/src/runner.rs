@@ -25,8 +25,8 @@
 //! so parallel runs are **bit-identical** to sequential ones at any
 //! `RAYON_NUM_THREADS`. Observability rides along as plain-integer
 //! [`ChunkObs`] accumulators that merge exactly in the reduction and
-//! materialize one `rexec_obs` [`Shard`] per run — not one registry
-//! update per pattern, nor one sketch per chunk.
+//! flush into the global `rexec_obs` registry once per run — not one
+//! registry update per pattern, nor one sketch per chunk.
 
 use crate::engine::{
     ensure_completes, simulate_pattern_scenario, simulate_pattern_scenario_traced, EngineError,
@@ -37,7 +37,7 @@ use crate::stats::Stats;
 use crate::trace::TraceRecorder;
 use rayon::prelude::*;
 use rexec_core::{ErrorLaw, SpeedSchedule};
-use rexec_obs::{HistogramSketch, Shard};
+use rexec_obs::{counter, sketch, HistogramSketch};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated result of many independent pattern simulations.
@@ -73,9 +73,9 @@ impl Summary {
     }
 }
 
-/// Per-chunk integer totals, flushed into the obs shard once per chunk
-/// (the batched replacement for the engine's former per-pattern
-/// `counter!` adds).
+/// Per-chunk integer totals, merged along the reduction and flushed
+/// into the global registry once per run (the batched replacement for
+/// the engine's former per-pattern `counter!` adds).
 #[derive(Debug, Clone, Copy, Default)]
 struct Totals {
     patterns: u64,
@@ -93,12 +93,13 @@ impl Totals {
         self.fail_stop += u64::from(p.fail_stop_errors);
     }
 
-    /// Flushes into `shard` under the engine's historical counter names.
-    fn flush(&self, shard: &mut Shard) {
-        shard.incr("sim.patterns", self.patterns);
-        shard.incr("sim.attempts", self.attempts);
-        shard.incr("sim.silent_errors", self.silent);
-        shard.incr("sim.fail_stop_errors", self.fail_stop);
+    /// Flushes into the global registry under the engine's historical
+    /// counter names (registered even when zero).
+    fn flush(&self) {
+        counter!("sim.patterns").add(self.patterns);
+        counter!("sim.attempts").add(self.attempts);
+        counter!("sim.silent_errors").add(self.silent);
+        counter!("sim.fail_stop_errors").add(self.fail_stop);
     }
 }
 
@@ -106,10 +107,10 @@ impl Totals {
 /// chunks): the trial count, the `sim.*` totals, and an exact
 /// attempts-per-trial histogram (inline counts for small attempt values,
 /// a tiny spill list for pathological ones). Merging is integer addition
-/// — associative and exact — and the single [`Shard`] (with its
-/// log-bucket sketch) is built once per *run*, not per chunk: allocating
-/// and merging a ~1.7k-bucket sketch per 256-trial chunk previously cost
-/// more than the trials themselves.
+/// — associative and exact — and the registry's log-bucket sketch is
+/// touched once per *run*, not per chunk: allocating and merging a
+/// ~1.7k-bucket sketch per 256-trial chunk previously cost more than the
+/// trials themselves.
 #[derive(Debug, Clone, Default)]
 struct ChunkObs {
     trials: u64,
@@ -150,19 +151,19 @@ impl ChunkObs {
         self
     }
 
-    /// Materializes the final shard — identical totals to recording every
-    /// trial individually (`record_n` is byte-identical to n `record`s).
-    fn into_shard(self) -> Shard {
-        let mut shard = Shard::new();
-        shard.incr("runner.trials", self.trials);
-        self.totals.flush(&mut shard);
-        for (n, &count) in self.attempt_counts.iter().enumerate() {
-            shard.record_n("runner.attempts_per_trial", n as f64, count);
+    /// Flushes the run's totals into the global registry — identical to
+    /// recording every trial individually (`record_n` is byte-identical
+    /// to n `record`s). The attempts sketch is registered only once a
+    /// trial lands in it.
+    fn flush(self) {
+        counter!("runner.trials").add(self.trials);
+        self.totals.flush();
+        let inline = (0u32..).zip(self.attempt_counts);
+        for (attempts, count) in inline.chain(self.attempt_spill) {
+            if count > 0 {
+                sketch!("runner.attempts_per_trial").record_n(f64::from(attempts), count);
+            }
         }
-        for (attempts, count) in self.attempt_spill {
-            shard.record_n("runner.attempts_per_trial", f64::from(attempts), count);
-        }
-        shard
     }
 }
 
@@ -516,7 +517,7 @@ impl MonteCarlo {
     }
 
     /// Simulates the grid chunks covering `[start, end)` in parallel,
-    /// merges them in chunk order and absorbs the run's obs shard into
+    /// merges them in chunk order and flushes the run's obs totals into
     /// the global registry — the one chunk driver behind every parallel
     /// `run*` entry. With `sketches`, every trial's time and energy is
     /// also recorded there (through per-worker copies).
@@ -537,7 +538,7 @@ impl MonteCarlo {
                 || (Summary::default(), ChunkObs::default()),
                 |(sa, oa), (sb, ob)| (sa.merge(sb), oa.merge(ob)),
             );
-        rexec_obs::global().absorb(&obs.into_shard());
+        obs.flush();
         summary
     }
 
@@ -666,7 +667,7 @@ impl MonteCarlo {
     }
 
     /// Runs sequentially — no thread pool, same chunk grid. The summary
-    /// *and* the absorbed obs aggregates are bit-identical to
+    /// *and* the flushed obs aggregates are bit-identical to
     /// [`run`](Self::run) at any thread count (the baseline the
     /// determinism tests and the tracked bench compare against).
     ///
@@ -681,7 +682,7 @@ impl MonteCarlo {
             summary = summary.merge(s);
             obs = obs.merge(o);
         }
-        rexec_obs::global().absorb(&obs.into_shard());
+        obs.flush();
         Ok(summary)
     }
 
@@ -712,9 +713,7 @@ impl MonteCarlo {
             totals.push(&p);
         }
         s.dropped_events = recorder.dropped() as u64;
-        let mut shard = Shard::new();
-        totals.flush(&mut shard);
-        rexec_obs::global().absorb(&shard);
+        totals.flush();
         Ok((s, recorder))
     }
 

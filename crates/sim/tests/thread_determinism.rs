@@ -5,7 +5,7 @@
 //! batched log transforms; this test pins the contract that none of
 //! that batching is observable: `run`, `run_sequential`, and any
 //! chunk-respecting composition of `run_range` produce **byte-identical
-//! serialized summaries** (and identical absorbed counter aggregates)
+//! serialized summaries** (and identical flushed counter aggregates)
 //! whether the pool has 1, 2, or 7 workers.
 //!
 //! Everything lives in one `#[test]` because `RAYON_NUM_THREADS` is

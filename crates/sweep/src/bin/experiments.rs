@@ -10,6 +10,8 @@
 //! Exit codes: 0 success, 1 runtime failure, 2 usage error, 137 killed
 //! by an injected `kill-after-unit` fault.
 
+#![forbid(unsafe_code)]
+
 use rexec_sweep::pipeline::{parse_cli, run, CliCommand, USAGE};
 
 fn main() {

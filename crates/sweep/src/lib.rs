@@ -23,6 +23,7 @@
 //! The `experiments` binary (`cargo run -p rexec-sweep --bin experiments`)
 //! prints any or all of them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod experiments;
 pub mod figure;

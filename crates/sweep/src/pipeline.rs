@@ -223,7 +223,8 @@ fn unix_secs() -> u64 {
 /// invocation* is sealed or skipped — the manifest is already on disk,
 /// so a subsequent `--resume` continues from unit K+1.
 pub fn run(cfg: &PipelineConfig) -> Result<PipelineSummary, HarnessError> {
-    // The manifest wants per-experiment timings, so span timing is on.
+    // Span timing feeds the `spans` section of metrics.json (the
+    // manifest's `wall_secs` come from an `Instant`, not from spans).
     rexec_obs::set_spans_enabled(true);
     if cfg.trace_chrome.is_some() {
         // A Chrome trace was requested: record every span as a timeline

@@ -20,6 +20,7 @@
 //!
 //! See `examples/quickstart.rs` for a five-line tour.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub use rexec_core as core;
 pub use rexec_obs as obs;

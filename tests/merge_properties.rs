@@ -1,11 +1,11 @@
 //! Property tests of the shard-merge algebra behind the parallel sweep
 //! and Monte Carlo reductions: merging per-shard `Stats` / `HistogramSketch`
-//! aggregates must equal a single pass over the concatenated data, for
-//! *any* partition. This is the invariant that makes the parallel
-//! reductions thread-count independent.
+//! aggregates, or flushing them into a registry, must equal a single pass
+//! over the concatenated data, for *any* partition. This is the
+//! invariant that makes the parallel reductions thread-count independent.
 
 use proptest::prelude::*;
-use rexec::obs::{HistogramSketch, Shard};
+use rexec::obs::{HistogramSketch, Registry};
 use rexec::sim::Stats;
 
 /// Positive, finite sample values in a range the default histogram
@@ -114,20 +114,35 @@ proptest! {
     }
 }
 
-/// Builds an obs `Shard` from (counter-increment, sketch-sample) events.
-/// Uses a handful of metric names so merges exercise both the
-/// same-key-addition path and the disjoint-key-insertion path.
-fn shard_from(events: &[(u32, f64)]) -> Shard {
-    let mut s = Shard::new();
+/// Records (counter-increment, sketch-sample) events into `registry`.
+/// Uses a handful of metric names so the events exercise both repeated
+/// and disjoint keys.
+fn record(registry: &Registry, events: &[(u32, f64)]) {
     for &(tag, v) in events {
         match tag % 4 {
-            0 => s.incr("events.a", 1),
-            1 => s.incr("events.b", (tag as u64) + 1),
-            2 => s.record("lat.a", v),
-            _ => s.record("lat.b", v),
+            0 => registry.counter("events.a").incr(),
+            1 => registry.counter("events.b").add(u64::from(tag) + 1),
+            2 => registry.sketch("lat.a").record(v),
+            _ => registry.sketch("lat.b").record(v),
         }
     }
-    s
+}
+
+/// The deterministic snapshot of a fresh registry after recording each
+/// partition in turn.
+fn snapshot(parts: &[&[(u32, f64)]]) -> String {
+    let registry = Registry::new();
+    for part in parts {
+        record(&registry, part);
+    }
+    serde_json::to_string(&registry.deterministic_value()).unwrap()
+}
+
+/// The default-resolution sketch of a partition's samples.
+fn sketch_from(events: &[(u32, f64)]) -> HistogramSketch {
+    let sketch = HistogramSketch::with_default_resolution();
+    events.iter().for_each(|&(_, v)| sketch.record(v));
+    sketch
 }
 
 fn arb_events() -> impl Strategy<Value = Vec<(u32, f64)>> {
@@ -137,37 +152,21 @@ fn arb_events() -> impl Strategy<Value = Vec<(u32, f64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `Shard::merge` is commutative: counters are u64 addition over
-    /// ordered maps and sketch buckets are exact integer counts, so
-    /// `a ∪ b == b ∪ a` bit-for-bit — including every sketch quantile
-    /// and the serialized JSON.
+    /// Flushing two partitions into the registry commutes: counters are
+    /// u64 addition and sketch buckets exact integer counts, so the
+    /// deterministic snapshot — every sketch quantile included — is
+    /// byte-identical whichever partition lands first.
     #[test]
     fn shard_merge_is_commutative(
         xs in arb_events(),
         ys in arb_events(),
     ) {
-        let ab = shard_from(&xs).merge(shard_from(&ys));
-        let ba = shard_from(&ys).merge(shard_from(&xs));
-        prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(
-            serde_json::to_string(&ab).unwrap(),
-            serde_json::to_string(&ba).unwrap()
-        );
-        for name in ["lat.a", "lat.b"] {
-            match (ab.sketch(name), ba.sketch(name)) {
-                (Some(l), Some(r)) => {
-                    for q in [0.0, 0.5, 0.99, 1.0] {
-                        prop_assert_eq!(l.quantile(q), r.quantile(q), "{} q={}", name, q);
-                    }
-                }
-                (None, None) => {}
-                _ => prop_assert!(false, "sketch {} present on one side only", name),
-            }
-        }
+        prop_assert_eq!(snapshot(&[&xs, &ys]), snapshot(&[&ys, &xs]));
     }
 
-    /// `Shard::merge` is associative: `(a ∪ b) ∪ c == a ∪ (b ∪ c)`, so
-    /// the shape of a parallel reduction tree cannot change the
+    /// `HistogramSketch::merge_from` is associative:
+    /// `(a ∪ b) ∪ c == a ∪ (b ∪ c)`, so the fold order of per-worker
+    /// sketches (`MonteCarlo::run_with_histograms`) cannot change the
     /// aggregate.
     #[test]
     fn shard_merge_is_associative(
@@ -175,21 +174,30 @@ proptest! {
         ys in arb_events(),
         zs in arb_events(),
     ) {
-        let (a, b, c) = (shard_from(&xs), shard_from(&ys), shard_from(&zs));
-        let left = a.clone().merge(b.clone()).merge(c.clone());
-        let right = a.merge(b.merge(c));
-        prop_assert_eq!(&left, &right);
+        let (a, b, c) = (sketch_from(&xs), sketch_from(&ys), sketch_from(&zs));
+        let left = a.clone();
+        left.merge_from(&b);
+        left.merge_from(&c);
+        b.merge_from(&c);
+        a.merge_from(&b);
+        prop_assert_eq!(&left, &a);
         prop_assert_eq!(
             serde_json::to_string(&left).unwrap(),
-            serde_json::to_string(&right).unwrap()
+            serde_json::to_string(&a).unwrap()
         );
     }
 
-    /// The empty shard is the merge identity on both sides.
+    /// An empty partition is the identity on both sides, in the registry
+    /// and in a sketch merge.
     #[test]
     fn shard_merge_empty_identity(xs in arb_events()) {
-        let s = shard_from(&xs);
-        prop_assert_eq!(&s.clone().merge(Shard::new()), &s);
-        prop_assert_eq!(&Shard::new().merge(s.clone()), &s);
+        let alone = snapshot(&[&xs]);
+        prop_assert_eq!(&snapshot(&[&xs, &[]]), &alone);
+        prop_assert_eq!(&snapshot(&[&[], &xs]), &alone);
+        let s = sketch_from(&xs);
+        let merged = s.empty_like();
+        merged.merge_from(&s);
+        merged.merge_from(&s.empty_like());
+        prop_assert_eq!(&merged, &s);
     }
 }

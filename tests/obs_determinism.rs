@@ -1,14 +1,14 @@
 //! Thread-count independence of the metrics aggregates: the same seed
 //! must produce byte-identical counter and histogram sections of the
 //! registry snapshot whatever `RAYON_NUM_THREADS` says, because workers
-//! fill `Shard`s that merge deterministically (the `Stats::merge`
-//! pattern).
+//! fill plain-integer accumulators that merge exactly along the
+//! reduction and flush into the registry once per run.
 //!
 //! Everything lives in a single `#[test]` because the scenarios mutate
 //! process-global state (the metrics registry and `RAYON_NUM_THREADS`),
 //! which must not race with a concurrently running sibling test.
 
-use rexec::obs::{self, Shard};
+use rexec::obs;
 use rexec::sim::{Engine, MonteCarlo, SimConfig};
 use rexec_cli::args::Args;
 use rexec_cli::run::execute;
@@ -36,7 +36,7 @@ fn deterministic_snapshot(threads: &str, work: impl FnOnce()) -> String {
 
 #[test]
 fn aggregates_are_byte_identical_across_thread_counts() {
-    // Monte Carlo runner: shards merge along the parallel reduction.
+    // Monte Carlo runner: accumulators merge along the parallel reduction.
     let run_mc = || {
         let s = MonteCarlo::new(sim_config(), 4096, 42).run().unwrap();
         assert_eq!(s.time.count(), 4096);
@@ -75,7 +75,7 @@ fn aggregates_are_byte_identical_across_thread_counts() {
         assert_eq!(one, n, "CLI aggregates differ at {threads} threads");
     }
 
-    // Progress-sliced runs absorb the same totals as plain runs.
+    // Progress-sliced runs flush the same totals as plain runs.
     let run_progress = || {
         let mut ticks = 0;
         MonteCarlo::new(sim_config(), 4096, 42)
@@ -87,7 +87,7 @@ fn aggregates_are_byte_identical_across_thread_counts() {
     let sliced = deterministic_snapshot("4", run_progress);
     assert_eq!(
         plain, sliced,
-        "run_with_progress must absorb identical aggregates"
+        "run_with_progress must flush identical aggregates"
     );
 
     // The runner now flushes the `sim.*` counters once per trial chunk
@@ -132,30 +132,4 @@ fn aggregates_are_byte_identical_across_thread_counts() {
     assert_eq!(fail_stop, 0);
     assert!(silent > 0, "inflated λ must produce retries");
     assert_eq!(attempts, patterns + silent);
-
-    // Hand-built shards: any partition merges to the same aggregate and
-    // absorbs into a registry exactly once.
-    let values: Vec<u64> = (1..=500).collect();
-    let absorb_split = |parts: usize| {
-        let chunk = values.len().div_ceil(parts);
-        let merged = values
-            .chunks(chunk)
-            .map(|c| {
-                let mut s = Shard::new();
-                for &v in c {
-                    s.incr("split.events", 1);
-                    s.record("split.value", v as f64);
-                }
-                s
-            })
-            .fold(Shard::new(), Shard::merge);
-        obs::global().absorb(&merged);
-    };
-    let shard_snapshots: Vec<String> = [1, 3, 8]
-        .into_iter()
-        .map(|parts| deterministic_snapshot("1", || absorb_split(parts)))
-        .collect();
-    assert!(shard_snapshots[0].contains("split.events"));
-    assert_eq!(shard_snapshots[0], shard_snapshots[1]);
-    assert_eq!(shard_snapshots[0], shard_snapshots[2]);
 }
