@@ -43,6 +43,10 @@
 //!   queries/sec with `speedup_vs_unbatched` and the observed
 //!   `hit_rate`; CI's full mode gates `serve_batched` at ≥ 1M
 //!   queries/sec and ≥ 3× the unbatched baseline;
+//! * **wire** — `wire_parse`: `parse_request` alone over hot (named
+//!   paper table) and cold (explicit K = 20 table) request lines,
+//!   reported as lines/sec with each shape's rate as an extra; the
+//!   serve stages above never parse a line;
 //! * **obs** — `obs_overhead`: the `sim_fastpath` workload with span
 //!   timing *and* the span timeline fully enabled vs fully disabled;
 //!   its `overhead_pct` extra records the observability tax on the
@@ -554,6 +558,98 @@ fn serve_stages(quick: bool, out: &mut Vec<StageResult>) {
     ));
 }
 
+/// Request lines in the two shapes the daemon sees: `hot` lines naming
+/// a paper table (~70 B) and `cold` lines carrying an explicit K = 20
+/// table (~350 B), each with its own ρ.
+fn wire_lines(hot: usize, cold: usize) -> (Vec<String>, Vec<String>) {
+    const PLATFORMS: [&str; 4] = ["hera", "atlas", "coastal", "coastal-ssd"];
+    const PROCESSORS: [&str; 2] = ["xscale", "crusoe"];
+    let mut rng = 0x3140_5EED_u64;
+    let rho = |rng: &mut u64| 1.5 + (next_rand(rng) % 6_000_000) as f64 * 1e-6;
+    let hot_lines = (0..hot)
+        .map(|id| {
+            let r = next_rand(&mut rng) as usize;
+            format!(
+                "{{\"id\":{id},\"platform\":\"{}\",\"processor\":\"{}\",\"rho\":{:.6}}}",
+                PLATFORMS[r % 4],
+                PROCESSORS[(r >> 8) % 2],
+                rho(&mut rng)
+            )
+        })
+        .collect();
+    let speeds: Vec<String> = (0..20)
+        .map(|i| format!("{:.6}", 0.15 + 0.85 / 19.0 * f64::from(i)))
+        .collect();
+    let cold_lines = (0..cold)
+        .map(|id| {
+            let scale = (next_rand(&mut rng) % 1000) as f64 * 1e-3 + 0.5;
+            format!(
+                "{{\"id\":{id},\"lambda\":{:.6e},\"checkpoint\":{:.4},\"verification\":{:.4},\
+                 \"recovery\":{:.4},\"kappa\":{:.4},\"pidle\":{:.4},\"pio\":{:.4},\
+                 \"speeds\":[{}],\"rho\":{:.6}}}",
+                3.38e-6 * scale,
+                300.0 * scale,
+                15.4 * scale,
+                300.0 * scale,
+                1550.0 * scale,
+                60.0 * scale,
+                5.23 * scale,
+                speeds.join(","),
+                rho(&mut rng)
+            )
+        })
+        .collect();
+    (hot_lines, cold_lines)
+}
+
+/// Request-line parsing (`wire_parse`): `parse_request` over hot and
+/// cold request shapes, the daemon's JSON layer on its own. `items` is
+/// every line of one pass; the extras give each shape's lines/sec.
+fn wire_parse_stage(quick: bool, out: &mut Vec<StageResult>) {
+    let reps = if quick { 3 } else { 10 };
+    let (hot, cold) = if quick {
+        (20_000, 5_000)
+    } else {
+        (200_000, 50_000)
+    };
+    let (hot_lines, cold_lines) = wire_lines(hot, cold);
+    let parse_all = |lines: &[String]| {
+        lines
+            .iter()
+            .filter(|l| rexec_serve::parse_request(l).1.is_ok())
+            .count()
+    };
+    assert_eq!(
+        parse_all(&hot_lines),
+        hot,
+        "a hot bench line failed to parse"
+    );
+    assert_eq!(
+        parse_all(&cold_lines),
+        cold,
+        "a cold bench line failed to parse"
+    );
+    let hot_secs = best_of(reps, || parse_all(&hot_lines));
+    let cold_secs = best_of(reps, || parse_all(&cold_lines));
+    let mut extra = BTreeMap::new();
+    extra.insert(
+        "hot_lines_per_sec".to_string(),
+        finite_ratio(hot as f64, hot_secs).to_value(),
+    );
+    extra.insert(
+        "cold_lines_per_sec".to_string(),
+        finite_ratio(cold as f64, cold_secs).to_value(),
+    );
+    out.push(StageResult::single(
+        "wire",
+        "wire_parse",
+        hot_secs + cold_secs,
+        (hot + cold) as u64,
+        "lines",
+        extra,
+    ));
+}
+
 /// Observability self-overhead: the `sim_fastpath` workload with span
 /// timing *and* the span timeline enabled, against the same workload
 /// with both disabled. The hot loop batches its metrics into per-chunk
@@ -644,6 +740,7 @@ fn run_suite(quick: bool) -> Vec<StageResult> {
     solver_stages(quick, &mut stages);
     sweep_stages(quick, &mut stages);
     serve_stages(quick, &mut stages);
+    wire_parse_stage(quick, &mut stages);
     simulator_stage(quick, &mut stages);
     obs_overhead_stage(quick, &mut stages);
     model_check_stage(quick, &mut stages);

@@ -9,6 +9,26 @@
 //! becomes a [`PlanSpec`] and goes through exactly the validation the
 //! `rexec-plan` CLI uses.
 //!
+//! [`parse_request`] reads a line in one pass over its bytes, straight
+//! into a [`PlanSpec`], without building a JSON value tree. It accepts
+//! exactly what the vendored `serde_json` parser accepts, and a line's
+//! outcome is decided in this order:
+//!
+//! 1. a line that is not valid JSON gets `parse`, with the vendored
+//!    parser's message and byte offset. Nesting arrays and objects more
+//!    than 128 levels deep counts as invalid JSON;
+//! 2. valid JSON that is not an object gets `bad_request`;
+//! 3. an `id` that is not a non-negative integer gets `bad_request`,
+//!    and no id is echoed;
+//! 4. otherwise the first failing key in ascending byte order, after
+//!    unescaping, decides: a mistyped field gets `bad_request`, an
+//!    unknown key gets `unknown_field`.
+//!
+//! A key given twice takes its last value. Numbers go through
+//! `serde::Number` (`as_f64`, `as_u64`) like every other JSON number in
+//! the workspace. `tests/wire_differential.rs` holds all of this against
+//! the value-tree parser this one replaced.
+//!
 //! Responses are rendered with Rust's shortest-roundtrip float
 //! formatting and a fixed field order, so a response is a deterministic
 //! byte string of the (quantized) answer — the property the
@@ -17,7 +37,8 @@
 
 use crate::service::PlanAnswer;
 use rexec_cli::spec::{PlanSpec, SpecError};
-use serde::Value;
+use serde::Number;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Machine-readable error kinds carried in `{"err":{"kind": ...}}`.
@@ -72,23 +93,481 @@ pub fn wire_error_from_spec(e: &SpecError) -> WireError {
     WireError::new(kind, e.to_string())
 }
 
-fn want_f64(field: &str, v: &Value) -> Result<f64, WireError> {
-    match v {
-        Value::Number(n) => Ok(n.as_f64()),
-        _ => Err(WireError::new(
-            kind::BAD_REQUEST,
-            format!("field `{field}` must be a number"),
-        )),
+/// Deepest nesting of arrays and objects a request line may carry: the
+/// vendored `serde_json` parser's bound (upstream `serde_json`'s
+/// recursion limit), so a deep line is a `parse` error, not a stack
+/// overflow.
+const MAX_DEPTH: usize = 128;
+
+/// The request fields, declared in ascending key byte order, which is
+/// the order in which field errors are reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    Checkpoint,
+    Id,
+    Kappa,
+    Lambda,
+    Law,
+    Pidle,
+    Pio,
+    Platform,
+    Processor,
+    Quantile,
+    Recovery,
+    Rho,
+    ScheduleDepth,
+    Shape,
+    Speeds,
+    Verification,
+}
+
+impl Field {
+    const ALL: [Field; 16] = [
+        Field::Checkpoint,
+        Field::Id,
+        Field::Kappa,
+        Field::Lambda,
+        Field::Law,
+        Field::Pidle,
+        Field::Pio,
+        Field::Platform,
+        Field::Processor,
+        Field::Quantile,
+        Field::Recovery,
+        Field::Rho,
+        Field::ScheduleDepth,
+        Field::Shape,
+        Field::Speeds,
+        Field::Verification,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Field::Checkpoint => "checkpoint",
+            Field::Id => "id",
+            Field::Kappa => "kappa",
+            Field::Lambda => "lambda",
+            Field::Law => "law",
+            Field::Pidle => "pidle",
+            Field::Pio => "pio",
+            Field::Platform => "platform",
+            Field::Processor => "processor",
+            Field::Quantile => "quantile",
+            Field::Recovery => "recovery",
+            Field::Rho => "rho",
+            Field::ScheduleDepth => "schedule_depth",
+            Field::Shape => "shape",
+            Field::Speeds => "speeds",
+            Field::Verification => "verification",
+        }
+    }
+
+    fn from_key(key: &str) -> Option<Field> {
+        Field::ALL.into_iter().find(|f| f.name() == key)
+    }
+
+    fn bit(self) -> u32 {
+        1 << self as u32
+    }
+
+    /// The error for a value of the wrong type; `in_array` marks a
+    /// `speeds` array holding a non-number.
+    fn type_error(self, in_array: bool) -> WireError {
+        let msg = match self {
+            Field::Id => "field `id` must be a non-negative integer".to_string(),
+            Field::ScheduleDepth => {
+                "field `schedule_depth` must be a small non-negative integer".to_string()
+            }
+            Field::Speeds if !in_array => "field `speeds` must be an array of numbers".to_string(),
+            Field::Platform | Field::Processor | Field::Law => {
+                format!("field `{}` must be a string", self.name())
+            }
+            _ => format!("field `{}` must be a number", self.name()),
+        };
+        WireError::new(kind::BAD_REQUEST, msg)
     }
 }
 
-fn want_string(field: &str, v: &Value) -> Result<String, WireError> {
-    match v {
-        Value::String(s) => Ok(s.clone()),
-        _ => Err(WireError::new(
-            kind::BAD_REQUEST,
-            format!("field `{field}` must be a string"),
-        )),
+/// What one scan of a request line collected. Duplicate keys overwrite
+/// earlier ones, so the last occurrence of a field wins.
+#[derive(Default)]
+struct Request<'a> {
+    /// The line's value is an object.
+    is_object: bool,
+    /// The last `id`, if it was a non-negative integer.
+    id: Option<u64>,
+    /// Every well-typed field's last value.
+    spec: PlanSpec,
+    /// One [`Field::bit`] per field whose last value had the wrong type.
+    wrong: u32,
+    /// `speeds`' last value was an array with a non-number in it.
+    speeds_in_array: bool,
+    /// The least unknown key.
+    unknown: Option<Cow<'a, str>>,
+}
+
+impl Request<'_> {
+    fn mark(&mut self, field: Field, well_typed: bool) {
+        if well_typed {
+            self.wrong &= !field.bit();
+        } else {
+            self.wrong |= field.bit();
+        }
+    }
+
+    /// Applies the request rules to a line that is valid JSON: a
+    /// non-object is a bad request, then a bad `id`, then the first
+    /// failing key in byte order (a mistyped field or an unknown key).
+    fn finish(self) -> (Option<u64>, Result<PlanSpec, WireError>) {
+        if !self.is_object {
+            return (
+                None,
+                Err(WireError::new(
+                    kind::BAD_REQUEST,
+                    "request must be a JSON object",
+                )),
+            );
+        }
+        if self.wrong & Field::Id.bit() != 0 {
+            return (None, Err(Field::Id.type_error(false)));
+        }
+        let unknown =
+            |key: &str| WireError::new(kind::UNKNOWN_FIELD, format!("unknown field `{key}`"));
+        let first_wrong = Field::ALL.into_iter().find(|f| self.wrong & f.bit() != 0);
+        let result = match (first_wrong, self.unknown) {
+            (Some(f), Some(key)) if *key < *f.name() => Err(unknown(&key)),
+            (Some(f), _) => Err(f.type_error(self.speeds_in_array)),
+            (None, Some(key)) => Err(unknown(&key)),
+            (None, None) => Ok(self.spec),
+        };
+        (self.id, result)
+    }
+}
+
+/// A scan step; `Err` carries the message the vendored parser gives for
+/// the same line.
+type Syntax<T> = Result<T, serde_json::Error>;
+
+/// A single pass over a request line's bytes. It accepts exactly what
+/// the vendored `serde_json` parser accepts and fails with the same
+/// message at the same byte, but builds no value tree: request fields go
+/// straight into a [`Request`], everything else is only checked.
+struct Scanner<'a> {
+    line: &'a str,
+    pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.line.as_bytes()
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Syntax<()> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(serde_json::Error::msg(format!(
+                "expected `{}` at byte {}",
+                b as char, self.pos
+            )))
+        }
+    }
+
+    /// Scans the whole line into `req`.
+    fn request(&mut self, req: &mut Request<'a>) -> Syntax<()> {
+        self.skip_ws();
+        if self.peek() == Some(b'{') {
+            req.is_object = true;
+            self.object(|s, key| s.member(key, req))?;
+        } else {
+            self.value()?;
+        }
+        self.skip_ws();
+        if self.pos != self.line.len() {
+            return Err(serde_json::Error::msg(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// Scans one object member's value into `req`.
+    fn member(&mut self, key: Cow<'a, str>, req: &mut Request<'a>) -> Syntax<()> {
+        let Some(field) = Field::from_key(&key) else {
+            self.value()?;
+            if req.unknown.as_ref().is_none_or(|least| key < *least) {
+                req.unknown = Some(key);
+            }
+            return Ok(());
+        };
+        let spec = &mut req.spec;
+        let well_typed = match field {
+            Field::Id => {
+                req.id = self.number_or_skip()?.and_then(|n| n.as_u64());
+                req.id.is_some()
+            }
+            Field::Platform | Field::Processor | Field::Law => {
+                let slot = match field {
+                    Field::Platform => &mut spec.platform,
+                    Field::Processor => &mut spec.processor,
+                    _ => &mut spec.law,
+                };
+                self.string_or_skip()?.map(|s| *slot = Some(s)).is_some()
+            }
+            Field::ScheduleDepth => self
+                .number_or_skip()?
+                .and_then(|n| n.as_u64())
+                .and_then(|d| u32::try_from(d).ok())
+                .map(|d| spec.schedule_depth = Some(d))
+                .is_some(),
+            Field::Speeds if self.peek() == Some(b'[') => {
+                let mut speeds = Vec::new();
+                let mut numbers = true;
+                self.array(|s| {
+                    match s.number_or_skip()? {
+                        Some(n) => speeds.push(n.as_f64()),
+                        None => numbers = false,
+                    }
+                    Ok(())
+                })?;
+                req.speeds_in_array = !numbers;
+                if numbers {
+                    spec.speeds = Some(speeds);
+                }
+                numbers
+            }
+            Field::Speeds => {
+                self.value()?;
+                req.speeds_in_array = false;
+                false
+            }
+            _ => {
+                let slot = match field {
+                    Field::Checkpoint => &mut spec.checkpoint,
+                    Field::Kappa => &mut spec.kappa,
+                    Field::Lambda => &mut spec.lambda,
+                    Field::Pidle => &mut spec.pidle,
+                    Field::Pio => &mut spec.pio,
+                    Field::Quantile => &mut spec.quantile,
+                    Field::Recovery => &mut spec.recovery,
+                    Field::Rho => &mut spec.rho,
+                    Field::Shape => &mut spec.shape,
+                    _ => &mut spec.verification,
+                };
+                self.number_or_skip()?
+                    .map(|n| *slot = Some(n.as_f64()))
+                    .is_some()
+            }
+        };
+        req.mark(field, well_typed);
+        Ok(())
+    }
+
+    /// The number at `pos`, or `None` after checking a value of any
+    /// other type.
+    fn number_or_skip(&mut self) -> Syntax<Option<Number>> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.number().map(Some),
+            _ => self.value().map(|()| None),
+        }
+    }
+
+    /// The string at `pos`, or `None` after checking a value of any
+    /// other type.
+    fn string_or_skip(&mut self) -> Syntax<Option<String>> {
+        match self.peek() {
+            Some(b'"') => self.string().map(|s| Some(s.into_owned())),
+            _ => self.value().map(|()| None),
+        }
+    }
+
+    /// Checks one value of any type.
+    fn value(&mut self) -> Syntax<()> {
+        match self.peek() {
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.array(Self::value),
+            Some(b'{') => self.object(|s, _| s.value()),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            other => Err(serde_json::Error::msg(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|b| b as char),
+                self.pos
+            ))),
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> Syntax<()> {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(serde_json::Error::msg(format!(
+                "invalid literal at byte {}",
+                self.pos
+            )))
+        }
+    }
+
+    /// Opens an array or object, failing past [`MAX_DEPTH`].
+    fn enter(&mut self, open: u8) -> Syntax<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(serde_json::Error::msg(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.expect(open)
+    }
+
+    /// Scans an array, handing each item to `item`.
+    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Syntax<()>) -> Syntax<()> {
+        self.enter(b'[')?;
+        self.skip_ws();
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => {
+                        return Err(serde_json::Error::msg(format!(
+                            "expected , or ] at byte {}",
+                            self.pos
+                        )))
+                    }
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Scans an object, handing each member's key to `member`, which
+    /// scans the value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Syntax<()>,
+    ) -> Syntax<()> {
+        self.enter(b'{')?;
+        self.skip_ws();
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                member(self, key)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => {
+                        return Err(serde_json::Error::msg(format!(
+                            "expected , or }} at byte {}",
+                            self.pos
+                        )))
+                    }
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Decodes a string, borrowing it from the line when it has no
+    /// escapes.
+    fn string(&mut self) -> Syntax<Cow<'a, str>> {
+        self.expect(b'"')?;
+        let mut decoded: Option<String> = None;
+        loop {
+            let rest = &self.bytes()[self.pos..];
+            let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                return Err(serde_json::Error::msg("unterminated string"));
+            };
+            let run = self
+                .line
+                .get(self.pos..self.pos + len)
+                .ok_or_else(|| serde_json::Error::msg("invalid UTF-8"))?;
+            self.pos += len + 1;
+            if rest[len] == b'"' {
+                return Ok(match decoded {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
+            }
+            let out = decoded.get_or_insert_with(String::new);
+            out.push_str(run);
+            self.escape(out)?;
+        }
+    }
+
+    /// Decodes the escape after a backslash, as the vendored parser does.
+    fn escape(&mut self, out: &mut String) -> Syntax<()> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let bad = || serde_json::Error::msg("bad \\u escape");
+                let hex = self
+                    .bytes()
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| serde_json::Error::msg("truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| bad())?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| bad())?;
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                self.pos += 4;
+            }
+            other => {
+                return Err(serde_json::Error::msg(format!("bad escape {other:?}")));
+            }
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads a number by the vendored parser's rules: the longest run of
+    /// number characters, converted by `Number`'s `FromStr`.
+    fn number(&mut self) -> Syntax<Number> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
+            self.pos += 1;
+        }
+        self.line[start..self.pos].parse()
     }
 }
 
@@ -96,103 +575,19 @@ fn want_string(field: &str, v: &Value) -> Result<String, WireError> {
 /// response whenever it could be recovered, even for failed requests)
 /// and either the spec to plan or the error to report.
 pub fn parse_request(line: &str) -> (Option<u64>, Result<PlanSpec, WireError>) {
-    let value: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return (
-                None,
-                Err(WireError::new(kind::PARSE, format!("malformed JSON: {e}"))),
-            )
-        }
+    let mut req = Request::default();
+    let mut scanner = Scanner {
+        line,
+        pos: 0,
+        depth: 0,
     };
-    let Value::Object(fields) = value else {
-        return (
+    match scanner.request(&mut req) {
+        Ok(()) => req.finish(),
+        Err(e) => (
             None,
-            Err(WireError::new(
-                kind::BAD_REQUEST,
-                "request must be a JSON object",
-            )),
-        );
-    };
-    // Recover the id first so even failed requests echo it.
-    let id = match fields.get("id") {
-        None => None,
-        Some(Value::Number(n)) => match n.as_u64() {
-            Some(id) => Some(id),
-            None => {
-                return (
-                    None,
-                    Err(WireError::new(
-                        kind::BAD_REQUEST,
-                        "field `id` must be a non-negative integer",
-                    )),
-                )
-            }
-        },
-        Some(_) => {
-            return (
-                None,
-                Err(WireError::new(
-                    kind::BAD_REQUEST,
-                    "field `id` must be a non-negative integer",
-                )),
-            )
-        }
-    };
-    let mut spec = PlanSpec::default();
-    for (key, v) in &fields {
-        let result = match key.as_str() {
-            "id" => Ok(()),
-            "platform" => want_string(key, v).map(|s| spec.platform = Some(s)),
-            "processor" => want_string(key, v).map(|s| spec.processor = Some(s)),
-            "lambda" => want_f64(key, v).map(|x| spec.lambda = Some(x)),
-            "checkpoint" => want_f64(key, v).map(|x| spec.checkpoint = Some(x)),
-            "verification" => want_f64(key, v).map(|x| spec.verification = Some(x)),
-            "recovery" => want_f64(key, v).map(|x| spec.recovery = Some(x)),
-            "kappa" => want_f64(key, v).map(|x| spec.kappa = Some(x)),
-            "pidle" => want_f64(key, v).map(|x| spec.pidle = Some(x)),
-            "pio" => want_f64(key, v).map(|x| spec.pio = Some(x)),
-            "rho" => want_f64(key, v).map(|x| spec.rho = Some(x)),
-            "law" => want_string(key, v).map(|s| spec.law = Some(s)),
-            "shape" => want_f64(key, v).map(|x| spec.shape = Some(x)),
-            "quantile" => want_f64(key, v).map(|x| spec.quantile = Some(x)),
-            "schedule_depth" => match v {
-                Value::Number(n) => match n.as_u64().and_then(|d| u32::try_from(d).ok()) {
-                    Some(d) => {
-                        spec.schedule_depth = Some(d);
-                        Ok(())
-                    }
-                    None => Err(WireError::new(
-                        kind::BAD_REQUEST,
-                        "field `schedule_depth` must be a small non-negative integer",
-                    )),
-                },
-                _ => Err(WireError::new(
-                    kind::BAD_REQUEST,
-                    "field `schedule_depth` must be a small non-negative integer",
-                )),
-            },
-            "speeds" => match v {
-                Value::Array(items) => items
-                    .iter()
-                    .map(|item| want_f64(key, item))
-                    .collect::<Result<Vec<f64>, WireError>>()
-                    .map(|s| spec.speeds = Some(s)),
-                _ => Err(WireError::new(
-                    kind::BAD_REQUEST,
-                    "field `speeds` must be an array of numbers",
-                )),
-            },
-            unknown => Err(WireError::new(
-                kind::UNKNOWN_FIELD,
-                format!("unknown field `{unknown}`"),
-            )),
-        };
-        if let Err(e) = result {
-            return (id, Err(e));
-        }
+            Err(WireError::new(kind::PARSE, format!("malformed JSON: {e}"))),
+        ),
     }
-    (id, Ok(spec))
 }
 
 fn push_id(out: &mut String, id: Option<u64>) {
@@ -261,6 +656,7 @@ pub fn render_error(out: &mut String, id: Option<u64>, err: &WireError) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use std::sync::Arc;
 
     #[test]
@@ -274,6 +670,16 @@ mod tests {
         assert_eq!(spec.rho, Some(1.775));
         assert_eq!(spec.lambda, Some(1e-5));
         assert_eq!(spec.speeds, Some(vec![0.25, 0.5, 1.0]));
+    }
+
+    #[test]
+    fn fields_are_declared_in_key_byte_order() {
+        for (i, f) in Field::ALL.into_iter().enumerate() {
+            assert_eq!(f as usize, i, "{f:?}");
+            assert_eq!(Field::from_key(f.name()), Some(f));
+        }
+        assert!(Field::ALL.windows(2).all(|w| w[0].name() < w[1].name()));
+        assert_eq!(Field::from_key("Rho"), None);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * **graceful shutdown** — requests accepted before and during the
 //!   drain are all answered, and the listener refuses new connections
 //!   once the server has exited;
-//! * **typed wire errors** — malformed, invalid or over-long requests
-//!   come back as `{"err": ...}` responses with stable kinds, and the
-//!   connection stays fully usable afterwards;
+//! * **typed wire errors** — malformed, invalid, over-long or too
+//!   deeply nested requests come back as `{"err": ...}` responses with
+//!   stable kinds, and the connection stays fully usable afterwards;
 //! * **serve = CLI** — random explicit specs already on the
 //!   quantization grid get, bit for bit, the plan `rexec-plan` computes
 //!   (`PlanSpec::resolve` then `BiCritSolver::solve`);
@@ -360,6 +360,33 @@ fn over_long_line_gets_a_typed_error_and_the_connection_survives() {
         lines[1]
     );
     assert_eq!(report.requests, 2);
+    assert_eq!(report.responses, 2);
+    assert_eq!(report.errors, 1);
+}
+
+#[test]
+fn deeply_nested_line_gets_a_parse_error_and_the_connection_survives() {
+    let server = start(2, 65536);
+    // Nesting far past the 128-level bound, inside the line-length cap.
+    let mut stream = format!("{{\"id\":2,\"x\":{}\n", "[".repeat(60_000));
+    stream.push_str("{\"id\":3,\"platform\":\"hera\",\"processor\":\"xscale\",\"rho\":3}\n");
+    let response = String::from_utf8(roundtrip(&server, &stream, Writes::Whole)).expect("utf-8");
+    server.shutdown();
+    let report = server.join();
+
+    let lines: Vec<&str> = response.lines().collect();
+    assert_eq!(lines.len(), 2, "one error, then the plan: {response}");
+    assert!(
+        lines[0].starts_with("{\"err\":{\"kind\":\"parse\"")
+            && lines[0].contains("recursion limit exceeded"),
+        "expected a parse error first, got: {}",
+        lines[0]
+    );
+    assert!(
+        lines[1].starts_with("{\"id\":3,\"digest\":\"fnv1a:") && lines[1].contains("\"wopt\":"),
+        "the query after the deep line went unanswered: {}",
+        lines[1]
+    );
     assert_eq!(report.responses, 2);
     assert_eq!(report.errors, 1);
 }
