@@ -12,8 +12,8 @@
 //! Young/Daly-shaped `Θ(λ^{-1/2})` result. The mixed-error model
 //! (fail-stop + silent) yields Equations (9) and (10), whose linear
 //! coefficient `y` may become *negative* when `σ₂/σ₁ > 2(1 + s/f)`,
-//! breaking the first-order approach (paper §5.2); the second-order
-//! expansion of the fail-stop-only time overhead is Equation (11).
+//! breaking the first-order approach (paper §5.2). Equation (10) and the
+//! second-order expansion of Equation (11) are kept as test oracles.
 
 use crate::mixed::MixedModel;
 use crate::pattern::SilentModel;
@@ -131,21 +131,6 @@ impl FirstOrder {
         }
     }
 
-    /// Coefficients of the mixed-error energy overhead, Equation (10).
-    pub fn energy_coefficients_mixed(m: &MixedModel, s1: f64, s2: f64) -> OverheadCoefficients {
-        let lam = m.rates.total();
-        let lf = m.rates.fail_stop;
-        let (c, v, r) = (m.costs.checkpoint, m.costs.verification, m.costs.recovery);
-        let p1 = m.power.compute_power(s1);
-        let p2 = m.power.compute_power(s2);
-        let pio = m.power.io_power();
-        OverheadCoefficients {
-            constant: lam * (r * pio + v * p2 / s2) / s1 + (1.0 - lf * v / s1) * p1 / s1,
-            linear: lam * p2 / (s1 * s2) - lf * p1 / (2.0 * s1 * s1),
-            inverse: c * pio + v * p1 / s1,
-        }
-    }
-
     /// Validity window of the first-order approximation for mixed errors
     /// (paper §5.2, assuming `Pidle = 0` for the lower bound): the approach
     /// yields a solution iff
@@ -166,41 +151,12 @@ impl FirstOrder {
     }
 }
 
-/// Second-order (Taylor) approximations (paper §5.3).
-pub struct SecondOrder;
-
-impl SecondOrder {
-    /// Second-order time overhead with **fail-stop errors only**
-    /// (Proposition 7, Equation 11):
-    ///
-    /// ```text
-    /// T/W = 1/σ₁ + C/W + (1/(σ₁σ₂) − 1/(2σ₁²))·λW + λR/σ₁
-    ///     + (1/(6σ₁³) − 1/(2σ₁²σ₂) + 1/(2σ₁σ₂²))·λ²W²
-    /// ```
-    pub fn time_overhead_fail_stop(c: f64, r: f64, lambda: f64, w: f64, s1: f64, s2: f64) -> f64 {
-        let lin = 1.0 / (s1 * s2) - 1.0 / (2.0 * s1 * s1);
-        let quad =
-            1.0 / (6.0 * s1 * s1 * s1) - 1.0 / (2.0 * s1 * s1 * s2) + 1.0 / (2.0 * s1 * s2 * s2);
-        1.0 / s1 + c / w + lin * lambda * w + lambda * r / s1 + quad * lambda * lambda * w * w
-    }
-
-    /// Coefficient of the `λ²W²` term in Equation (11).
-    pub fn quadratic_coefficient(s1: f64, s2: f64) -> f64 {
-        1.0 / (6.0 * s1 * s1 * s1) - 1.0 / (2.0 * s1 * s1 * s2) + 1.0 / (2.0 * s1 * s2 * s2)
-    }
-
-    /// Coefficient of the `λW` term in Equation (11); zero exactly when
-    /// `σ₂ = 2σ₁`, the hinge of Theorem 2.
-    pub fn linear_coefficient(s1: f64, s2: f64) -> f64 {
-        1.0 / (s1 * s2) - 1.0 / (2.0 * s1 * s1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::ResilienceCosts;
     use crate::error_model::ErrorRates;
+    use crate::oracle::{energy_coefficients_mixed, SecondOrder};
     use crate::power::PowerModel;
 
     fn hera_xscale() -> SilentModel {
@@ -301,7 +257,7 @@ mod tests {
             assert!((a.inverse - b.inverse).abs() < 1e-12);
             assert!((a.constant - b.constant).abs() < 1e-12);
             let ae = FirstOrder::energy_coefficients(&m, s1, s2);
-            let be = FirstOrder::energy_coefficients_mixed(&mm, s1, s2);
+            let be = energy_coefficients_mixed(&mm, s1, s2);
             assert!((ae.linear - be.linear).abs() < 1e-12);
             assert!((ae.inverse - be.inverse).abs() < 1e-9);
             // Eq (10) evaluates V's re-execution power at σ2 while Eq (3)

@@ -40,22 +40,10 @@ pub struct BiCritSolution {
 }
 
 impl BiCritSolution {
-    /// Whether the solution uses two distinct speeds.
-    #[inline]
-    pub fn uses_two_speeds(&self) -> bool {
-        self.sigma1 != self.sigma2
-    }
-
     /// Exact (non-Taylor) energy overhead of this solution under `model`
     /// (Proposition 3 evaluated at `Wopt`).
     pub fn exact_energy_overhead(&self, model: &SilentModel) -> f64 {
         model.energy_overhead(self.w_opt, self.sigma1, self.sigma2)
-    }
-
-    /// Exact (non-Taylor) time overhead of this solution under `model`
-    /// (Proposition 2 evaluated at `Wopt`).
-    pub fn exact_time_overhead(&self, model: &SilentModel) -> f64 {
-        model.time_overhead(self.w_opt, self.sigma1, self.sigma2)
     }
 }
 
@@ -872,14 +860,6 @@ impl BiCritSolver {
             .map(|inv| inv.rho_min)
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Relative energy saving of the two-speed optimum over the one-speed
-    /// optimum at bound `rho`, in `[0, 1)`; `None` if either is infeasible.
-    pub fn two_speed_saving(&self, rho: f64) -> Option<f64> {
-        let two = self.solve(rho)?;
-        let one = self.solve_one_speed(rho)?;
-        Some(1.0 - two.energy_overhead / one.energy_overhead)
-    }
 }
 
 #[cfg(test)]
@@ -990,7 +970,6 @@ mod tests {
         let solver = hera_xscale_solver();
         let best = solver.solve(3.0).unwrap();
         assert_eq!((best.sigma1, best.sigma2), (0.4, 0.4));
-        assert!(!best.uses_two_speeds());
     }
 
     #[test]
@@ -998,7 +977,6 @@ mod tests {
         let solver = hera_xscale_solver();
         let best = solver.solve(1.775).unwrap();
         assert_eq!((best.sigma1, best.sigma2), (0.6, 0.8));
-        assert!(best.uses_two_speeds());
     }
 
     #[test]
@@ -1057,7 +1035,7 @@ mod tests {
         let best = solver.solve(3.0).unwrap();
         let m = solver.model();
         let exact_e = best.exact_energy_overhead(m);
-        let exact_t = best.exact_time_overhead(m);
+        let exact_t = m.time_overhead(best.w_opt, best.sigma1, best.sigma2);
         assert!((exact_e - best.energy_overhead).abs() / exact_e < 1e-2);
         assert!((exact_t - best.time_overhead).abs() / exact_t < 1e-2);
     }
@@ -1177,7 +1155,8 @@ mod tests {
     fn saving_nonnegative_where_defined() {
         let solver = hera_xscale_solver();
         for rho in [1.4, 1.775, 3.0, 8.0] {
-            if let Some(s) = solver.two_speed_saving(rho) {
+            if let (Some(two), Some(one)) = (solver.solve(rho), solver.solve_one_speed(rho)) {
+                let s = 1.0 - two.energy_overhead / one.energy_overhead;
                 assert!((0.0..1.0).contains(&(s + 1e-12)), "ρ={rho}: saving {s}");
             }
         }

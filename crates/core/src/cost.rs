@@ -42,12 +42,6 @@ impl ResilienceCosts {
         }
     }
 
-    /// Verification time at speed `σ`: `V/σ` (s).
-    #[inline]
-    pub fn verification_time(&self, sigma: f64) -> f64 {
-        self.verification / sigma
-    }
-
     /// Returns a copy with a different checkpoint cost, keeping `R = C` if
     /// the costs were symmetric (sweep helper mirroring the paper's
     /// experiments, which keep `R = C` while varying `C`).
@@ -82,13 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn verification_scales_with_speed() {
-        let c = ResilienceCosts::symmetric(300.0, 15.4);
-        assert!((c.verification_time(1.0) - 15.4).abs() < 1e-12);
-        assert!((c.verification_time(0.4) - 38.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn with_checkpoint_preserves_symmetry() {
         let c = ResilienceCosts::symmetric(300.0, 15.4).with_checkpoint(1000.0);
         assert_eq!(c.recovery, 1000.0);
@@ -108,7 +95,7 @@ mod tests {
     #[test]
     fn zero_costs_are_valid() {
         let c = ResilienceCosts::new(0.0, 0.0, 0.0).unwrap();
-        assert_eq!(c.verification_time(0.5), 0.0);
+        assert_eq!((c.checkpoint, c.verification, c.recovery), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -17,13 +17,6 @@ pub fn young_daly_period(c: f64, lambda: f64) -> f64 {
     (2.0 * c / lambda).sqrt()
 }
 
-/// Optimal checkpointing *period* (wall-clock seconds) for silent errors
-/// with verified checkpoints: `T = √((V + C)/λ)`.
-#[inline]
-pub fn silent_period(c: f64, v: f64, lambda: f64) -> f64 {
-    ((v + c) / lambda).sqrt()
-}
-
 /// Young/Daly optimal pattern *size* (work units) when executing at speed
 /// `σ` under fail-stop errors: minimizing
 /// `T/W = 1/σ + C/W + λW/(2σ²) + λR/σ` gives `W = σ·√(2C/λ)`.
@@ -40,13 +33,6 @@ pub fn silent_work(c: f64, v: f64, lambda: f64, sigma: f64) -> f64 {
     sigma * ((c + v / sigma) / lambda).sqrt()
 }
 
-/// First-order time overhead of the fail-stop single-speed model at pattern
-/// size `w`: `1/σ + C/W + λW/(2σ²) + λR/σ`.
-#[inline]
-pub fn fail_stop_time_overhead(c: f64, r: f64, lambda: f64, w: f64, sigma: f64) -> f64 {
-    1.0 / sigma + c / w + lambda * w / (2.0 * sigma * sigma) + lambda * r / sigma
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +40,18 @@ mod tests {
     use crate::cost::ResilienceCosts;
     use crate::pattern::SilentModel;
     use crate::power::PowerModel;
+
+    /// Optimal checkpointing *period* (wall-clock seconds) for silent errors
+    /// with verified checkpoints: `T = √((V + C)/λ)`.
+    fn silent_period(c: f64, v: f64, lambda: f64) -> f64 {
+        ((v + c) / lambda).sqrt()
+    }
+
+    /// First-order time overhead of the fail-stop single-speed model at pattern
+    /// size `w`: `1/σ + C/W + λW/(2σ²) + λR/σ`.
+    fn fail_stop_time_overhead(c: f64, r: f64, lambda: f64, w: f64, sigma: f64) -> f64 {
+        1.0 / sigma + c / w + lambda * w / (2.0 * sigma * sigma) + lambda * r / sigma
+    }
 
     #[test]
     fn young_daly_classic_values() {

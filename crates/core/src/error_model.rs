@@ -114,17 +114,6 @@ impl ErrorRates {
         }
     }
 
-    /// Silent fraction `s = 1 − f`.
-    #[inline]
-    pub fn silent_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.silent / total
-        }
-    }
-
     /// Probability a silent error strikes within `t` seconds.
     #[inline]
     pub fn p_silent(&self, t: f64) -> f64 {
@@ -188,7 +177,6 @@ mod tests {
         assert!((r.silent - 7.5e-6).abs() < 1e-18);
         assert!((r.total() - 1e-5).abs() < 1e-18);
         assert!((r.fail_stop_fraction() - 0.25).abs() < 1e-12);
-        assert!((r.silent_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -202,7 +190,7 @@ mod tests {
     fn silent_only_and_fail_stop_only() {
         let s = ErrorRates::silent_only(3.38e-6).unwrap();
         assert_eq!(s.fail_stop, 0.0);
-        assert_eq!(s.silent_fraction(), 1.0);
+        assert_eq!(s.fail_stop_fraction(), 0.0);
         let f = ErrorRates::fail_stop_only(3.38e-6).unwrap();
         assert_eq!(f.silent, 0.0);
         assert_eq!(f.fail_stop_fraction(), 1.0);
@@ -215,7 +203,6 @@ mod tests {
         let none = ErrorRates::new(0.0, 0.0).unwrap();
         assert!(none.mtbf().is_infinite());
         assert_eq!(none.fail_stop_fraction(), 0.0);
-        assert_eq!(none.silent_fraction(), 0.0);
     }
 
     #[test]

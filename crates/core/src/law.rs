@@ -99,7 +99,7 @@ impl ErrorLaw {
                 let g2 = ln_gamma(1.0 + 2.0 / shape).exp();
                 eta * eta * (g2 - g1 * g1)
             }
-            ErrorLaw::LogNormal { sigma } => ((sigma * sigma).exp() - 1.0) * mean * mean,
+            ErrorLaw::LogNormal { sigma } => (sigma * sigma).exp_m1() * mean * mean,
         }
     }
 

@@ -13,11 +13,14 @@
 //!
 //! This crate provides:
 //!
-//! * exact expected time and energy of a pattern
-//!   ([`SilentModel`], Propositions 1–3;
-//!   [`MixedModel`], Propositions 4–5),
+//! * exact expected time and energy of a pattern, all from one renewal
+//!   closed form ([`renewal`]: a checkpoint, a prefix of attempts and a
+//!   geometric tail of re-executions) of which each model is an instance:
+//!   [`SilentModel`] (Propositions 1–3), [`MixedModel`] (Propositions
+//!   4–5 via Equation 8), [`multiverif`] (`q` verifications per
+//!   checkpoint) and [`ScheduleModel`] (per-attempt speed schedules),
 //! * first-order overhead approximations ([`approx`], Equations 2–3 and
-//!   9–10) and the second-order expansion (Equation 11),
+//!   9),
 //! * the closed-form optimal pattern size of **Theorem 1** ([`theorem1`])
 //!   together with the per-pair feasibility bound `ρᵢⱼ` (Equation 6),
 //! * the `O(K²)` **BiCrit** solver ([`bicrit`]) that minimizes the expected
@@ -79,11 +82,14 @@ pub mod pattern;
 pub mod plan;
 pub mod power;
 pub mod quadratic;
+pub mod renewal;
 pub mod schedule;
 pub mod speed;
 pub mod theorem1;
 pub mod theorem2;
 
+#[cfg(test)]
+mod oracle;
 mod validate;
 
 pub use crate::bicrit::{BiCritSolution, BiCritSolver, SpeedPairReport};
@@ -104,7 +110,7 @@ pub use crate::validate::ModelError;
 
 /// Convenient glob import of the most common types.
 pub mod prelude {
-    pub use crate::approx::{FirstOrder, SecondOrder};
+    pub use crate::approx::FirstOrder;
     pub use crate::bicrit::{BiCritSolution, BiCritSolver, SpeedPairReport};
     pub use crate::continuous;
     pub use crate::cost::ResilienceCosts;

@@ -6,37 +6,28 @@
 //! Silent errors (rate `λˢ`) strike during computation only and are caught
 //! by the verification. Neither strikes during checkpoint or recovery.
 //!
-//! The expected time and energy are computed from the defining recursion
-//! (Equation 8), which is numerically stable and exact:
+//! The expected time and energy follow the defining recursion
+//! (Equation 8):
 //!
 //! ```text
 //! T(W,σ₁,σ₂) = pᶠ₁·(Tlost(W+V,σ₁) + R + T(W,σ₂,σ₂))
 //!            + (1−pᶠ₁)·[ (W+V)/σ₁ + pˢ₁·(R + T(W,σ₂,σ₂)) + (1−pˢ₁)·C ]
 //! ```
 //!
-//! The paper also prints closed forms (Propositions 4 and 5) obtained by
-//! unrolling this recursion; [`MixedModel::expected_time_prop4`] and
-//! [`MixedModel::expected_energy_prop5`] transcribe them verbatim so the
-//! two derivations can be compared (see the `prop4_matches_recursion`
-//! tests and EXPERIMENTS.md).
+//! whose solution is the instance `q = 1`, `retries = [σ₂]` of the
+//! [`renewal`](crate::renewal) form: an attempt at `σ` fails with
+//! probability `1 − e^{−(λᶠ(W+V) + λˢW)/σ}` and lasts
+//! `(1 − e^{−λᶠ(W+V)/σ})/λᶠ` in expectation. Every method delegates to
+//! it. The paper also prints closed forms (Propositions 4 and 5) obtained
+//! by unrolling the recursion; they carry one extra verification term
+//! and survive as test oracles that pin the discrepancy (see
+//! DIVERGENCES.md).
 
 use crate::cost::ResilienceCosts;
-use crate::error_model::{expected_time_lost, ErrorRates};
+use crate::error_model::ErrorRates;
 use crate::power::PowerModel;
+use crate::renewal::renewal;
 use serde::{Deserialize, Serialize};
-
-/// `p * x` that treats a zero probability as absorbing (`0 × ∞ = 0`),
-/// so that expectations stay well-defined when a branch is impossible but
-/// its conditional value diverges (e.g. `ps = 0` with an infinite
-/// re-execution time at astronomically large `W`).
-#[inline]
-fn weighted(p: f64, x: f64) -> f64 {
-    if p == 0.0 {
-        0.0
-    } else {
-        p * x
-    }
-}
 
 /// Analytic model of a platform subject to fail-stop **and** silent errors.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,93 +50,26 @@ impl MixedModel {
         }
     }
 
-    /// Probability a fail-stop error interrupts the execution+verification
-    /// of a pattern of size `w` at speed `sigma`.
-    #[inline]
-    pub fn p_fail(&self, w: f64, sigma: f64) -> f64 {
-        self.rates
-            .p_fail_stop((w + self.costs.verification) / sigma)
-    }
-
-    /// Probability a silent error corrupts the computation of `w` work at
-    /// speed `sigma`.
-    #[inline]
-    pub fn p_silent(&self, w: f64, sigma: f64) -> f64 {
-        self.rates.p_silent(w / sigma)
-    }
-
-    /// Expected time lost to a fail-stop interrupt of the `(W+V)/σ` phase,
-    /// conditioned on the interrupt happening.
-    #[inline]
-    pub fn t_lost(&self, w: f64, sigma: f64) -> f64 {
-        expected_time_lost(self.rates.fail_stop, (w + self.costs.verification) / sigma)
-    }
-
     /// Expected time of a pattern executed entirely at speed `sigma`
     /// (the re-execution fixed point `T(W,σ,σ)`).
     pub fn expected_time_single(&self, w: f64, sigma: f64) -> f64 {
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let pf = self.p_fail(w, sigma);
-        let ps = self.p_silent(w, sigma);
-        let tl = self.t_lost(w, sigma);
-        // T = pf(Tl + R + T) + (1−pf)[(W+V)/σ + ps(R + T) + (1−ps)C]
-        // ⇒ T·(1−pf)(1−ps) = pf(Tl+R) + (1−pf)[(W+V)/σ + ps·R + (1−ps)C]
-        let success = (1.0 - pf) * (1.0 - ps);
-        let rhs = pf * (tl + r) + (1.0 - pf) * ((w + v) / sigma + ps * r + (1.0 - ps) * c);
-        rhs / success
+        renewal(self, w, 1, sigma, &[sigma]).time
     }
 
     /// Proposition 4 (via the recursion) — expected time of a pattern with
     /// first execution at `sigma1` and re-executions at `sigma2`.
     pub fn expected_time(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let pf1 = self.p_fail(w, sigma1);
-        let ps1 = self.p_silent(w, sigma1);
-        let tl1 = self.t_lost(w, sigma1);
-        let t2 = self.expected_time_single(w, sigma2);
-        weighted(pf1, tl1 + r + t2)
-            + weighted(
-                1.0 - pf1,
-                (w + v) / sigma1 + weighted(ps1, r + t2) + (1.0 - ps1) * c,
-            )
+        renewal(self, w, 1, sigma1, &[sigma2]).time
     }
 
     /// Expected energy of a pattern executed entirely at speed `sigma`.
     pub fn expected_energy_single(&self, w: f64, sigma: f64) -> f64 {
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let p_cpu = self.power.compute_power(sigma);
-        let p_io = self.power.io_power();
-        let pf = self.p_fail(w, sigma);
-        let ps = self.p_silent(w, sigma);
-        let tl = self.t_lost(w, sigma);
-        let success = (1.0 - pf) * (1.0 - ps);
-        let rhs = pf * (tl * p_cpu + r * p_io)
-            + (1.0 - pf) * ((w + v) / sigma * p_cpu + ps * r * p_io + (1.0 - ps) * c * p_io);
-        rhs / success
+        renewal(self, w, 1, sigma, &[sigma]).energy
     }
 
     /// Proposition 5 (via the recursion) — expected energy with two speeds.
     pub fn expected_energy(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let p1 = self.power.compute_power(sigma1);
-        let p_io = self.power.io_power();
-        let pf1 = self.p_fail(w, sigma1);
-        let ps1 = self.p_silent(w, sigma1);
-        let tl1 = self.t_lost(w, sigma1);
-        let e2 = self.expected_energy_single(w, sigma2);
-        weighted(pf1, tl1 * p1 + r * p_io + e2)
-            + weighted(
-                1.0 - pf1,
-                (w + v) / sigma1 * p1 + weighted(ps1, r * p_io + e2) + (1.0 - ps1) * c * p_io,
-            )
+        renewal(self, w, 1, sigma1, &[sigma2]).energy
     }
 
     /// Exact time overhead `T(W,σ₁,σ₂)/W`.
@@ -159,60 +83,25 @@ impl MixedModel {
     pub fn energy_overhead(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
         self.expected_energy(w, sigma1, sigma2) / w
     }
-
-    /// Proposition 4 transcribed verbatim from the paper (Equation 7).
-    ///
-    /// Requires `λᶠ > 0` (the closed form divides by `λᶠ`; use
-    /// [`expected_time`](Self::expected_time) for the silent-only limit).
-    pub fn expected_time_prop4(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        let lf = self.rates.fail_stop;
-        let ls = self.rates.silent;
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let both1 = (lf * (w + v) + ls * w) / sigma1; // exponent at σ1
-        let both2 = (lf * (w + v) + ls * w) / sigma2; // exponent at σ2
-        let p1 = -((-both1).exp_m1()); // 1 − e^{−(λf(W+V)+λsW)/σ1}
-        c + p1 * both2.exp() * r
-            + p1 * (ls * w / sigma2).exp() * v / sigma2
-            + (1.0 / lf) * (-((-lf * (w + v) / sigma1).exp_m1()))
-            + (1.0 / lf) * p1 * (ls * w / sigma2).exp() * ((lf * (w + v) / sigma2).exp() - 1.0)
-    }
-
-    /// Proposition 5 transcribed verbatim from the paper.
-    ///
-    /// Requires `λᶠ > 0`.
-    pub fn expected_energy_prop5(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        let lf = self.rates.fail_stop;
-        let ls = self.rates.silent;
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let p_io = self.power.io_power();
-        let p1 = self.power.compute_power(sigma1);
-        let p2 = self.power.compute_power(sigma2);
-        let both1 = (lf * (w + v) + ls * w) / sigma1;
-        let both2 = (lf * (w + v) + ls * w) / sigma2;
-        let q1 = -((-both1).exp_m1());
-        c * p_io
-            + q1 * both2.exp() * r * p_io
-            + q1 * (ls * w / sigma2).exp() * v / sigma2 * p2
-            + (1.0 / lf) * q1 * (ls * w / sigma2).exp() * ((lf * (w + v) / sigma2).exp() - 1.0) * p2
-            + (1.0 / lf) * (-((-lf * (w + v) / sigma1).exp_m1())) * p1
-    }
-
-    /// Sweep helper: a copy with different rates.
-    #[must_use]
-    pub fn with_rates(mut self, rates: ErrorRates) -> Self {
-        self.rates = rates;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error_model::expected_time_lost;
+    use crate::oracle;
     use crate::pattern::SilentModel;
+
+    /// The recursion's ingredients at speed `s`: fail-stop probability
+    /// over `(W+V)/s`, silent probability over `W/s` and `Tlost`.
+    fn parts(m: &MixedModel, w: f64, s: f64) -> (f64, f64, f64) {
+        let phase = (w + m.costs.verification) / s;
+        (
+            m.rates.p_fail_stop(phase),
+            m.rates.p_silent(w / s),
+            expected_time_lost(m.rates.fail_stop, phase),
+        )
+    }
 
     fn base(rates: ErrorRates) -> MixedModel {
         MixedModel::new(
@@ -224,7 +113,7 @@ mod tests {
 
     #[test]
     fn silent_only_limit_matches_silent_model() {
-        // λf → 0: the mixed recursion must converge to Propositions 1–3.
+        // λf → 0: the mixed recursion must reduce to Propositions 2–3.
         let lambda = 3.38e-6;
         let silent = SilentModel::new(
             lambda,
@@ -234,10 +123,10 @@ mod tests {
         .unwrap();
         let mixed = base(ErrorRates::silent_only(lambda).unwrap());
         for (w, s1, s2) in [(2764.0, 0.4, 0.4), (5000.0, 0.6, 1.0), (800.0, 1.0, 0.15)] {
-            let ts = silent.expected_time(w, s1, s2);
+            let ts = oracle::prop2_time(&silent, w, s1, s2);
             let tm = mixed.expected_time(w, s1, s2);
             assert!((ts - tm).abs() < 1e-9 * ts, "T: {ts} vs {tm}");
-            let es = silent.expected_energy(w, s1, s2);
+            let es = oracle::prop3_energy(&silent, w, s1, s2);
             let em = mixed.expected_energy(w, s1, s2);
             assert!((es - em).abs() < 1e-9 * es, "E: {es} vs {em}");
         }
@@ -247,11 +136,10 @@ mod tests {
     fn recursion_fixed_point_two_speeds() {
         let m = base(ErrorRates::new(2e-5, 1e-5).unwrap());
         let (w, s1, s2) = (4000.0, 0.6, 0.9);
-        let pf1 = m.p_fail(w, s1);
-        let ps1 = m.p_silent(w, s1);
+        let (pf1, ps1, tl1) = parts(&m, w, s1);
         let t2 = m.expected_time_single(w, s2);
         let lhs = m.expected_time(w, s1, s2);
-        let rhs = pf1 * (m.t_lost(w, s1) + m.costs.recovery + t2)
+        let rhs = pf1 * (tl1 + m.costs.recovery + t2)
             + (1.0 - pf1)
                 * ((w + m.costs.verification) / s1
                     + ps1 * (m.costs.recovery + t2)
@@ -264,9 +152,8 @@ mod tests {
         let m = base(ErrorRates::new(5e-5, 2e-5).unwrap());
         let (w, s) = (2500.0, 0.8);
         let t = m.expected_time_single(w, s);
-        let pf = m.p_fail(w, s);
-        let ps = m.p_silent(w, s);
-        let rhs = pf * (m.t_lost(w, s) + m.costs.recovery + t)
+        let (pf, ps, tl) = parts(&m, w, s);
+        let rhs = pf * (tl + m.costs.recovery + t)
             + (1.0 - pf)
                 * ((w + m.costs.verification) / s
                     + ps * (m.costs.recovery + t)
@@ -279,12 +166,8 @@ mod tests {
         let m = base(ErrorRates::new(5e-5, 2e-5).unwrap());
         let (w, s) = (2500.0, 0.8);
         let e = m.expected_energy_single(w, s);
-        let pf = m.p_fail(w, s);
-        let ps = m.p_silent(w, s);
-        let rhs = pf
-            * (m.t_lost(w, s) * m.power.compute_power(s)
-                + m.costs.recovery * m.power.io_power()
-                + e)
+        let (pf, ps, tl) = parts(&m, w, s);
+        let rhs = pf * (tl * m.power.compute_power(s) + m.costs.recovery * m.power.io_power() + e)
             + (1.0 - pf)
                 * ((w + m.costs.verification) / s * m.power.compute_power(s)
                     + ps * (m.costs.recovery * m.power.io_power() + e)
@@ -319,7 +202,7 @@ mod tests {
         let m = base(ErrorRates::new(5e-6, 1e-5).unwrap());
         for (w, s1, s2) in [(5000.0, 0.5, 1.0), (2000.0, 1.0, 0.5), (8000.0, 0.8, 0.8)] {
             let rec = m.expected_time(w, s1, s2);
-            let cf = m.expected_time_prop4(w, s1, s2);
+            let cf = oracle::prop4_time(&m, w, s1, s2);
             let both1 = (m.rates.fail_stop * (w + m.costs.verification) + m.rates.silent * w) / s1;
             let q1 = -((-both1).exp_m1());
             let extra = q1 * (m.rates.silent * w / s2).exp() * m.costs.verification / s2;
@@ -337,7 +220,7 @@ mod tests {
         let m = base(ErrorRates::new(5e-6, 1e-5).unwrap());
         for (w, s1, s2) in [(5000.0, 0.5, 1.0), (2000.0, 1.0, 0.5)] {
             let rec = m.expected_energy(w, s1, s2);
-            let cf = m.expected_energy_prop5(w, s1, s2);
+            let cf = oracle::prop5_energy(&m, w, s1, s2);
             let both1 = (m.rates.fail_stop * (w + m.costs.verification) + m.rates.silent * w) / s1;
             let q1 = -((-both1).exp_m1());
             let extra = q1 * (m.rates.silent * w / s2).exp() * m.costs.verification / s2
@@ -364,13 +247,5 @@ mod tests {
         let (w, s1, s2) = (2000.0, 0.6, 0.9);
         assert!((m.time_overhead(w, s1, s2) * w - m.expected_time(w, s1, s2)).abs() < 1e-9);
         assert!((m.energy_overhead(w, s1, s2) * w - m.expected_energy(w, s1, s2)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn with_rates_replaces_rates() {
-        let m = base(ErrorRates::new(1e-5, 1e-5).unwrap())
-            .with_rates(ErrorRates::silent_only(9e-9).unwrap());
-        assert_eq!(m.rates.fail_stop, 0.0);
-        assert_eq!(m.rates.silent, 9e-9);
     }
 }

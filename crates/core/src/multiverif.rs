@@ -15,57 +15,29 @@
 //! segments until a verification fails (probability `F = 1 − (1−p)^q`
 //! overall) or all `q` pass. On failure the application recovers and
 //! re-executes the whole pattern at `σ₂` until success, then checkpoints.
+//! This is the instance `λᶠ = 0`, `retries = [σ₂]` of the
+//! [`renewal`](crate::renewal) form, with `q` segments per attempt.
 
 use crate::pattern::SilentModel;
+use crate::renewal::renewal;
 use serde::{Deserialize, Serialize};
-
-/// Expected duration of one attempt at speed `sigma` (time until the
-/// failing verification, or the full pattern if no error), along with the
-/// attempt failure probability.
-///
-/// Returns `(expected_attempt_time, failure_probability)`.
-pub fn attempt_stats(m: &SilentModel, w: f64, q: u32, sigma: f64) -> (f64, f64) {
-    assert!(q >= 1, "need at least one verification per pattern");
-    let q_f = f64::from(q);
-    let seg_work = w / q_f;
-    let seg_time = (seg_work + m.costs.verification) / sigma;
-    let p = crate::error_model::strike_probability(m.lambda, seg_work / sigma);
-    let s = 1.0 - p; // per-segment success
-                     // Σ_{i=1}^q s^{i−1} p · i·seg_time + s^q · q·seg_time.
-    let mut time = 0.0;
-    let mut s_pow = 1.0; // s^{i-1}
-    for i in 1..=q {
-        time += s_pow * p * f64::from(i) * seg_time;
-        s_pow *= s;
-    }
-    time += s_pow * q_f * seg_time; // s_pow is now s^q
-    (time, 1.0 - s_pow)
-}
 
 /// Expected time of a pattern of `w` work with `q` verifications per
 /// checkpoint, first execution at `sigma1`, re-executions at `sigma2`.
+///
+/// # Panics
+/// If `q == 0`.
 pub fn expected_time(m: &SilentModel, w: f64, q: u32, sigma1: f64, sigma2: f64) -> f64 {
-    let c = m.costs.checkpoint;
-    let r = m.costs.recovery;
-    let (a1, f1) = attempt_stats(m, w, q, sigma1);
-    let (a2, f2) = attempt_stats(m, w, q, sigma2);
-    // T2: remaining time after a recovery, re-executing at σ2 to success.
-    let t2 = (a2 + f2 * r + (1.0 - f2) * c) / (1.0 - f2);
-    a1 + f1 * (r + t2) + (1.0 - f1) * c
+    renewal(&m.as_mixed(), w, q, sigma1, &[sigma2]).time
 }
 
 /// Expected energy of a pattern of `w` work with `q` verifications per
 /// checkpoint (two speeds).
+///
+/// # Panics
+/// If `q == 0`.
 pub fn expected_energy(m: &SilentModel, w: f64, q: u32, sigma1: f64, sigma2: f64) -> f64 {
-    let c = m.costs.checkpoint;
-    let r = m.costs.recovery;
-    let p_io = m.power.io_power();
-    let p1 = m.power.compute_power(sigma1);
-    let p2 = m.power.compute_power(sigma2);
-    let (a1, f1) = attempt_stats(m, w, q, sigma1);
-    let (a2, f2) = attempt_stats(m, w, q, sigma2);
-    let e2 = (a2 * p2 + f2 * r * p_io + (1.0 - f2) * c * p_io) / (1.0 - f2);
-    a1 * p1 + f1 * (r * p_io + e2) + (1.0 - f1) * c * p_io
+    renewal(&m.as_mixed(), w, q, sigma1, &[sigma2]).energy
 }
 
 /// Time overhead `T/W`.
@@ -153,6 +125,7 @@ pub fn optimize(
 mod tests {
     use super::*;
     use crate::cost::ResilienceCosts;
+    use crate::oracle::{self, attempt_stats};
     use crate::power::PowerModel;
     use crate::speed::SpeedSet;
 
@@ -170,10 +143,10 @@ mod tests {
         let m = hera_xscale().with_lambda(1e-4);
         for (w, s1, s2) in [(2764.0, 0.4, 0.8), (5000.0, 1.0, 0.4)] {
             let t_q1 = expected_time(&m, w, 1, s1, s2);
-            let t_p2 = m.expected_time(w, s1, s2);
+            let t_p2 = oracle::prop2_time(&m, w, s1, s2);
             assert!((t_q1 - t_p2).abs() < 1e-9 * t_p2, "{t_q1} vs {t_p2}");
             let e_q1 = expected_energy(&m, w, 1, s1, s2);
-            let e_p3 = m.expected_energy(w, s1, s2);
+            let e_p3 = oracle::prop3_energy(&m, w, s1, s2);
             assert!((e_q1 - e_p3).abs() < 1e-9 * e_p3, "{e_q1} vs {e_p3}");
         }
     }
@@ -185,6 +158,9 @@ mod tests {
         // F = 1 − (1−p)^q = 1 − e^{−λW/σ}: independent of q.
         let expected = crate::error_model::strike_probability(m.lambda, 4000.0 / 0.5);
         assert!((f - expected).abs() < 1e-12);
+        // So the renewal form's attempt count does not depend on q.
+        let n = |q| crate::renewal::renewal(&m.as_mixed(), 4000.0, q, 0.5, &[0.8]).executions;
+        assert!((n(4) - n(1)).abs() < 1e-12 * n(1), "{} vs {}", n(4), n(1));
     }
 
     #[test]
@@ -256,6 +232,6 @@ mod tests {
     #[should_panic(expected = "at least one verification")]
     fn q_zero_panics() {
         let m = hera_xscale();
-        attempt_stats(&m, 1000.0, 0, 0.5);
+        expected_time(&m, 1000.0, 0, 0.5, 0.5);
     }
 }

@@ -167,7 +167,7 @@ pub fn exact_pair_optimum(
 
 /// Exact constrained optimum for one speed pair under the mixed-error
 /// model (Propositions 4–5 via the recursion; §5 has no closed form).
-pub fn exact_pair_optimum_mixed(
+fn exact_pair_optimum_mixed(
     m: &MixedModel,
     s1: f64,
     s2: f64,

@@ -13,9 +13,16 @@
 //!   `T(W,σ₁,σ₂) = C + (W+V)/σ₁ + (1 − e^{−λW/σ₁})·e^{λW/σ₂}·(R + (W+V)/σ₂)`
 //! * Proposition 3 (energy): same structure with each term weighted by the
 //!   power drawn while it elapses.
+//!
+//! These are the instance `λᶠ = 0`, `q = 1`, `retries = [σ₂]` of the
+//! [`renewal`](crate::renewal) form, which every method delegates to;
+//! the printed formulas survive as test oracles.
 
 use crate::cost::ResilienceCosts;
+use crate::error_model::ErrorRates;
+use crate::mixed::MixedModel;
 use crate::power::PowerModel;
+use crate::renewal::renewal;
 use crate::validate::{non_negative, ModelError};
 use serde::{Deserialize, Serialize};
 
@@ -51,41 +58,33 @@ impl SilentModel {
         crate::error_model::strike_probability(self.lambda, w / sigma)
     }
 
+    /// The platform as a [`MixedModel`] with no fail-stop errors: the
+    /// parameters of the renewal form this model is an instance of.
+    #[inline]
+    pub(crate) fn as_mixed(&self) -> MixedModel {
+        let rates = ErrorRates {
+            silent: self.lambda,
+            fail_stop: 0.0,
+        };
+        MixedModel::new(rates, self.costs, self.power)
+    }
+
     /// Proposition 1 — expected time to execute a pattern of size `w` when
     /// **all** executions (first and re-executions) run at speed `sigma`.
     pub fn expected_time_single(&self, w: f64, sigma: f64) -> f64 {
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let wv = (w + self.costs.verification) / sigma;
-        let growth = (self.lambda * w / sigma).exp();
-        c + growth * wv + (growth - 1.0) * r
+        renewal(&self.as_mixed(), w, 1, sigma, &[sigma]).time
     }
 
     /// Proposition 2 — expected time to execute a pattern of size `w` with
     /// first execution at `sigma1` and all re-executions at `sigma2`.
     pub fn expected_time(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let p1 = self.p_error(w, sigma1);
-        let growth2 = (self.lambda * w / sigma2).exp();
-        c + (w + v) / sigma1 + p1 * growth2 * (r + (w + v) / sigma2)
+        renewal(&self.as_mixed(), w, 1, sigma1, &[sigma2]).time
     }
 
     /// Proposition 3 — expected energy to execute a pattern of size `w`
     /// with first execution at `sigma1` and re-executions at `sigma2`.
     pub fn expected_energy(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        let c = self.costs.checkpoint;
-        let r = self.costs.recovery;
-        let v = self.costs.verification;
-        let p_io = self.power.io_power();
-        let p1 = self.power.compute_power(sigma1);
-        let p2 = self.power.compute_power(sigma2);
-        let perr1 = self.p_error(w, sigma1);
-        let growth2 = (self.lambda * w / sigma2).exp();
-        (c + perr1 * growth2 * r) * p_io
-            + (w + v) / sigma1 * p1
-            + (w + v) / sigma2 * perr1 * growth2 * p2
+        renewal(&self.as_mixed(), w, 1, sigma1, &[sigma2]).energy
     }
 
     /// Exact expected time per unit of work, `T(W,σ₁,σ₂)/W`.
@@ -101,14 +100,11 @@ impl SilentModel {
     }
 
     /// Expected number of executions of the pattern (first + re-executions)
-    /// until the verification succeeds.
-    ///
-    /// The first execution always happens; it fails with probability
-    /// `p₁ = 1 − e^{−λW/σ₁}`, after which re-executions at `σ₂` each succeed
-    /// with probability `e^{−λW/σ₂}`, so the expected count is
-    /// `1 + p₁·e^{λW/σ₂}`.
+    /// until the verification succeeds: `1 + p₁·e^{λW/σ₂}`, since the
+    /// first execution fails with probability `p₁ = 1 − e^{−λW/σ₁}` and
+    /// each re-execution at `σ₂` succeeds with probability `e^{−λW/σ₂}`.
     pub fn expected_executions(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        1.0 + self.p_error(w, sigma1) * (self.lambda * w / sigma2).exp()
+        renewal(&self.as_mixed(), w, 1, sigma1, &[sigma2]).executions
     }
 
     /// Sweep helper: a copy with a different error rate.

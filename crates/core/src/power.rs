@@ -44,7 +44,7 @@ impl PowerModel {
 
     /// Dynamic CPU power `Pcpu(σ) = κσ³` (mW).
     #[inline]
-    pub fn cpu_power(&self, sigma: f64) -> f64 {
+    fn cpu_power(&self, sigma: f64) -> f64 {
         self.kappa * sigma * sigma * sigma
     }
 

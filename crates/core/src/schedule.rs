@@ -7,10 +7,10 @@
 //! (attempt `i` runs at `speed_for_attempt(i)`, constant from the last
 //! scheduled entry on). With silent errors only, every expectation
 //! still has a closed form: a finite prefix sum over the scheduled
-//! attempts plus a geometric tail at the settled speed — the same
-//! structure as Propositions 2–3, to which [`ScheduleModel`] reduces
-//! exactly when the schedule is the paper's `(σ₁, σ₂)` pair (pinned by
-//! test).
+//! attempts plus a geometric tail at the settled speed. This is the
+//! instance `λᶠ = 0`, `q = 1` of the [`renewal`](crate::renewal) form,
+//! with the schedule's retries as they stand; the paper's `(σ₁, σ₂)`
+//! pair is Propositions 2–3 (pinned by test).
 //!
 //! Because `T` is *deterministic given the attempt count* in the
 //! silent-error model, quantiles of `T` are exact too:
@@ -21,6 +21,7 @@
 
 use crate::numeric::{self, ConstrainedOptimum};
 use crate::pattern::SilentModel;
+use crate::renewal::{renewal, Renewal};
 use crate::speed::SpeedSet;
 use crate::validate::{positive, ModelError};
 use serde::{Deserialize, Serialize};
@@ -113,55 +114,25 @@ impl ScheduleModel {
     /// plus a prefix sum over the scheduled attempts plus the geometric
     /// tail at the settled speed.
     pub fn expected_time(&self, w: f64) -> f64 {
-        let c = self.model.costs.checkpoint;
-        let r = self.model.costs.recovery;
-        let v = self.model.costs.verification;
-        let mut t = c;
-        let mut reach = 1.0;
-        for i in 0..self.schedule.retries().len() {
-            let s = self.schedule.speed_for_attempt(i as u32);
-            let p = self.model.p_error(w, s);
-            t += reach * ((w + v) / s + p * r);
-            reach *= p;
-        }
-        let s = self.schedule.settled();
-        let p = self.model.p_error(w, s);
-        t + reach * ((w + v) / s + p * r) / (1.0 - p)
+        self.renewal(w).time
     }
 
-    /// Expected energy: the same structure as [`expected_time`]
-    /// (Self::expected_time) with each phase weighted by the power
-    /// drawn while it elapses (compute power during work+verification,
-    /// I/O power during checkpoint and recovery).
+    /// Expected energy: the same structure as
+    /// [`expected_time`](Self::expected_time) with each phase weighted by
+    /// the power drawn while it elapses (compute power during
+    /// work+verification, I/O power during checkpoint and recovery).
     pub fn expected_energy(&self, w: f64) -> f64 {
-        let c = self.model.costs.checkpoint;
-        let r = self.model.costs.recovery;
-        let v = self.model.costs.verification;
-        let p_io = self.model.power.io_power();
-        let mut e = c * p_io;
-        let mut reach = 1.0;
-        for i in 0..self.schedule.retries().len() {
-            let s = self.schedule.speed_for_attempt(i as u32);
-            let p = self.model.p_error(w, s);
-            e += reach * ((w + v) / s * self.model.power.compute_power(s) + p * r * p_io);
-            reach *= p;
-        }
-        let s = self.schedule.settled();
-        let p = self.model.p_error(w, s);
-        e + reach * ((w + v) / s * self.model.power.compute_power(s) + p * r * p_io) / (1.0 - p)
+        self.renewal(w).energy
     }
 
     /// Expected number of executions until the verification succeeds.
     pub fn expected_executions(&self, w: f64) -> f64 {
-        let mut total = 0.0;
-        let mut reach = 1.0;
-        for i in 0..self.schedule.retries().len() {
-            total += reach;
-            reach *= self
-                .model
-                .p_error(w, self.schedule.speed_for_attempt(i as u32));
-        }
-        total + reach / (1.0 - self.model.p_error(w, self.schedule.settled()))
+        self.renewal(w).executions
+    }
+
+    fn renewal(&self, w: f64) -> Renewal {
+        let s = &self.schedule;
+        renewal(&self.model.as_mixed(), w, 1, s.sigma1, &s.retries)
     }
 
     /// Exact `q`-quantile of the pattern time, `q ∈ [0, 1)`.
@@ -217,7 +188,7 @@ impl ScheduleModel {
 
     /// `q`-quantile of the time per unit of work.
     #[inline]
-    pub fn quantile_overhead(&self, w: f64, q: f64) -> f64 {
+    fn quantile_overhead(&self, w: f64, q: f64) -> f64 {
         self.quantile_time(w, q) / w
     }
 }

@@ -78,11 +78,6 @@ impl SpeedSet {
         Ok(SpeedSet { speeds })
     }
 
-    /// Single-speed set (useful for one-speed baselines).
-    pub fn singleton(value: f64) -> Result<Self, ModelError> {
-        SpeedSet::new(vec![value])
-    }
-
     /// Sorted raw speed values.
     #[inline]
     pub fn values(&self) -> &[f64] {
@@ -129,21 +124,6 @@ impl SpeedSet {
     /// Iterator over the `K` diagonal pairs `(σ, σ)` (one-speed executions).
     pub fn diagonal_pairs(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.speeds.iter().map(|&s| (s, s))
-    }
-
-    /// Returns the closest available speed to `target` (ties go to the
-    /// slower speed).
-    pub fn closest(&self, target: f64) -> f64 {
-        let mut best = self.speeds[0];
-        let mut best_d = (best - target).abs();
-        for &s in &self.speeds[1..] {
-            let d = (s - target).abs();
-            if d < best_d {
-                best = s;
-                best_d = d;
-            }
-        }
-        best
     }
 
     /// Whether `speed` is a member of the set (exact comparison).
@@ -209,14 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn closest_picks_nearest() {
-        let s = SpeedSet::new(vec![0.15, 0.4, 0.6, 0.8, 1.0]).unwrap();
-        assert_eq!(s.closest(0.55), 0.6);
-        assert_eq!(s.closest(0.05), 0.15);
-        assert_eq!(s.closest(2.0), 1.0);
-    }
-
-    #[test]
     fn contains_and_minmax() {
         let s = SpeedSet::new(vec![0.45, 0.6, 0.8, 0.9, 1.0]).unwrap();
         assert!(s.contains(0.9));
@@ -224,12 +196,6 @@ mod tests {
         assert_eq!(s.min(), 0.45);
         assert_eq!(s.max(), 1.0);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn singleton_works() {
-        let s = SpeedSet::singleton(0.7).unwrap();
-        assert_eq!(s.values(), &[0.7]);
     }
 
     #[test]

@@ -71,26 +71,16 @@ impl std::fmt::Display for SolveError {
 impl std::error::Error for SolveError {}
 
 /// Unconstrained first-order energy minimizer `Wₑ` (Equation 5).
-pub fn energy_minimizer(m: &SilentModel, s1: f64, s2: f64) -> f64 {
+fn energy_minimizer(m: &SilentModel, s1: f64, s2: f64) -> f64 {
     FirstOrder::energy_coefficients(m, s1, s2).minimizer()
 }
 
 /// Feasible interval `[W₁, W₂]` of pattern sizes satisfying
-/// `T(W)/W ≤ ρ` to first order, or `Err(Infeasible)`.
+/// `T(W)/W ≤ ρ` to first order, or `Err(Infeasible)`, from the
+/// first-order *time* coefficients `t`.
 ///
 /// With `λ = 0` the constraint is linear and the interval is
 /// `[W₁, +∞)` (or infeasible if even `W → ∞` violates the bound).
-pub fn feasible_interval(
-    m: &SilentModel,
-    s1: f64,
-    s2: f64,
-    rho: f64,
-) -> Result<(f64, f64), SolveError> {
-    feasible_interval_from(&FirstOrder::time_coefficients(m, s1, s2), rho)
-}
-
-/// [`feasible_interval`] from precomputed first-order *time* coefficients.
-///
 /// The quadratic `aW² + bW + c ≤ 0` depends on `(σ₁, σ₂)` only through
 /// `t`, so callers holding a candidate table (one entry per speed pair)
 /// can resolve feasibility for any `ρ` without touching the model.
@@ -233,6 +223,15 @@ mod tests {
     use super::*;
     use crate::cost::ResilienceCosts;
     use crate::power::PowerModel;
+
+    fn feasible_interval(
+        m: &SilentModel,
+        s1: f64,
+        s2: f64,
+        rho: f64,
+    ) -> Result<(f64, f64), SolveError> {
+        feasible_interval_from(&FirstOrder::time_coefficients(m, s1, s2), rho)
+    }
 
     fn hera_xscale() -> SilentModel {
         SilentModel::new(

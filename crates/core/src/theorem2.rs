@@ -96,8 +96,8 @@ pub fn wopt_samples(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::SecondOrder;
     use crate::daly;
+    use crate::oracle::SecondOrder;
 
     #[test]
     fn closed_form_minimizes_second_order_overhead() {

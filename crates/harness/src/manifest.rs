@@ -53,7 +53,7 @@ pub struct UnitRecord {
 /// The resumable state of one experiments run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
-    /// Manifest layout version ([`MANIFEST_VERSION`]).
+    /// Manifest layout version (`MANIFEST_VERSION`).
     pub format_version: u32,
     /// Producing tool, e.g. `experiments`.
     pub tool: String,

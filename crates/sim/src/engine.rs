@@ -875,6 +875,28 @@ mod tests {
     }
 
     #[test]
+    fn fail_stops_never_strike_checkpoint_or_recovery() {
+        // With only I/O drawing power (κ = Pidle = 0, Pio = 1), energy
+        // is exactly the time spent in checkpoint and recoveries. At a
+        // fail-stop rate that interrupts most attempts, every pattern
+        // still pays one whole C and one whole R per failed attempt.
+        let c = SimConfig {
+            power: PowerModel::new(0.0, 0.0, 1.0).unwrap(),
+            ..cfg(ErrorRates::new(2e-4, 5e-4).unwrap())
+        };
+        let (ckpt, rec) = (c.costs.checkpoint, c.costs.recovery);
+        let mut rng = SimRng::new(5);
+        let mut saw_fail_stop = false;
+        for _ in 0..500 {
+            let p = simulate_pattern(&c, &mut rng);
+            saw_fail_stop |= p.fail_stop_errors > 0;
+            let io = ckpt + f64::from(p.attempts - 1) * rec;
+            assert!((p.energy - io).abs() < 1e-9 * io, "{p:?}");
+        }
+        assert!(saw_fail_stop);
+    }
+
+    #[test]
     fn fail_stop_attempts_are_shorter_than_full_phase() {
         let c = SimConfig {
             rates: ErrorRates::fail_stop_only(1e-3).unwrap(),

@@ -63,7 +63,7 @@ impl SimRng {
     /// One cipher serves every trial of the chunk, so the per-trial setup
     /// cost of [`for_trial`](Self::for_trial) is paid once per chunk.
     /// Chunk streams are tagged into the top half of the stream-id space
-    /// ([`CHUNK_STREAM_BASE`]); trial streams use `1..=trials`, so the
+    /// (`CHUNK_STREAM_BASE`); trial streams use `1..=trials`, so the
     /// two namespaces are disjoint for any realistic trial count
     /// (`< 2⁶³`), and distinct chunks get distinct nonces — their
     /// keystreams never overlap no matter how many draws a chunk makes.

@@ -16,7 +16,7 @@
 //!
 //! Engine resolution is fallible, never panicking: a degenerate
 //! never-completes config surfaces as an
-//! [`EngineError`](crate::engine::EngineError) from `run*` before any
+//! [`EngineError`] from `run*` before any
 //! worker starts, and sweeps degrade it to a tagged `ERR(...)` row.
 //!
 //! Either way, trials fold into plain [`Summary`] accumulators
@@ -24,7 +24,7 @@
 //! to a fixed absolute grid, and per-chunk results merge in chunk order —
 //! so parallel runs are **bit-identical** to sequential ones at any
 //! `RAYON_NUM_THREADS`. Observability rides along as plain-integer
-//! [`ChunkObs`] accumulators that merge exactly in the reduction and
+//! `ChunkObs` accumulators that merge exactly in the reduction and
 //! flush into the global `rexec_obs` registry once per run — not one
 //! registry update per pattern, nor one sketch per chunk.
 
@@ -544,7 +544,7 @@ impl MonteCarlo {
 
     /// Runs all replications in parallel and aggregates.
     ///
-    /// Instrumented: each worker fills a plain-integer [`ChunkObs`]
+    /// Instrumented: each worker fills a plain-integer `ChunkObs`
     /// (`runner.trials`, the `sim.*` totals, and the exact
     /// `runner.attempts_per_trial` histogram); the accumulators merge
     /// deterministically along the reduction and flush into the global

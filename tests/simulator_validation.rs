@@ -1,7 +1,10 @@
 //! Statistical integration tests: the Monte Carlo simulator converges to
 //! the analytic expectations (Propositions 1–5) across diverse regimes.
 
+use rexec::core::renewal::{renewal, Renewal};
 use rexec::prelude::*;
+use rexec::sim::engine::MAX_ATTEMPTS;
+use rexec::sim::{ensure_completes, simulate_pattern_scenario, PatternOutcome};
 
 fn hera_xscale_model() -> SilentModel {
     configuration(ConfigId {
@@ -169,5 +172,138 @@ fn expected_executions_matches_over_many_rates() {
             "λ={lambda}: sampled {} vs analytic {expected}",
             summary.attempts.mean()
         );
+    }
+}
+
+/// Monte Carlo mean of time, energy and attempts over `trials` seeded
+/// patterns drawn by `sample`.
+fn sampled(
+    trials: u64,
+    seed: u64,
+    mut sample: impl FnMut(&mut SimRng) -> PatternOutcome,
+) -> Summary {
+    let mut s = Summary::default();
+    for i in 0..trials {
+        let p = sample(&mut SimRng::for_trial(seed, i));
+        s.time.push(p.time);
+        s.energy.push(p.energy);
+        s.attempts.push(f64::from(p.attempts));
+    }
+    s
+}
+
+fn assert_within(label: &str, s: &Summary, expected: &Renewal) {
+    for (stat, got, want) in [
+        ("time", &s.time, expected.time),
+        ("energy", &s.energy, expected.energy),
+        ("attempts", &s.attempts, expected.executions),
+    ] {
+        assert!(
+            want.is_finite() && got.contains(want, 4.0),
+            "{label}: sampled {stat} {} ± {} vs closed form {want}",
+            got.mean(),
+            4.0 * got.std_error()
+        );
+    }
+}
+
+/// Seeded random points of the (λˢ, λᶠ, speeds, W) space with a total
+/// hazard of at most 2 per attempt at the slowest speed, so attempt
+/// counts stay light-tailed enough for a 4σ check.
+fn draw_point(rng: &mut SimRng, speeds: usize) -> (ErrorRates, f64, Vec<f64>) {
+    const GRID: [f64; 5] = [0.15, 0.4, 0.6, 0.8, 1.0];
+    let mut rate = || 1e-6 * 300f64.powf(rng.uniform_open());
+    let silent = rate();
+    let fail_stop = rate();
+    // One point in three is silent-only, the paper's main model.
+    let fail_stop = if rng.uniform_open() < 1.0 / 3.0 {
+        0.0
+    } else {
+        fail_stop
+    };
+    let picks: Vec<f64> = (0..speeds)
+        .map(|_| GRID[((rng.uniform_open() * 5.0) as usize).min(4)])
+        .collect();
+    let slowest = picks.iter().copied().fold(f64::INFINITY, f64::min);
+    let w = (0.05 + 1.95 * rng.uniform_open()) * slowest / (silent + fail_stop);
+    (
+        ErrorRates::new(silent, fail_stop).unwrap(),
+        w.min(5e4),
+        picks,
+    )
+}
+
+#[test]
+fn renewal_closed_form_matches_the_scenario_engine_over_schedules() {
+    // (λˢ, λᶠ, schedule) at q = 1: the per-attempt scenario engine
+    // against the one renewal closed form.
+    let m = hera_xscale_model();
+    let mut draws = SimRng::new(0x5eed_0001);
+    for point in 0..8 {
+        let depth = 2 + point % 3;
+        let (rates, w, speeds) = draw_point(&mut draws, depth);
+        let mm = MixedModel::new(rates, m.costs, m.power);
+        let schedule = SpeedSchedule::new(speeds[0], speeds[1..].to_vec()).unwrap();
+        let cfg = SimConfig::from_mixed_model(&mm, w, speeds[0], schedule.settled());
+        ensure_completes(&cfg, ErrorLaw::Exponential, Some(&schedule)).unwrap();
+        let s = sampled(20_000, 4000 + point as u64, |rng| {
+            simulate_pattern_scenario(&cfg, ErrorLaw::Exponential, Some(&schedule), rng)
+        });
+        let expected = renewal(&mm, w, 1, speeds[0], &speeds[1..]);
+        assert_within(&format!("{rates:?} W={w} {schedule}"), &s, &expected);
+    }
+}
+
+#[test]
+fn renewal_closed_form_matches_the_segmented_engine() {
+    // (λˢ, λᶠ, q) with two speeds: q verified segments per attempt.
+    let m = hera_xscale_model();
+    let mut draws = SimRng::new(0x5eed_0002);
+    for point in 0..8 {
+        let q = 1 + point % 5;
+        let (rates, w, speeds) = draw_point(&mut draws, 2);
+        let mm = MixedModel::new(rates, m.costs, m.power);
+        let cfg = SimConfig::from_mixed_model(&mm, w, speeds[0], speeds[1]);
+        let s = sampled(20_000, 5000 + u64::from(point), |rng| {
+            simulate_pattern_segmented(&cfg, q, rng)
+        });
+        let expected = renewal(&mm, w, q, speeds[0], &speeds[1..]);
+        assert_within(&format!("{rates:?} W={w} q={q} {speeds:?}"), &s, &expected);
+    }
+}
+
+#[test]
+fn renewal_closed_form_is_finite_wherever_the_engine_accepts() {
+    // Just inside `ensure_completes`' bound (success probability
+    // 128/MAX_ATTEMPTS at the settled speed, total hazard ≈ 11.27) the
+    // simulator still runs the config, so every closed form must be
+    // finite — silent-only and mixed, one and several verifications.
+    let m = hera_xscale_model();
+    let hazard = (f64::from(MAX_ATTEMPTS) / 128.0).ln() * (1.0 - 1e-9);
+    let (s1, s2, w) = (0.4, 1.0, 5000.0);
+    let v = m.costs.verification;
+    for fail_share in [0.0, 0.5] {
+        // λˢ·W/σ₂ + λᶠ·(W+V)/σ₂ = hazard.
+        let lambda = hazard * s2 / (w + fail_share * v);
+        let rates = ErrorRates::new(lambda * (1.0 - fail_share), lambda * fail_share).unwrap();
+        let mm = MixedModel::new(rates, m.costs, m.power);
+        let cfg = SimConfig::from_mixed_model(&mm, w, s1, s2);
+        ensure_completes(&cfg, ErrorLaw::Exponential, None).unwrap();
+        let over = SimConfig {
+            w: w * 1.001,
+            ..cfg
+        };
+        assert!(ensure_completes(&over, ErrorLaw::Exponential, None).is_err());
+        for q in [1, 4] {
+            let r = renewal(&mm, w, q, s1, &[s2]);
+            assert!(
+                r.time.is_finite() && r.energy.is_finite() && r.executions.is_finite(),
+                "fail share {fail_share}, q = {q}: {r:?}"
+            );
+            assert!(r.executions > 1e4, "{r:?}");
+        }
+        let t = mm.expected_time(w, s1, s2);
+        let e = mm.expected_energy(w, s1, s2);
+        assert!(t.is_finite() && e.is_finite(), "{t} {e}");
     }
 }
