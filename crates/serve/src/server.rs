@@ -1,37 +1,36 @@
-//! The TCP daemon (diagram in DESIGN.md §12). The complete lines of one
-//! socket read form one batch: the connection's reader queues the batch
-//! as one `Job` for the worker pool and, in read order, hands the
-//! batch's reply receiver (its ticket) to the connection's writer. The
-//! writer waits on each ticket in turn, so responses leave in request
-//! order however the workers interleave batches — no sequence numbers,
-//! no reorder buffer.
+//! The TCP daemon (diagram in DESIGN.md §12). Each connection is served
+//! by `workers` threads that take turns rather than hand work to each
+//! other. A thread locks the connection's read side, reads once, takes
+//! the complete lines of that read as one batch with the next sequence
+//! number, and unlocks, so the next thread reads while this one answers.
+//! It then answers the batch and waits for its sequence number's turn
+//! to write, so responses leave in request order however the threads
+//! interleave: no queue, no reply channel, no writer thread.
 //!
-//! Backpressure is counted in batches (`QUEUE_BATCHES`). A line longer
-//! than `MAX_LINE` gets a `bad_request` error and is skipped through
-//! its newline; the connection stays open.
+//! Backpressure: each thread holds at most one batch, so a connection
+//! has at most `workers` batches read and not yet written; past that
+//! nobody reads and TCP flow control pushes back. A line longer than
+//! `MAX_LINE` gets a `bad_request` error and is skipped through its
+//! newline; the connection stays open.
 //!
 //! Graceful shutdown ([`Server::shutdown`], or SIGTERM/ctrl-c in the
 //! binary): the accept loop closes the listener (new connections are
-//! refused), readers keep draining already-open connections until EOF
-//! or the drain deadline, workers finish the queue, writers flush every
-//! response, and [`Server::join`] finally writes the Prometheus metrics
-//! file. Every request read off a socket gets a response.
+//! refused), connection threads keep draining already-open connections
+//! until EOF or the drain deadline and write every response, and
+//! [`Server::join`] finally writes the Prometheus metrics file. Every
+//! request read off a socket gets a response.
 
 use crate::service::{PlanService, Query, ServiceConfig};
 use crate::wire;
 use rexec_obs::{counter, gauge, sketch, RollingWindow};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
-
-/// Batches waiting for a worker before readers block, and batches one
-/// connection may have unwritten before its reader blocks.
-const QUEUE_BATCHES: usize = 64;
 
 /// Longest accepted request line in bytes, newline excluded.
 const MAX_LINE: usize = 64 * 1024;
@@ -44,7 +43,8 @@ const READ_BUF: usize = 64 * 1024;
 pub struct ServeOptions {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Batch worker threads.
+    /// Threads per connection; each reads, answers and writes its own
+    /// batches, taking turns with the others.
     pub workers: usize,
     /// How long shutdown waits for open connections to reach EOF
     /// before abandoning their sockets.
@@ -82,19 +82,6 @@ pub struct ServeReport {
     pub cache: crate::cache::CacheStats,
 }
 
-/// A batch's rendered response lines and how many there are.
-type Reply = (String, u64);
-
-/// One queued batch: the complete lines of one socket read.
-struct Job {
-    lines: String,
-    reply: SyncSender<Reply>,
-}
-
-/// The writer's handle on one batch: when it was read, and where its
-/// reply will arrive.
-type Ticket = (Instant, Receiver<Reply>);
-
 struct Inner {
     service: PlanService,
     opts: ServeOptions,
@@ -106,7 +93,6 @@ struct Inner {
     requests: AtomicU64,
     responses: AtomicU64,
     errors: AtomicU64,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Inner {
@@ -123,14 +109,12 @@ pub struct Server {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
     accept: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and spawns the accept loop and worker pool.
+    /// Binds the listener and spawns the accept loop.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             service: PlanService::new(opts.service.clone()),
@@ -141,34 +125,18 @@ impl Server {
             requests: AtomicU64::new(0),
             responses: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            conn_threads: Mutex::new(Vec::new()),
             opts,
         });
-
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(QUEUE_BATCHES);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let workers = (0..inner.opts.workers.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let rx = Arc::clone(&job_rx);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, &rx))
-                    .expect("spawn worker")
-            })
-            .collect();
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("serve-accept".into())
-                .spawn(move || accept_loop(&inner, listener, job_tx))
-                .expect("spawn accept loop")
+                .spawn(move || accept_loop(&inner, listener))?
         };
         Ok(Server {
             inner,
             local_addr,
             accept,
-            workers,
         })
     }
 
@@ -180,21 +148,28 @@ impl Server {
     /// Requests shutdown: stop accepting, drain in-flight work.
     /// Idempotent; returns immediately — follow with [`Server::join`].
     pub fn shutdown(&self) {
-        self.inner.stop_at.get_or_init(Instant::now);
+        if self.inner.stop_at.set(Instant::now()).is_err() {
+            return;
+        }
+        // Wake the accept loop, blocked in `accept`, with a connection
+        // of its own; it sees `stop_at` and closes the listener.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        TcpStream::connect_timeout(&wake, Duration::from_secs(1)).ok();
     }
 
     /// Waits for the drain to complete (bounded by `drain_secs` past
     /// the shutdown request), flushes metrics, and reports tallies.
     pub fn join(self) -> ServeReport {
-        self.accept.join().expect("accept loop panicked");
-        // The accept loop has exited, so conn_threads is complete.
-        let conns = std::mem::take(&mut *self.inner.conn_threads.lock().expect("threads"));
-        for handle in conns {
-            handle.join().expect("connection thread panicked");
-        }
-        for worker in self.workers {
-            worker.join().expect("worker panicked");
-        }
+        // The accept loop returns once every connection has drained.
+        self.accept
+            .join()
+            .expect("accept loop or a connection thread panicked");
         publish_metrics(&self.inner);
         if let Some(path) = &self.inner.opts.metrics_prom {
             let text = rexec_obs::prometheus_text(rexec_obs::global());
@@ -212,204 +187,265 @@ impl Server {
     }
 }
 
-fn accept_loop(inner: &Arc<Inner>, listener: TcpListener, job_tx: SyncSender<Job>) {
-    while inner.stop_at.get().is_none() {
-        match listener.accept() {
+/// Accepts until shutdown and serves each connection on `workers`
+/// scoped threads. A scoped thread's stack is released when it exits,
+/// not held until shutdown, and the scope returns only once every
+/// connection has drained.
+fn accept_loop(inner: &Inner, listener: TcpListener) {
+    std::thread::scope(|scope| loop {
+        let accepted = listener.accept();
+        if inner.stop_at.get().is_some() {
+            // The shutdown wake-up, or a client that came too late.
+            // Closing the listener refuses new connections while the
+            // open ones drain.
+            drop(listener);
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 inner.connections.fetch_add(1, Ordering::Relaxed);
                 counter!("serve.connections").incr();
-                spawn_connection(inner, stream, job_tx.clone());
+                spawn_connection(scope, inner, stream);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
-            }
+            // Out of file descriptors, say: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
-    }
-    // Dropping the listener here closes the socket: new connections are
-    // refused while existing ones drain. Dropping job_tx lets workers
-    // exit once every reader is done.
+    })
 }
 
-fn spawn_connection(inner: &Arc<Inner>, stream: TcpStream, job_tx: SyncSender<Job>) {
+/// Starts `workers` threads on one connection. A thread that cannot be
+/// spawned is counted; a connection that got none is closed when `conn`
+/// drops here.
+fn spawn_connection<'s>(scope: &'s Scope<'s, '_>, inner: &'s Inner, stream: TcpStream) {
     stream.set_nodelay(true).ok();
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return, // connection already dead
-    };
-    let (ticket_tx, ticket_rx) = mpsc::sync_channel::<Ticket>(QUEUE_BATCHES);
-    let reader = {
-        let inner = Arc::clone(inner);
-        std::thread::Builder::new()
-            .name("serve-conn-reader".into())
-            .spawn(move || reader_loop(&inner, stream, &job_tx, &ticket_tx))
-            .expect("spawn reader")
-    };
-    let writer = {
-        let inner = Arc::clone(inner);
-        std::thread::Builder::new()
-            .name("serve-conn-writer".into())
-            .spawn(move || writer_loop(&inner, write_half, ticket_rx))
-            .expect("spawn writer")
-    };
-    let mut threads = inner.conn_threads.lock().expect("threads");
-    threads.push(reader);
-    threads.push(writer);
-}
-
-/// Queues `lines` as one job and hands its ticket to the writer.
-/// False once the writer or the workers are gone.
-fn send_batch(
-    job_tx: &SyncSender<Job>,
-    tickets: &SyncSender<Ticket>,
-    lines: Vec<u8>,
-    t: Instant,
-) -> bool {
-    let lines = String::from_utf8(lines)
-        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-    let (reply, ticket) = mpsc::sync_channel(1);
-    tickets.send((t, ticket)).is_ok() && job_tx.send(Job { lines, reply }).is_ok()
-}
-
-/// Answers an over-long line with a ticket that is already answered.
-fn send_too_long(inner: &Inner, tickets: &SyncSender<Ticket>, t: Instant) -> bool {
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    inner.errors.fetch_add(1, Ordering::Relaxed);
-    counter!("serve.requests").incr();
-    counter!("serve.wire_errors").incr();
-    let err = wire::WireError {
-        kind: wire::kind::BAD_REQUEST,
-        msg: format!("request line longer than {MAX_LINE} bytes"),
-    };
-    let mut text = String::new();
-    wire::render_error(&mut text, None, &err);
-    text.push('\n');
-    let (reply, ticket) = mpsc::sync_channel(1);
-    reply.send((text, 1)).ok();
-    tickets.send((t, ticket)).is_ok()
-}
-
-/// Reads until EOF (or the drain deadline after shutdown) and sends the
-/// complete lines of each read as one batch. Dropping `tickets` at exit
-/// is what lets the writer finish.
-fn reader_loop(
-    inner: &Arc<Inner>,
-    mut stream: TcpStream,
-    job_tx: &SyncSender<Job>,
-    tickets: &SyncSender<Ticket>,
-) {
+    // Wake every 10 ms while idle to check the drain deadline.
     stream
         .set_read_timeout(Some(Duration::from_millis(10)))
         .ok();
-    let mut buf = vec![0u8; READ_BUF];
-    // The unterminated tail of the last read, and whether it belongs to
-    // an over-long line being skipped.
-    let mut line: Vec<u8> = Vec::new();
-    let mut skipping = false;
-    loop {
-        if inner.drain_expired() {
-            break; // shutdown drain expired; abandon the socket
+    let conn = Arc::new(Conn {
+        stream,
+        read: Mutex::new(ReadSide {
+            buf: vec![0; READ_BUF],
+            ..ReadSide::default()
+        }),
+        turn: Mutex::new(0),
+        turn_passed: Condvar::new(),
+    });
+    for _ in 0..inner.opts.workers.max(1) {
+        let conn = Arc::clone(&conn);
+        let spawned = std::thread::Builder::new()
+            .name("serve-conn".into())
+            .spawn_scoped(scope, move || serve_conn(inner, &conn));
+        if spawned.is_err() {
+            counter!("serve.spawn_failures").incr();
         }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => break, // EOF: client is done sending
-            Ok(n) => n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break, // reset / broken pipe: nothing left to read
-        };
-        let t = Instant::now();
-        let mut batch = Vec::new();
-        for piece in buf[..n].split_inclusive(|&b| b == b'\n') {
-            let complete = piece.ends_with(b"\n");
-            if skipping {
-                skipping = !complete;
-            } else if line.len() + piece.len() - usize::from(complete) > MAX_LINE {
-                let ok = (batch.is_empty() || send_batch(job_tx, tickets, batch, t))
-                    && send_too_long(inner, tickets, t);
-                if !ok {
-                    return;
-                }
-                batch = Vec::new();
-                line.clear();
-                skipping = !complete;
-            } else if complete {
-                batch.append(&mut line);
-                batch.extend_from_slice(piece);
+    }
+}
+
+/// What one socket read leaves for the next. Whoever holds it is the
+/// connection's one reader.
+#[derive(Default)]
+struct ReadSide {
+    buf: Vec<u8>,
+    /// The unterminated tail of the last read, and whether it belongs to
+    /// an over-long line being skipped.
+    line: Vec<u8>,
+    skipping: bool,
+    /// Sequence number of the next batch.
+    next_seq: u64,
+}
+
+/// One connection, shared by its threads.
+struct Conn {
+    stream: TcpStream,
+    read: Mutex<ReadSide>,
+    /// Sequence number of the batch whose turn it is to write. A plain
+    /// counter is valid at every step, so a poisoned lock is recovered.
+    turn: Mutex<u64>,
+    turn_passed: Condvar,
+}
+
+/// The complete lines of one socket read, in order: runs of lines, and
+/// `None` for each over-long line skipped among them.
+type Pieces = Vec<Option<String>>;
+
+impl Conn {
+    /// Reads until one read yields a complete line (or EOF leaves a
+    /// final unterminated one, which still counts as a request) and
+    /// returns those lines as the next batch, with its sequence number
+    /// and the time of the read. `None` once there is
+    /// nothing more to read: EOF, a socket error or the drain deadline.
+    fn read_batch(&self, inner: &Inner) -> Option<(u64, Instant, Pieces)> {
+        let mut side = self.read.lock().expect("read side poisoned");
+        let side = &mut *side;
+        let mut pieces = Vec::new();
+        loop {
+            // After EOF or a reset, every read yields 0 again at once.
+            let n = if inner.drain_expired() {
+                0 // abandon the socket
             } else {
-                line.extend_from_slice(piece);
+                match (&self.stream).read(&mut side.buf) {
+                    Ok(n) => n,
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        continue
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => 0, // reset / broken pipe: nothing left to read
+                }
+            };
+            let read_at = Instant::now();
+            if n == 0 && !side.line.is_empty() {
+                pieces.push(Some(utf8(std::mem::take(&mut side.line))));
+            }
+            let mut run = Vec::new();
+            for piece in side.buf[..n].split_inclusive(|&b| b == b'\n') {
+                let complete = piece.ends_with(b"\n");
+                if side.skipping {
+                    side.skipping = !complete;
+                } else if side.line.len() + piece.len() - usize::from(complete) > MAX_LINE {
+                    if !run.is_empty() {
+                        pieces.push(Some(utf8(std::mem::take(&mut run))));
+                    }
+                    pieces.push(None);
+                    side.line.clear();
+                    side.skipping = !complete;
+                } else if complete {
+                    run.append(&mut side.line);
+                    run.extend_from_slice(piece);
+                } else {
+                    side.line.extend_from_slice(piece);
+                }
+            }
+            if !run.is_empty() {
+                pieces.push(Some(utf8(run)));
+            }
+            if !pieces.is_empty() {
+                side.next_seq += 1;
+                return Some((side.next_seq - 1, read_at, pieces));
+            } else if n == 0 {
+                return None;
             }
         }
-        if !batch.is_empty() && !send_batch(job_tx, tickets, batch, t) {
-            return;
-        }
     }
-    // A final unterminated line still counts as a request.
-    if !line.is_empty() {
-        send_batch(job_tx, tickets, line, Instant::now());
+
+    /// Waits for batch `seq`'s turn, runs `write` while holding it, and
+    /// passes the turn to `seq + 1`.
+    fn in_turn<T>(&self, seq: u64, write: impl FnOnce() -> T) -> T {
+        let mut turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        while *turn != seq {
+            turn = self
+                .turn_passed
+                .wait(turn)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let out = write();
+        *turn += 1;
+        drop(turn);
+        self.turn_passed.notify_all();
+        out
     }
 }
 
-/// Takes the tickets in read order and writes each batch's bytes as
-/// they arrive; the request latency it records spans read to write.
-fn writer_loop(inner: &Arc<Inner>, mut stream: TcpStream, tickets: Receiver<Ticket>) {
-    for (t, ticket) in tickets {
-        let Ok((text, n)) = ticket.recv() else {
-            continue; // the job never reached a worker
-        };
-        if stream.write_all(text.as_bytes()).is_err() {
-            break;
-        }
-        inner.responses.fetch_add(n, Ordering::Relaxed);
-        counter!("serve.responses").add(n);
-        let (now, latency) = (
-            inner.started.elapsed().as_secs_f64(),
-            t.elapsed().as_secs_f64(),
-        );
-        inner.latency.record_n_at(now, latency, n);
-    }
-    stream.shutdown(std::net::Shutdown::Both).ok();
+/// Request text with any invalid UTF-8 replaced, so a bad byte costs
+/// its own line a parse error and nothing more.
+fn utf8(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
-/// Answers one job at a time, each with one `plan_batch` sweep.
-fn worker_loop(inner: &Arc<Inner>, rx: &Mutex<Receiver<Job>>) {
-    let mut queries: Vec<Query> = Vec::new();
-    let mut answers = Vec::new();
-    loop {
-        let job = rx.lock().expect("job queue poisoned").recv();
-        let Ok(job) = job else {
-            break; // every reader is done and the queue is empty
-        };
-        let reply = process_batch(inner, &job.lines, &mut queries, &mut answers);
-        job.reply.send(reply).ok();
+/// Runs `answer` for batch `seq`. If it panics, the batch's answers
+/// are lost: close the connection (its client would wait for them
+/// forever), pass the turn on so the connection's other threads finish
+/// instead of waiting for it, and go on panicking.
+fn answer_or_pass<T>(conn: &Conn, seq: u64, answer: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(AssertUnwindSafe(answer)).unwrap_or_else(|panic| {
+        conn.stream.shutdown(Shutdown::Both).ok();
+        conn.in_turn(seq, || ());
+        std::panic::resume_unwind(panic)
+    })
+}
+
+/// One of a connection's threads: reads a batch, answers it, writes it
+/// in turn, and goes back for the next, until the read side is done.
+fn serve_conn(inner: &Inner, conn: &Conn) {
+    let (mut queries, mut answers) = (Vec::new(), Vec::new());
+    while let Some((seq, read, pieces)) = conn.read_batch(inner) {
+        let (text, n) = answer_or_pass(conn, seq, || {
+            process_batch(inner, &pieces, &mut queries, &mut answers)
+        });
+        let rendered = Instant::now();
+        let stamps = conn.in_turn(seq, || {
+            let turn = Instant::now();
+            let ok = (&conn.stream).write_all(text.as_bytes()).is_ok();
+            ok.then(|| [read, rendered, turn, Instant::now()])
+        });
+        match stamps {
+            Some(stamps) => record_batch(inner, stamps, n),
+            // Stop reading for a client that no longer reads.
+            None => _ = conn.stream.shutdown(Shutdown::Both),
+        }
     }
+}
+
+/// A batch's `[answer, turn, write]` stages from its `[read, rendered,
+/// turn, written]` instants. `Duration` arithmetic is exact, so the
+/// three sum to `written − read`.
+fn stages(t: [Instant; 4]) -> [Duration; 3] {
+    [t[1] - t[0], t[2] - t[1], t[3] - t[2]]
+}
+
+/// Counts a written batch's `n` responses and records, once per
+/// response so their medians compare, its three stages
+/// (`serve.stage.*_seconds`) and their sum, the request latency from
+/// socket read to the end of the socket write (`serve.latency`).
+fn record_batch(inner: &Inner, stamps: [Instant; 4], n: u64) {
+    inner.responses.fetch_add(n, Ordering::Relaxed);
+    counter!("serve.responses").add(n);
+    let [answer, turn, write] = stages(stamps);
+    sketch!("serve.stage.answer_seconds").record_n(answer.as_secs_f64(), n);
+    sketch!("serve.stage.turn_seconds").record_n(turn.as_secs_f64(), n);
+    sketch!("serve.stage.write_seconds").record_n(write.as_secs_f64(), n);
+    let now = inner.started.elapsed().as_secs_f64();
+    inner
+        .latency
+        .record_n_at(now, (answer + turn + write).as_secs_f64(), n);
 }
 
 /// Parses, resolves, plans and renders the request lines of one batch.
 /// Blank lines are keep-alives, not requests.
 fn process_batch(
     inner: &Inner,
-    lines: &str,
+    pieces: &[Option<String>],
     queries: &mut Vec<Query>,
     answers: &mut Vec<crate::service::PlanAnswer>,
-) -> Reply {
+) -> (String, u64) {
     // Parse and resolve every line; valid ones join the solve batch.
     queries.clear();
     let mut parsed: Vec<(Option<u64>, Result<usize, wire::WireError>)> = Vec::new();
-    let requests = lines
-        .split('\n')
-        .map(|l| l.trim_end_matches('\r'))
-        .filter(|l| !l.trim().is_empty());
-    for line in requests {
-        let (id, result) = wire::parse_request(line);
-        match result {
-            Ok(spec) => match inner.service.resolve(&spec) {
-                Ok(query) => {
-                    parsed.push((id, Ok(queries.len())));
-                    queries.push(query);
-                }
-                Err(e) => parsed.push((id, Err(wire::wire_error_from_spec(&e)))),
-            },
-            Err(e) => parsed.push((id, Err(e))),
+    for piece in pieces {
+        let Some(lines) = piece else {
+            let err = wire::WireError {
+                kind: wire::kind::BAD_REQUEST,
+                msg: format!("request line longer than {MAX_LINE} bytes"),
+            };
+            parsed.push((None, Err(err)));
+            continue;
+        };
+        let requests = lines
+            .split('\n')
+            .map(|l| l.trim_end_matches('\r'))
+            .filter(|l| !l.trim().is_empty());
+        for line in requests {
+            let (id, result) = wire::parse_request(line);
+            match result {
+                Ok(spec) => match inner.service.resolve(&spec) {
+                    Ok(query) => {
+                        parsed.push((id, Ok(queries.len())));
+                        queries.push(query);
+                    }
+                    Err(e) => parsed.push((id, Err(wire::wire_error_from_spec(&e)))),
+                },
+                Err(e) => parsed.push((id, Err(e))),
+            }
         }
     }
     let n = parsed.len() as u64;
@@ -481,5 +517,128 @@ pub mod signals {
     /// Whether a termination signal has arrived.
     pub fn stop_requested() -> bool {
         STOP.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn start(addr: &str, workers: usize) -> Server {
+        Server::start(ServeOptions {
+            addr: addr.into(),
+            workers,
+            ..ServeOptions::default()
+        })
+        .expect("bind ephemeral port")
+    }
+
+    #[test]
+    fn the_stages_of_a_batch_sum_exactly_to_its_recorded_latency() {
+        let server = start("127.0.0.1:0", 1);
+        let read = Instant::now();
+        let ns = Duration::from_nanos;
+        let stamps = [
+            read,
+            read + ns(1_234_567),
+            read + ns(2_222_221),
+            read + ns(7_777_777_777),
+        ];
+        record_batch(&server.inner, stamps, 3);
+        let latency = stamps[3] - stamps[0];
+        assert_eq!(stages(stamps).iter().sum::<Duration>(), latency);
+        let window = server
+            .inner
+            .latency
+            .stats_at(server.inner.started.elapsed().as_secs_f64());
+        let latency = latency.as_secs_f64();
+        assert_eq!(window.count, 3);
+        assert_eq!((window.min, window.max), (Some(latency), Some(latency)));
+        server.shutdown();
+        assert_eq!(server.join().responses, 3);
+    }
+
+    /// One request over a fresh connection, read to EOF.
+    fn one_request(server: &Server, id: usize) {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        writeln!(
+            stream,
+            "{{\"id\":{id},\"platform\":\"hera\",\"processor\":\"xscale\",\"rho\":3}}"
+        )
+        .expect("send");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read to EOF");
+        assert!(
+            response.starts_with(&format!("{{\"id\":{id},")),
+            "{response}"
+        );
+    }
+
+    /// Mappings in this process's address space.
+    #[cfg(target_os = "linux")]
+    fn mappings() -> usize {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("read maps");
+        maps.lines().count()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn exited_connection_threads_release_their_stacks() {
+        let server = start("127.0.0.1:0", 2);
+        // Let the allocator set up its per-thread arenas first.
+        (0..20).for_each(|id| one_request(&server, id));
+        let before = mappings();
+        (20..220).for_each(|id| one_request(&server, id));
+        // A thread that exits unjoined and undetached keeps its stack
+        // and guard page mapped: 400 threads would add 800 mappings.
+        let grown = mappings().saturating_sub(before);
+        assert!(grown < 200, "{grown} more mappings after 200 connections");
+        server.shutdown();
+        assert_eq!(server.join().connections, 220);
+    }
+
+    #[test]
+    fn a_panic_while_answering_passes_the_turn_and_closes_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let conn = Conn {
+            stream: listener.accept().expect("accept").0,
+            read: Mutex::default(),
+            turn: Mutex::new(0),
+            turn_passed: Condvar::new(),
+        };
+        let gate = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let panicked = scope.spawn(|| {
+                answer_or_pass(&conn, 0, || {
+                    gate.wait();
+                    panic!("answering batch 0 failed")
+                })
+            });
+            let next = scope.spawn(|| {
+                gate.wait();
+                conn.in_turn(1, || (&conn.stream).write_all(b"answer to batch 1\n"))
+            });
+            assert!(panicked.join().is_err());
+            // Batch 1 gets its turn although batch 0 was never written,
+            // and finds the connection closed.
+            assert!(next.join().expect("no panic").is_err());
+        });
+        let mut rest = Vec::new();
+        client.read_to_end(&mut rest).expect("read to EOF");
+        assert!(rest.is_empty(), "nothing after a lost batch");
+    }
+
+    #[test]
+    fn shutdown_wakes_an_accept_loop_bound_to_every_interface() {
+        let server = start("0.0.0.0:0", 2);
+        let port = server.local_addr().port();
+        server.shutdown();
+        server.shutdown();
+        // The wake-up connection is not a client.
+        assert_eq!(server.join().connections, 0);
+        assert!(TcpStream::connect(("127.0.0.1", port)).is_err());
     }
 }
