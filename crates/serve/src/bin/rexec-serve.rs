@@ -15,7 +15,8 @@ USAGE:
 
 OPTIONS:
   --addr A            bind address (default 127.0.0.1:7464; port 0 = ephemeral)
-  --workers N         batch worker threads (default 2)
+  --workers N         threads per connection; each reads, answers and
+                      writes its own batches in turn (default 2)
   --cache-capacity N  plan-cache capacity in plans, 0 disables (default 65536)
   --drain-secs S      shutdown drain deadline (default 5)
   --metrics-prom PATH write Prometheus metrics exposition on shutdown

@@ -19,10 +19,11 @@
 //!   table per platform) and the batched `solve_many_into` path.
 //! - [`wire`]: the NDJSON protocol with typed `{"err": ...}` responses
 //!   that reuse the CLI's domain validator ([`rexec_cli::spec`]).
-//! - [`server`]: the daemon — accept loop, one batch per socket read
-//!   through a bounded queue to a worker pool, per-connection writers
-//!   that keep request order by waiting on each batch's ticket in turn,
-//!   graceful drain on shutdown, rexec-obs metrics throughout.
+//! - [`server`]: the daemon — accept loop, one batch per socket read,
+//!   `--workers` threads per connection that take turns: each reads a
+//!   batch, answers it and writes it when its sequence number comes up,
+//!   so request order holds with no hand-off between threads; graceful
+//!   drain on shutdown, rexec-obs metrics throughout.
 //!
 //! Binary: `rexec-serve` (the daemon). Its end-to-end benchmark is
 //! `perfbench/` at the repository root.
