@@ -196,8 +196,8 @@ fn response_stream_is_byte_identical_across_server_shapes() {
     );
 
     // Four connections sending the stream at once: batches from
-    // different connections interleave in the queue and the workers,
-    // yet each connection receives exactly the reference bytes.
+    // different connections are answered side by side on their own
+    // threads, yet each connection receives exactly the reference bytes.
     let server = start(2, 65536);
     let gate = Barrier::new(4);
     std::thread::scope(|scope| {
