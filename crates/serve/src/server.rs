@@ -267,7 +267,7 @@ struct Conn {
 
 /// The complete lines of one socket read, in order: runs of lines, and
 /// `None` for each over-long line skipped among them.
-type Pieces = Vec<Option<String>>;
+type Pieces = Vec<Option<Vec<u8>>>;
 
 impl Conn {
     /// Reads until one read yields a complete line (or EOF leaves a
@@ -280,7 +280,8 @@ impl Conn {
         let side = &mut *side;
         let mut pieces = Vec::new();
         loop {
-            // After EOF or a reset, every read yields 0 again at once.
+            // After EOF, a reset or the deadline, every later read also
+            // ends at once, so each thread leaves through `n == 0`.
             let n = if inner.drain_expired() {
                 0 // abandon the socket
             } else {
@@ -295,7 +296,7 @@ impl Conn {
             };
             let read_at = Instant::now();
             if n == 0 && !side.line.is_empty() {
-                pieces.push(Some(utf8(std::mem::take(&mut side.line))));
+                pieces.push(Some(std::mem::take(&mut side.line)));
             }
             let mut run = Vec::new();
             for piece in side.buf[..n].split_inclusive(|&b| b == b'\n') {
@@ -304,7 +305,7 @@ impl Conn {
                     side.skipping = !complete;
                 } else if side.line.len() + piece.len() - usize::from(complete) > MAX_LINE {
                     if !run.is_empty() {
-                        pieces.push(Some(utf8(std::mem::take(&mut run))));
+                        pieces.push(Some(std::mem::take(&mut run)));
                     }
                     pieces.push(None);
                     side.line.clear();
@@ -317,7 +318,7 @@ impl Conn {
                 }
             }
             if !run.is_empty() {
-                pieces.push(Some(utf8(run)));
+                pieces.push(Some(run));
             }
             if !pieces.is_empty() {
                 side.next_seq += 1;
@@ -344,12 +345,6 @@ impl Conn {
         self.turn_passed.notify_all();
         out
     }
-}
-
-/// Request text with any invalid UTF-8 replaced, so a bad byte costs
-/// its own line a parse error and nothing more.
-fn utf8(bytes: Vec<u8>) -> String {
-    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Runs `answer` for batch `seq`. If it panics, the batch's answers
@@ -414,7 +409,7 @@ fn record_batch(inner: &Inner, stamps: [Instant; 4], n: u64) {
 /// Blank lines are keep-alives, not requests.
 fn process_batch(
     inner: &Inner,
-    pieces: &[Option<String>],
+    pieces: &[Option<Vec<u8>>],
     queries: &mut Vec<Query>,
     answers: &mut Vec<crate::service::PlanAnswer>,
 ) -> (String, u64) {
@@ -430,6 +425,9 @@ fn process_batch(
             parsed.push((None, Err(err)));
             continue;
         };
+        // Invalid UTF-8 is replaced, so a bad byte costs its own line a
+        // parse error and nothing more.
+        let lines = String::from_utf8_lossy(lines);
         let requests = lines
             .split('\n')
             .map(|l| l.trim_end_matches('\r'))

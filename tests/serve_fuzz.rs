@@ -290,7 +290,7 @@ fn a_client_keeps_its_connection_through_every_kind_of_bad_line() {
         b"\xc3\x28 {\xe2\x82".to_vec(),
         b"{\"id\":2,\"bogus\":1}\r".to_vec(),
         nested(3, 129),
-        nested(4, 60_000),
+        nested(4, 30_000),
         vec![b'x'; MAX_LINE + 1],
         vec![b'y'; 3 * MAX_LINE],
     ];
