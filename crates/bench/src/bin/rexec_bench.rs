@@ -46,7 +46,9 @@
 //! * **wire** — `wire_parse`: `parse_request` alone over hot (named
 //!   paper table) and cold (explicit K = 20 table) request lines,
 //!   reported as lines/sec with each shape's rate as an extra; the
-//!   serve stages above never parse a line;
+//!   serve stages above never parse a line; `wire_render`:
+//!   `render_answer` alone over the answers to the same two shapes,
+//!   reported as answers/sec with each shape's rate as an extra;
 //! * **obs** — `obs_overhead`: the `sim_fastpath` workload with span
 //!   timing *and* the span timeline fully enabled vs fully disabled;
 //!   its `overhead_pct` extra records the observability tax on the
@@ -70,6 +72,12 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+/// `compare`'s default noise band: a regression must exceed this many
+/// IQRs ...
+const IQR_BAND: f64 = 3.0;
+/// ... and this percentage of the baseline median.
+const MIN_PCT: f64 = 5.0;
 
 /// One measured stage: robust wall-time summary plus throughput.
 struct StageResult {
@@ -122,6 +130,14 @@ impl StageResult {
         finite_ratio(self.items as f64, self.wall_secs)
     }
 
+    /// Minimum detectable effect: the smallest slowdown, in percent of
+    /// the median, that `compare` at its default band flags against a
+    /// run with this stage's spread.
+    fn mde_pct(&self) -> f64 {
+        let band = IQR_BAND * finite_ratio(self.q3_secs - self.q1_secs, self.wall_secs);
+        (band * 100.0).max(MIN_PCT)
+    }
+
     fn to_value(&self) -> Value {
         let mut m = BTreeMap::new();
         m.insert("stage".to_string(), self.stage.to_value());
@@ -133,6 +149,7 @@ impl StageResult {
             "wall_iqr_secs".to_string(),
             (self.q3_secs - self.q1_secs).to_value(),
         );
+        m.insert("mde_pct".to_string(), self.mde_pct().to_value());
         m.insert("repeats".to_string(), self.repeats.to_value());
         m.insert("items".to_string(), self.items.to_value());
         m.insert("unit".to_string(), self.unit.to_value());
@@ -650,6 +667,64 @@ fn wire_parse_stage(quick: bool, out: &mut Vec<StageResult>) {
     ));
 }
 
+/// Answer rendering (`wire_render`): `render_answer` over the answers
+/// to `wire_parse`'s hot and cold lines, planned once up front, the
+/// daemon's response layer on its own. `items` is every answer of one
+/// pass; the extras give each shape's answers/sec.
+fn wire_render_stage(quick: bool, out: &mut Vec<StageResult>) {
+    use rexec_serve::{PlanAnswer, PlanService, ServiceConfig};
+    let reps = if quick { 3 } else { 10 };
+    let (hot, cold) = if quick {
+        (20_000, 5_000)
+    } else {
+        (200_000, 50_000)
+    };
+    let (hot_lines, cold_lines) = wire_lines(hot, cold);
+    let service = PlanService::new(ServiceConfig::default());
+    let answer_all = |lines: &[String]| {
+        let (ids, queries): (Vec<_>, Vec<_>) = lines
+            .iter()
+            .map(|l| {
+                let (id, spec) = rexec_serve::parse_request(l);
+                let spec = spec.expect("bench lines parse");
+                (id, service.resolve(&spec).expect("bench lines resolve"))
+            })
+            .unzip();
+        let mut answers = Vec::new();
+        service.plan_batch(&queries, &mut answers);
+        ids.into_iter().zip(answers).collect::<Vec<_>>()
+    };
+    let (hot_answers, cold_answers) = (answer_all(&hot_lines), answer_all(&cold_lines));
+    let mut text = String::new();
+    let mut render_all = |answers: &[(Option<u64>, PlanAnswer)]| {
+        text.clear();
+        for (id, answer) in answers {
+            rexec_serve::render_answer(&mut text, *id, answer);
+            text.push('\n');
+        }
+        text.len()
+    };
+    let hot_secs = best_of(reps, || render_all(&hot_answers));
+    let cold_secs = best_of(reps, || render_all(&cold_answers));
+    let mut extra = BTreeMap::new();
+    extra.insert(
+        "hot_answers_per_sec".to_string(),
+        finite_ratio(hot as f64, hot_secs).to_value(),
+    );
+    extra.insert(
+        "cold_answers_per_sec".to_string(),
+        finite_ratio(cold as f64, cold_secs).to_value(),
+    );
+    out.push(StageResult::single(
+        "wire",
+        "wire_render",
+        hot_secs + cold_secs,
+        (hot + cold) as u64,
+        "answers",
+        extra,
+    ));
+}
+
 /// Observability self-overhead: the `sim_fastpath` workload with span
 /// timing *and* the span timeline enabled, against the same workload
 /// with both disabled. The hot loop batches its metrics into per-chunk
@@ -741,6 +816,7 @@ fn run_suite(quick: bool) -> Vec<StageResult> {
     sweep_stages(quick, &mut stages);
     serve_stages(quick, &mut stages);
     wire_parse_stage(quick, &mut stages);
+    wire_render_stage(quick, &mut stages);
     simulator_stage(quick, &mut stages);
     obs_overhead_stage(quick, &mut stages);
     model_check_stage(quick, &mut stages);
@@ -854,8 +930,8 @@ fn load_samples(path: &Path) -> Vec<StageSample> {
 /// `rexec-bench compare BASELINE CURRENT [--iqr-band K] [--min-pct P]`.
 fn run_compare(args: &[String]) -> ! {
     let mut paths: Vec<PathBuf> = vec![];
-    let mut iqr_band = 3.0;
-    let mut min_pct = 5.0;
+    let mut iqr_band = IQR_BAND;
+    let mut min_pct = MIN_PCT;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {

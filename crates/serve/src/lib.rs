@@ -18,7 +18,9 @@
 //! - [`service`]: the transport-free core — solver cache (one candidate
 //!   table per platform) and the batched `solve_many_into` path.
 //! - [`wire`]: the NDJSON protocol with typed `{"err": ...}` responses
-//!   that reuse the CLI's domain validator ([`rexec_cli::spec`]).
+//!   that reuse the CLI's domain validator ([`rexec_cli::spec`]);
+//!   answers are rendered by a private decimal writer that matches `{}`
+//!   byte for byte (shortest round-trip `f64` digits by Ryu).
 //! - [`server`]: the daemon — accept loop, one batch per socket read,
 //!   `--workers` threads per connection that take turns: each reads a
 //!   batch, answers it and writes it when its sequence number comes up,
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod decimal;
 pub mod quant;
 pub mod server;
 pub mod service;

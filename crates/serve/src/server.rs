@@ -28,7 +28,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, Tc
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
@@ -89,6 +89,10 @@ struct Inner {
     stop_at: OnceLock<Instant>,
     started: Instant,
     latency: RollingWindow,
+    /// The connections accepted so far, to wake at the drain deadline;
+    /// `closed` is signalled each time one of their threads exits.
+    open: Mutex<Vec<Weak<Conn>>>,
+    closed: Condvar,
     connections: AtomicU64,
     requests: AtomicU64,
     responses: AtomicU64,
@@ -96,10 +100,50 @@ struct Inner {
 }
 
 impl Inner {
+    /// When draining stops: `None` before shutdown, and for a drain
+    /// too long to represent. A negative or NaN `drain_secs` is zero.
+    fn drain_deadline(&self) -> Option<Instant> {
+        let drain = Duration::try_from_secs_f64(self.opts.drain_secs.max(0.0)).ok()?;
+        self.stop_at.get()?.checked_add(drain)
+    }
+
     fn drain_expired(&self) -> bool {
-        self.stop_at
-            .get()
-            .is_some_and(|at| at.elapsed() >= Duration::from_secs_f64(self.opts.drain_secs))
+        self.drain_deadline()
+            .is_some_and(|deadline| Instant::now() >= deadline)
+    }
+
+    /// The open-connection list, pruned of closed connections. Its
+    /// entries are plain weak pointers, valid at every step, so a
+    /// poisoned lock is recovered.
+    fn open_conns(&self) -> std::sync::MutexGuard<'_, Vec<Weak<Conn>>> {
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        open.retain(|c| c.strong_count() > 0);
+        open
+    }
+
+    /// After the accept loop stops: waits until every connection is
+    /// closed or the drain deadline passes, then shuts down the sockets
+    /// still open, which ends their threads' blocking reads and writes.
+    fn drain(&self) {
+        let open = self.open_conns();
+        let still_open = |open: &mut Vec<Weak<Conn>>| {
+            open.retain(|c| c.strong_count() > 0);
+            !open.is_empty()
+        };
+        let open = match self.drain_deadline() {
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let waited = self.closed.wait_timeout_while(open, left, still_open);
+                waited.unwrap_or_else(PoisonError::into_inner).0
+            }
+            None => self
+                .closed
+                .wait_while(open, still_open)
+                .unwrap_or_else(PoisonError::into_inner),
+        };
+        for conn in open.iter().filter_map(Weak::upgrade) {
+            conn.stream.shutdown(Shutdown::Both).ok();
+        }
     }
 }
 
@@ -121,6 +165,8 @@ impl Server {
             stop_at: OnceLock::new(),
             started: Instant::now(),
             latency: RollingWindow::new(8, 0.5),
+            open: Mutex::new(Vec::new()),
+            closed: Condvar::new(),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             responses: AtomicU64::new(0),
@@ -188,9 +234,9 @@ impl Server {
 }
 
 /// Accepts until shutdown and serves each connection on `workers`
-/// scoped threads. A scoped thread's stack is released when it exits,
-/// not held until shutdown, and the scope returns only once every
-/// connection has drained.
+/// scoped threads, then drains. A scoped thread's stack is released
+/// when it exits, not held until shutdown, and the scope returns only
+/// once every connection has drained.
 fn accept_loop(inner: &Inner, listener: TcpListener) {
     std::thread::scope(|scope| loop {
         let accepted = listener.accept();
@@ -199,6 +245,7 @@ fn accept_loop(inner: &Inner, listener: TcpListener) {
             // Closing the listener refuses new connections while the
             // open ones drain.
             drop(listener);
+            inner.drain();
             break;
         }
         match accepted {
@@ -215,13 +262,11 @@ fn accept_loop(inner: &Inner, listener: TcpListener) {
 
 /// Starts `workers` threads on one connection. A thread that cannot be
 /// spawned is counted; a connection that got none is closed when `conn`
-/// drops here.
+/// drops here. Reads block with no timeout: an idle connection costs
+/// no wake-ups, and [`Inner::drain`] shuts the socket down at the
+/// drain deadline.
 fn spawn_connection<'s>(scope: &'s Scope<'s, '_>, inner: &'s Inner, stream: TcpStream) {
     stream.set_nodelay(true).ok();
-    // Wake every 10 ms while idle to check the drain deadline.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .ok();
     let conn = Arc::new(Conn {
         stream,
         read: Mutex::new(ReadSide {
@@ -231,11 +276,19 @@ fn spawn_connection<'s>(scope: &'s Scope<'s, '_>, inner: &'s Inner, stream: TcpS
         turn: Mutex::new(0),
         turn_passed: Condvar::new(),
     });
+    inner.open_conns().push(Arc::downgrade(&conn));
     for _ in 0..inner.opts.workers.max(1) {
         let conn = Arc::clone(&conn);
         let spawned = std::thread::Builder::new()
             .name("serve-conn".into())
-            .spawn_scoped(scope, move || serve_conn(inner, &conn));
+            .spawn_scoped(scope, move || {
+                serve_conn(inner, &conn);
+                // Let go of the connection before telling the drain, so
+                // the last thread out leaves it closed.
+                drop(conn);
+                let _open = inner.open.lock().unwrap_or_else(PoisonError::into_inner);
+                inner.closed.notify_all();
+            });
         if spawned.is_err() {
             counter!("serve.spawn_failures").incr();
         }
@@ -287,9 +340,6 @@ impl Conn {
             } else {
                 match (&self.stream).read(&mut side.buf) {
                     Ok(n) => n,
-                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                        continue
-                    }
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => 0, // reset / broken pipe: nothing left to read
                 }
@@ -521,7 +571,15 @@ pub mod signals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
+    use std::io::{BufRead, BufReader};
+    use std::sync::{Barrier, MutexGuard};
+
+    /// Held by every test that opens connections, so that the one that
+    /// counts `serve-conn` threads sees its own threads only.
+    fn connections_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn start(addr: &str, workers: usize) -> Server {
         Server::start(ServeOptions {
@@ -584,6 +642,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn exited_connection_threads_release_their_stacks() {
+        let _connections = connections_lock();
         let server = start("127.0.0.1:0", 2);
         // Let the allocator set up its per-thread arenas first.
         (0..20).for_each(|id| one_request(&server, id));
@@ -595,6 +654,90 @@ mod tests {
         assert!(grown < 200, "{grown} more mappings after 200 connections");
         server.shutdown();
         assert_eq!(server.join().connections, 220);
+    }
+
+    /// Connects and waits for the answer to one request, so the
+    /// connection's threads are running.
+    fn connect_and_answer(server: &Server) -> TcpStream {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        writeln!(
+            stream,
+            "{{\"id\":1,\"platform\":\"hera\",\"processor\":\"xscale\",\"rho\":3}}"
+        )
+        .expect("send");
+        let mut response = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut response)
+            .expect("read response");
+        assert!(response.starts_with("{\"id\":1,"), "{response}");
+        stream
+    }
+
+    /// The `voluntary_ctxt_switches` of every `serve-conn` thread in
+    /// this process.
+    #[cfg(target_os = "linux")]
+    fn serve_conn_switches() -> Vec<u64> {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("list threads");
+        tasks
+            .filter_map(|task| {
+                let dir = task.ok()?.path();
+                let comm = std::fs::read_to_string(dir.join("comm")).ok()?;
+                if comm.trim_end() != "serve-conn" {
+                    return None;
+                }
+                let status = std::fs::read_to_string(dir.join("status")).ok()?;
+                status
+                    .lines()
+                    .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?
+                    .trim()
+                    .parse()
+                    .ok()
+            })
+            .collect()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_connection_threads_sleep_until_there_is_something_to_read() {
+        let _connections = connections_lock();
+        let server = start("127.0.0.1:0", 2);
+        let client = connect_and_answer(&server);
+        // Let the thread that wrote the answer queue up behind the reader.
+        std::thread::sleep(Duration::from_millis(50));
+        let before = serve_conn_switches();
+        std::thread::sleep(Duration::from_millis(300));
+        let after = serve_conn_switches();
+        assert_eq!(before.len(), 2, "one connection, two threads");
+        assert_eq!(after.len(), 2, "one connection, two threads");
+        for (b, a) in before.iter().zip(&after) {
+            assert!(a - b <= 2, "an idle thread woke {} times in 300 ms", a - b);
+        }
+        drop(client);
+        server.shutdown();
+        assert_eq!(server.join().responses, 1);
+    }
+
+    #[test]
+    fn an_idle_connection_keeps_join_waiting_only_until_the_drain_deadline() {
+        let _connections = connections_lock();
+        let server = Server::start(ServeOptions {
+            drain_secs: 0.2,
+            ..ServeOptions::default()
+        })
+        .expect("bind ephemeral port");
+        let mut client = connect_and_answer(&server);
+        let stopped = Instant::now();
+        server.shutdown();
+        assert_eq!(server.join().responses, 1);
+        let waited = stopped.elapsed();
+        assert!(
+            waited < Duration::from_millis(1200),
+            "join took {waited:?} with a 0.2 s drain"
+        );
+        // The daemon closed the socket it abandoned.
+        let mut rest = Vec::new();
+        client.read_to_end(&mut rest).expect("read to EOF");
+        assert!(rest.is_empty());
     }
 
     #[test]

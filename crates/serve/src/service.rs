@@ -218,50 +218,45 @@ impl PlanService {
     pub fn plan_batch(&self, queries: &[Query], out: &mut Vec<PlanAnswer>) {
         out.clear();
         out.reserve(queries.len());
-        // Pass 1: cache probes; misses keep their output slot pending.
-        let mut miss_idx: Vec<usize> = Vec::new();
+        // Pass 1: cache probes. A miss joins its table's group (tables
+        // in first-seen order) and its slot gets the table's digest now
+        // and its plan in pass 2.
+        let mut groups: Vec<(Arc<SolverEntry>, Vec<usize>)> = Vec::new();
         for (i, q) in queries.iter().enumerate() {
             let hit = self
                 .cache
                 .as_ref()
                 .and_then(|c| c.get(&q.table, q.table_hash, q.rho));
-            match hit {
-                Some(plan) => {
-                    counter!("serve.cache.hits").incr();
-                    out.push(Self::answer_from(plan, q.rho));
-                }
+            if let Some(plan) = hit {
+                counter!("serve.cache.hits").incr();
+                out.push(Self::answer_from(plan, q.rho));
+                continue;
+            }
+            if self.cache.is_some() {
+                counter!("serve.cache.misses").incr();
+            }
+            let group = match groups.iter().position(|(e, _)| e.hash == q.table_hash) {
+                Some(g) => g,
                 None => {
-                    if self.cache.is_some() {
-                        counter!("serve.cache.misses").incr();
-                    }
-                    miss_idx.push(i);
-                    out.push(PlanAnswer {
-                        digest: Arc::from(""),
-                        rho: q.rho,
-                        solution: None,
-                        min_rho: None,
-                    });
+                    groups.push((self.solver_entry(&q.table, q.table_hash), Vec::new()));
+                    groups.len() - 1
                 }
-            }
+            };
+            let (entry, members) = &mut groups[group];
+            members.push(i);
+            out.push(PlanAnswer {
+                digest: Arc::clone(&entry.digest),
+                rho: q.rho,
+                solution: None,
+                min_rho: None,
+            });
         }
-        if miss_idx.is_empty() {
-            return;
-        }
-        // Pass 2: group misses by table (first-seen order), dedup ρ
-        // within each group, and solve each group in one batched sweep.
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for &i in &miss_idx {
-            let h = queries[i].table_hash;
-            match groups.iter_mut().find(|(gh, _)| *gh == h) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((h, vec![i])),
-            }
-        }
+        // Pass 2: dedup ρ within each group and solve each group in one
+        // batched sweep.
         let mut rhos: Vec<f64> = Vec::new();
         let mut slot_of: Vec<usize> = Vec::new(); // per member: index into rhos
         let mut solutions: Vec<Option<BiCritSolution>> = Vec::new();
-        for (hash, members) in &groups {
-            let entry = self.solver_entry(&queries[members[0]].table, *hash);
+        for (entry, members) in &groups {
             rhos.clear();
             slot_of.clear();
             for &i in members {
@@ -278,20 +273,22 @@ impl PlanService {
             entry.solver.solve_many_into(&rhos, &mut solutions);
             for (m, &i) in members.iter().enumerate() {
                 let solution = solutions[slot_of[m]];
-                let plan = CachedPlan {
-                    digest: Arc::clone(&entry.digest),
-                    solution,
-                    min_rho: solution.is_none().then(|| entry.min_rho()),
-                };
+                let min_rho = solution.is_none().then(|| entry.min_rho());
+                out[i].solution = solution;
+                out[i].min_rho = min_rho;
                 if let Some(cache) = &self.cache {
+                    let plan = CachedPlan {
+                        digest: Arc::clone(&entry.digest),
+                        solution,
+                        min_rho,
+                    };
                     cache.insert(
                         &queries[i].table,
                         queries[i].table_hash,
                         queries[i].rho,
-                        plan.clone(),
+                        plan,
                     );
                 }
-                out[i] = Self::answer_from(plan, queries[i].rho);
             }
         }
     }

@@ -29,17 +29,20 @@
 //! the workspace. `tests/wire_differential.rs` holds all of this against
 //! the value-tree parser this one replaced.
 //!
-//! Responses are rendered with Rust's shortest-roundtrip float
-//! formatting and a fixed field order, so a response is a deterministic
-//! byte string of the (quantized) answer — the property the
-//! determinism test pins across batch shapes, worker counts and cache
-//! states.
+//! Responses are rendered in a fixed field order, without `core::fmt`:
+//! numbers go through the crate's own decimal writer, whose `f64` text
+//! is the shortest round-trip digits laid out byte for byte as `{}`
+//! lays them out (Ryu with ties rounded half up, tables built at
+//! compile time), and strings with nothing to escape are copied whole.
+//! A response is a deterministic byte string of the (quantized) answer
+//! — the property the determinism test pins across batch shapes,
+//! worker counts and cache states.
 
+use crate::decimal;
 use crate::service::PlanAnswer;
 use rexec_cli::spec::{PlanSpec, SpecError};
 use serde::Number;
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 /// Machine-readable error kinds carried in `{"err":{"kind": ...}}`.
 pub mod kind {
@@ -592,26 +595,41 @@ pub fn parse_request(line: &str) -> (Option<u64>, Result<PlanSpec, WireError>) {
 
 fn push_id(out: &mut String, id: Option<u64>) {
     if let Some(id) = id {
-        let _ = write!(out, "\"id\":{id},");
+        out.push_str("\"id\":");
+        decimal::push_u64(out, id);
+        out.push(',');
     }
 }
 
 fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    out.push_str("\\u00");
+                    out.push(char::from(HEX[c as usize >> 4]));
+                    out.push(char::from(HEX[c as usize & 0xf]));
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Appends `prefix` (`,"key":`) and `x` as `{}` writes it.
+fn push_number(out: &mut String, prefix: &str, x: f64) {
+    out.push_str(prefix);
+    decimal::push_f64(out, x);
 }
 
 /// Renders a successful answer as one response line (no trailing
@@ -622,20 +640,20 @@ pub fn render_answer(out: &mut String, id: Option<u64>, answer: &PlanAnswer) {
     push_id(out, id);
     out.push_str("\"digest\":");
     push_json_string(out, &answer.digest);
-    let _ = write!(out, ",\"rho\":{}", answer.rho);
+    push_number(out, ",\"rho\":", answer.rho);
     match &answer.solution {
         Some(s) => {
-            let _ = write!(
-                out,
-                ",\"feasible\":true,\"sigma1\":{},\"sigma2\":{},\"wopt\":{},\
-                 \"energy_overhead\":{},\"time_overhead\":{}",
-                s.sigma1, s.sigma2, s.w_opt, s.energy_overhead, s.time_overhead
-            );
+            out.push_str(",\"feasible\":true");
+            push_number(out, ",\"sigma1\":", s.sigma1);
+            push_number(out, ",\"sigma2\":", s.sigma2);
+            push_number(out, ",\"wopt\":", s.w_opt);
+            push_number(out, ",\"energy_overhead\":", s.energy_overhead);
+            push_number(out, ",\"time_overhead\":", s.time_overhead);
         }
         None => {
             out.push_str(",\"feasible\":false");
             if let Some(floor) = answer.min_rho {
-                let _ = write!(out, ",\"min_rho\":{floor}");
+                push_number(out, ",\"min_rho\":", floor);
             }
         }
     }
@@ -797,5 +815,15 @@ mod tests {
         let err = v.get("err").expect("err object");
         assert_eq!(err.get("kind"), Some(&Value::String("parse".into())));
         assert!(!out.contains('\n'), "newlines escaped: {out}");
+    }
+
+    #[test]
+    fn control_characters_are_escaped_as_lowercase_unicode() {
+        let mut out = String::new();
+        push_json_string(&mut out, "a\u{1}\u{1f}\t\\\"é");
+        assert_eq!(out, r#""a\u0001\u001f\t\\\"é""#);
+        let mut plain = String::new();
+        push_json_string(&mut plain, "fnv1a:00ff00ff00ff00ff");
+        assert_eq!(plain, "\"fnv1a:00ff00ff00ff00ff\"");
     }
 }
