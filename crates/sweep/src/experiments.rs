@@ -497,6 +497,32 @@ fn parabola_argmin(curve: &[(f64, f64)]) -> f64 {
     curve[i].0 + 0.5 * h * (ym - yp) / denom
 }
 
+/// λ grid of the simulated Theorem 2 slope: `THEOREM2_N_LAMBDA`
+/// log-spaced rates over this range.
+const THEOREM2_LAMBDAS: (f64, f64) = (1e-5, 3e-4);
+const THEOREM2_N_LAMBDA: u32 = 8;
+/// W grid of each λ, as factors of the analytic optimum: geometric, wide
+/// enough to bracket the exact minimizer even where it drifts below the
+/// first-order optimum at the high-λ end.
+const THEOREM2_W_FACTORS: (f64, f64) = (0.45, 2.2);
+const THEOREM2_N_W: u32 = 13;
+
+/// `n` geometric factors `1, r, r², …` spanning `lo..=hi` relative to
+/// `lo` (`r = (hi/lo)^(1/(n−1))`), each the previous one times `r`:
+/// plain IEEE multiplies in a fixed order. `powi` is not used for a
+/// published grid because its precision is unspecified — a different
+/// codegen may move a grid point by an ulp and with it the CSV digits.
+fn geometric_factors((lo, hi): (f64, f64), n: u32) -> Vec<f64> {
+    let ratio = (hi / lo).powf(1.0 / f64::from(n - 1));
+    let mut factors = Vec::with_capacity(n as usize);
+    let mut factor = 1.0;
+    for _ in 0..n {
+        factors.push(factor);
+        factor *= ratio;
+    }
+    factors
+}
+
 /// Recovers the Theorem 2 scaling law from *simulation*: for each
 /// log-spaced λ (fail-stop errors only, σ₂ = 2σ₁ — the model of
 /// Theorem 2) the mixed fast path samples the expected time overhead
@@ -511,21 +537,16 @@ fn simulated_theorem2_slope(seed: u64, trials: u64) -> (f64, Vec<(f64, Option<f6
     let (sigma1, sigma2) = (0.5, 1.0);
     let costs = ResilienceCosts::new(c, 0.0, c).unwrap();
     let power = PowerModel::new(1550.0, 60.0, 5.0).unwrap();
-
-    let n_lambda = 8u32;
-    let (l_lo, l_hi): (f64, f64) = (1e-5, 3e-4);
-    let l_ratio = (l_hi / l_lo).powf(1.0 / f64::from(n_lambda - 1));
-
-    // W grid: geometric, wide enough to bracket the exact minimizer even
-    // where it drifts below the first-order optimum at the high-λ end.
-    let n_w = 13u32;
-    let (f_lo, f_hi): (f64, f64) = (0.45, 2.2);
-    let f_ratio = (f_hi / f_lo).powf(1.0 / f64::from(n_w - 1));
+    let (l_lo, f_lo) = (THEOREM2_LAMBDAS.0, THEOREM2_W_FACTORS.0);
+    let n_lambda = THEOREM2_N_LAMBDA;
+    let n_w = THEOREM2_N_W;
+    let w_factors = geometric_factors(THEOREM2_W_FACTORS, n_w);
+    let l_factors = geometric_factors(THEOREM2_LAMBDAS, n_lambda);
 
     let mut rows = Vec::with_capacity(n_lambda as usize);
     let mut fit: Vec<(f64, f64)> = Vec::with_capacity(n_lambda as usize);
-    for i in 0..n_lambda {
-        let lambda = l_lo * l_ratio.powi(i as i32);
+    for (i, l_factor) in (0..n_lambda).zip(l_factors) {
+        let lambda = l_lo * l_factor;
         let w_theory = theorem2::optimal_work(c, lambda, sigma1);
         let mm = MixedModel::new(ErrorRates::fail_stop_only(lambda).unwrap(), costs, power);
         // One seed per λ, shared by the whole W grid: common random
@@ -533,8 +554,8 @@ fn simulated_theorem2_slope(seed: u64, trials: u64) -> (f64, Vec<(f64, Option<f6
         // which stabilizes the argmin far better than fresh draws would.
         let lambda_seed = seed.wrapping_add(u64::from(i));
         let mut curve: Vec<(f64, f64)> = Vec::with_capacity(n_w as usize);
-        for j in 0..n_w {
-            let w = w_theory * f_lo * f_ratio.powi(j as i32);
+        for &w_factor in &w_factors {
+            let w = w_theory * f_lo * w_factor;
             let cfg = SimConfig::from_mixed_model(&mm, w, sigma1, sigma2);
             let run = MonteCarlo::new(cfg, trials, lambda_seed)
                 .with_engine(Engine::FastPath)
@@ -1485,6 +1506,51 @@ mod tests {
         assert!(
             (slope + 2.0 / 3.0).abs() <= 0.05,
             "simulated slope {slope:.4} outside -2/3 +/- 0.05"
+        );
+    }
+
+    /// Pins the simulated Theorem 2 grid bit for bit: X-mc-mixed's CSV
+    /// prints every λ and `Wopt` digit, so a grid point that moves by an
+    /// ulp (as `powi` may under a different codegen) must fail here
+    /// rather than silently change the published artifact.
+    #[test]
+    fn theorem2_grid_factors_are_pinned() {
+        let bits = |range, n| -> Vec<u64> {
+            geometric_factors(range, n)
+                .into_iter()
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(
+            bits(THEOREM2_LAMBDAS, THEOREM2_N_LAMBDA),
+            [
+                0x3ff0000000000000,
+                0x3ffa02836621c57b,
+                0x40052415b87f329b,
+                0x40112efab6752144,
+                0x401bef0a66299dd8,
+                0x4026b46a1762311f,
+                0x4032745eb4aa961c,
+                0x403dffffffffffff,
+            ]
+        );
+        assert_eq!(
+            bits(THEOREM2_W_FACTORS, THEOREM2_N_W),
+            [
+                0x3ff0000000000000,
+                0x3ff243227be416e7,
+                0x3ff4d82747d91c10,
+                0x3ff7caa2420b6963,
+                0x3ffb27ca58931ba3,
+                0x3ffefeb4c9cb64bf,
+                0x4001b04c62a8f4cd,
+                0x4004308e4e74fd57,
+                0x40070b56efafa46d,
+                0x400a4d72f439b4b6,
+                0x400e057e545e3cee,
+                0x40112212ea06fb6e,
+                0x40138e38e38e38e2,
+            ]
         );
     }
 
