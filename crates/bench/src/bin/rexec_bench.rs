@@ -34,7 +34,10 @@
 //!   `sim_fastpath_parallel` (rayon fast path, asserted bit-identical
 //!   to the sequential fast path); the same trio runs again on a mixed
 //!   fail-stop + silent config as `sim_mixed_reference`,
-//!   `sim_mixed_fastpath` and `sim_mixed_fastpath_parallel`;
+//!   `sim_mixed_fastpath` and `sim_mixed_fastpath_parallel`; and
+//!   `sim_crn_grid`, the simulated Theorem 2 grid of X-mc-mixed run on
+//!   common random numbers (`MonteCarlo::run_common`, asserted
+//!   bit-identical to separate runs) with its `speedup_vs_separate`;
 //! * **serve** — the planning-service core on a deterministic mixed
 //!   hit/miss query stream over paper and synthetic K = 20 tables:
 //!   `serve_unbatched` (plan cache off, one scalar solve per query —
@@ -413,6 +416,61 @@ fn simulator_stage(quick: bool, out: &mut Vec<StageResult>) {
         trials,
         "patterns",
         BTreeMap::new(),
+    ));
+}
+
+/// The simulated Theorem 2 grid of X-mc-mixed (8 λ × 13 W fast-path
+/// configs) run both ways: one fast-path `run()` per config, and one
+/// `MonteCarlo::run_common` per λ, which generates each trial chunk's
+/// draws once for the λ's 13 configs. The two must agree bit for bit;
+/// `speedup_vs_separate` is the separate runs' wall time over the
+/// shared one's.
+fn sim_crn_grid_stage(quick: bool, out: &mut Vec<StageResult>) {
+    let reps = if quick { 2 } else { 5 };
+    // Full mode runs the experiment's own trial count.
+    let trials: u64 = if quick { 10_000 } else { 100_000 };
+    let grid = rexec_sweep::experiments::theorem2_sim_grid(2024);
+    let mut separate = Vec::new();
+    let separate_secs = best_of(reps, || {
+        separate = grid
+            .iter()
+            .flat_map(|point| {
+                point.configs.iter().map(|&cfg| {
+                    MonteCarlo::new(cfg, trials, point.seed)
+                        .with_engine(Engine::FastPath)
+                        .run()
+                        .expect("benchmark config is valid")
+                })
+            })
+            .collect::<Vec<Summary>>();
+    });
+    let mut common = Vec::new();
+    let common_secs = best_of(reps, || {
+        common = grid
+            .iter()
+            .flat_map(|point| {
+                MonteCarlo::run_common(&point.configs, trials, point.seed)
+                    .expect("benchmark config is valid")
+            })
+            .collect::<Vec<Summary>>();
+    });
+    assert_eq!(
+        common, separate,
+        "run_common diverged from separate fast-path runs"
+    );
+    let mut extra = BTreeMap::new();
+    extra.insert("separate_wall_secs".to_string(), separate_secs.to_value());
+    extra.insert(
+        "speedup_vs_separate".to_string(),
+        finite_ratio(separate_secs, common_secs).to_value(),
+    );
+    out.push(StageResult::single(
+        "simulator",
+        "sim_crn_grid",
+        common_secs,
+        separate.len() as u64 * trials,
+        "patterns",
+        extra,
     ));
 }
 
@@ -818,6 +876,7 @@ fn run_suite(quick: bool) -> Vec<StageResult> {
     wire_parse_stage(quick, &mut stages);
     wire_render_stage(quick, &mut stages);
     simulator_stage(quick, &mut stages);
+    sim_crn_grid_stage(quick, &mut stages);
     obs_overhead_stage(quick, &mut stages);
     model_check_stage(quick, &mut stages);
     stages

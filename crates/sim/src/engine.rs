@@ -27,7 +27,7 @@
 
 use crate::energy::EnergyMeter;
 use crate::events::{Event, EventKind};
-use crate::rng::SimRng;
+use crate::rng::{Draws, SimRng};
 use crate::trace::TraceRecorder;
 use rexec_core::{ErrorLaw, ErrorRates, PowerModel, ResilienceCosts, SpeedSchedule};
 use serde::{Deserialize, Serialize};
@@ -659,10 +659,7 @@ impl FastPattern {
     /// [`abort_duration`](Self::abort_duration) folds it onto the
     /// truncated support.
     #[inline]
-    pub(crate) fn sample_failed_first(
-        &self,
-        draws: &mut crate::rng::UniformStream,
-    ) -> PatternOutcome {
+    pub(crate) fn sample_failed_first<D: Draws>(&self, draws: &mut D) -> PatternOutcome {
         // Branch-free classification: a failure's cause is a ~50/50
         // coin in the benched regimes, so an `if` here is a hot
         // mispredict per failed trial. Both outcomes are pure values —
@@ -752,7 +749,7 @@ impl FastPattern {
     /// runner's failed-first sampler. Never panics: the degenerate
     /// regime is rejected at [construction](Self::new).
     #[inline]
-    pub fn sample(&self, draws: &mut crate::rng::UniformStream) -> PatternOutcome {
+    pub fn sample<D: Draws>(&self, draws: &mut D) -> PatternOutcome {
         // u ∈ (0, 1] and P(u ≤ p) = p: the first attempt fails iff u ≤ p₁.
         if draws.next_uniform() > self.p_any_first {
             return self.first_try;

@@ -40,7 +40,7 @@ pub use engine::{
     SimConfig,
 };
 pub use events::{Event, EventKind};
-pub use rng::{SimRng, UniformStream};
+pub use rng::{Draws, SimRng, UniformStream};
 pub use runner::{Engine, MonteCarlo, Summary, ValidationReport};
 pub use segmented::simulate_pattern_segmented;
 pub use stats::Stats;
@@ -55,7 +55,7 @@ pub mod prelude {
         SimConfig,
     };
     pub use crate::events::{Event, EventKind};
-    pub use crate::rng::{SimRng, UniformStream};
+    pub use crate::rng::{Draws, SimRng, UniformStream};
     pub use crate::runner::{Engine, MonteCarlo, Summary, ValidationReport};
     pub use crate::segmented::simulate_pattern_segmented;
     pub use crate::stats::Stats;

@@ -121,7 +121,7 @@ impl SimRng {
 /// whole batch in one [`crate::fastmath::ln_sweep`] pass — a vectorized
 /// slice transform instead of a scalar libm call per draw — so the
 /// inverse-CDF samplers read `(u, ln u)` pairs at buffer-indexing cost
-/// via [`next_uniform_ln`](Self::next_uniform_ln). Unconsumed buffered
+/// via [`Draws::next_uniform_ln`]. Unconsumed buffered
 /// draws are simply discarded when the stream is dropped — each chunk
 /// owns its whole stream, so no other consumer ever observes the gap.
 #[derive(Debug)]
@@ -180,11 +180,29 @@ impl UniformStream {
         crate::fastmath::ln_sweep(&self.buf[stripe.clone()], &mut self.ln_buf[stripe]);
         self.swept += Self::SWEEP;
     }
+}
 
+/// Where the fast-path sampler reads its chunk stream from: a
+/// [`UniformStream`], which recycles one buffer, or a replay stream that
+/// keeps every draw so several configs can walk the same chunk stream
+/// ([`MonteCarlo::run_common`](crate::MonteCarlo::run_common)). Both
+/// yield the same values in the same order for the same [`SimRng`].
+pub trait Draws {
     /// Next uniform draw in `(0, 1]`, identical in value and order to
     /// calling [`SimRng::uniform_open`] directly on the wrapped stream.
+    fn next_uniform(&mut self) -> f64;
+
+    /// Next uniform draw paired with its precomputed natural log
+    /// (`fastmath::ln`, a few ulp from libm — see the module docs for
+    /// the accuracy contract). Consumes exactly one draw, so mixing
+    /// [`next_uniform`](Self::next_uniform) and this call preserves the
+    /// stream's draw order.
+    fn next_uniform_ln(&mut self) -> (f64, f64);
+}
+
+impl Draws for UniformStream {
     #[inline]
-    pub fn next_uniform(&mut self) -> f64 {
+    fn next_uniform(&mut self) -> f64 {
         if self.pos == self.swept {
             self.advance();
         }
@@ -193,13 +211,92 @@ impl UniformStream {
         x
     }
 
-    /// Next uniform draw paired with its precomputed natural log
-    /// (`fastmath::ln`, a few ulp from libm — see the module docs for
-    /// the accuracy contract). Consumes exactly one draw, so mixing
-    /// [`next_uniform`](Self::next_uniform) and this call preserves the
-    /// stream's draw order.
     #[inline]
-    pub fn next_uniform_ln(&mut self) -> (f64, f64) {
+    fn next_uniform_ln(&mut self) -> (f64, f64) {
+        if self.pos == self.swept {
+            self.advance();
+        }
+        let pair = (self.buf[self.pos], self.ln_buf[self.pos]);
+        self.pos += 1;
+        pair
+    }
+}
+
+/// A chunk stream recorded as it is read, so it can be rewound and read
+/// again: the common-random-numbers counterpart of [`UniformStream`].
+/// It grows in the same [`UniformStream::BUF`]-draw fills and
+/// `SWEEP`-wide log stripes, so every `(u, ln u)` pair is bit-identical
+/// to the one a fresh [`UniformStream`] over the same [`SimRng`] yields
+/// at that position. It holds the longest prefix any reader has asked
+/// for; [`reset`](Self::reset) keeps the allocation for the next chunk.
+#[derive(Debug)]
+pub(crate) struct ReplayStream {
+    rng: SimRng,
+    buf: Vec<f64>,
+    ln_buf: Vec<f64>,
+    pos: usize,
+    /// Draws below this index have their logs in `ln_buf`.
+    swept: usize,
+}
+
+impl ReplayStream {
+    /// An empty replay stream over `rng`.
+    pub(crate) fn new(rng: SimRng) -> Self {
+        ReplayStream {
+            rng,
+            buf: Vec::new(),
+            ln_buf: Vec::new(),
+            pos: 0,
+            swept: 0,
+        }
+    }
+
+    /// Starts over on a new stream, keeping the buffers' capacity.
+    pub(crate) fn reset(&mut self, rng: SimRng) {
+        self.rng = rng;
+        self.buf.clear();
+        self.ln_buf.clear();
+        self.pos = 0;
+        self.swept = 0;
+    }
+
+    /// Moves the read position back to the stream's first draw.
+    pub(crate) fn rewind(&mut self) {
+        self.pos = 0;
+    }
+
+    /// Sweeps the next log stripe, first appending one cipher fill when
+    /// every recorded draw is already swept. Cold for the same reason as
+    /// [`UniformStream`]'s refill.
+    #[cold]
+    #[inline(never)]
+    fn advance(&mut self) {
+        if self.swept == self.buf.len() {
+            let end = self.buf.len() + UniformStream::BUF;
+            self.buf.resize(end, 0.0);
+            self.ln_buf.resize(end, 0.0);
+            self.rng
+                .fill_uniform(&mut self.buf[end - UniformStream::BUF..]);
+        }
+        let stripe = self.swept..self.swept + UniformStream::SWEEP;
+        crate::fastmath::ln_sweep(&self.buf[stripe.clone()], &mut self.ln_buf[stripe]);
+        self.swept += UniformStream::SWEEP;
+    }
+}
+
+impl Draws for ReplayStream {
+    #[inline]
+    fn next_uniform(&mut self) -> f64 {
+        if self.pos == self.swept {
+            self.advance();
+        }
+        let x = self.buf[self.pos];
+        self.pos += 1;
+        x
+    }
+
+    #[inline]
+    fn next_uniform_ln(&mut self) -> (f64, f64) {
         if self.pos == self.swept {
             self.advance();
         }
@@ -317,6 +414,43 @@ mod tests {
                 assert_eq!(u, plain.uniform_open(), "draw {i}");
                 assert_eq!(ln_u.to_bits(), crate::fastmath::ln(u).to_bits(), "log {i}");
             }
+        }
+    }
+
+    #[test]
+    fn replay_stream_matches_a_fresh_uniform_stream_after_every_rewind() {
+        // Each pass reads a different prefix — shorter, then longer than
+        // what is recorded — mixing plain and (u, ln u) reads; every
+        // pass must see the fresh stream's values bit for bit.
+        let mut replay = ReplayStream::new(SimRng::for_chunk(29, 3));
+        for len in [3 * UniformStream::BUF + 5, 40, 5 * UniformStream::BUF + 1] {
+            replay.rewind();
+            let mut fresh = UniformStream::new(SimRng::for_chunk(29, 3));
+            for i in 0..len {
+                if i % 3 == 0 {
+                    let (got, want) = (replay.next_uniform(), fresh.next_uniform());
+                    assert_eq!(got.to_bits(), want.to_bits(), "draw {i}");
+                } else {
+                    let ((u, ln_u), (v, ln_v)) =
+                        (replay.next_uniform_ln(), fresh.next_uniform_ln());
+                    assert_eq!(
+                        (u.to_bits(), ln_u.to_bits()),
+                        (v.to_bits(), ln_v.to_bits()),
+                        "draw {i}"
+                    );
+                }
+            }
+        }
+        // A reset starts over on the new stream.
+        replay.reset(SimRng::for_chunk(29, 4));
+        let mut fresh = UniformStream::new(SimRng::for_chunk(29, 4));
+        for i in 0..(2 * UniformStream::BUF + 3) {
+            let ((u, ln_u), (v, ln_v)) = (replay.next_uniform_ln(), fresh.next_uniform_ln());
+            assert_eq!(
+                (u.to_bits(), ln_u.to_bits()),
+                (v.to_bits(), ln_v.to_bits()),
+                "draw {i}"
+            );
         }
     }
 

@@ -32,7 +32,7 @@ use crate::engine::{
     ensure_completes, simulate_pattern_scenario, simulate_pattern_scenario_traced, EngineError,
     FastPattern, PatternOutcome, SimConfig,
 };
-use crate::rng::{SimRng, UniformStream};
+use crate::rng::{Draws, ReplayStream, SimRng, UniformStream};
 use crate::stats::Stats;
 use crate::trace::TraceRecorder;
 use rayon::prelude::*;
@@ -234,6 +234,15 @@ impl RetriedSums {
     }
 }
 
+/// Publishes the wall-clock `runner.trials_per_sec` gauge of a run of
+/// `trials` trials that started at `started`.
+fn record_throughput(trials: u64, started: std::time::Instant) {
+    let secs = started.elapsed().as_secs_f64();
+    if secs > 0.0 {
+        rexec_obs::gauge!("runner.trials_per_sec").set(trials as f64 / secs);
+    }
+}
+
 /// Which simulation engine a [`MonteCarlo`] run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Engine {
@@ -427,7 +436,8 @@ impl MonteCarlo {
         match sampler {
             Sampler::Fast(fp) => {
                 debug_assert!(sketches.is_none(), "the fast path records no sketches");
-                self.run_chunk_fast(fp, chunk_lo, lo, hi)
+                let stream = SimRng::for_chunk(self.seed, chunk_lo / Self::CHUNK);
+                Self::run_chunk_fast(fp, &mut UniformStream::new(stream), (chunk_lo, lo, hi))
             }
             Sampler::PerAttempt { law, schedule } => {
                 // Per-trial streams: thread determinism and
@@ -455,20 +465,20 @@ impl MonteCarlo {
     }
 
     /// The chunked fast-path hot loop: one draw per first-try success
-    /// run, a bounded number per failed trial.
-    fn run_chunk_fast(
-        &self,
+    /// run, a bounded number per failed trial, over the grid chunk whose
+    /// origin is `chunk_lo`, counting trials `[lo, hi)`. `draws` must be
+    /// at the chunk stream's first draw. The one loop behind both the
+    /// fast path of [`run`](Self::run) and [`run_common`](Self::run_common).
+    fn run_chunk_fast<D: Draws>(
         fp: &FastPattern,
-        chunk_lo: u64,
-        lo: u64,
-        hi: u64,
+        draws: &mut D,
+        (chunk_lo, lo, hi): (u64, u64, u64),
     ) -> (Summary, ChunkObs) {
         let mut s = Summary::default();
         let mut obs = ChunkObs {
             trials: hi - lo,
             ..ChunkObs::default()
         };
-        let mut draws = UniformStream::new(SimRng::for_chunk(self.seed, chunk_lo / Self::CHUNK));
         // Run-length batching: the count of consecutive trials
         // whose first attempt succeeds is geometric, so one
         // uniform samples the whole run (its identical outcomes
@@ -495,7 +505,7 @@ impl MonteCarlo {
             first_try += (i + run).saturating_sub(counted_from);
             i += run;
             if i < hi {
-                let p = fp.sample_failed_first(&mut draws);
+                let p = fp.sample_failed_first(draws);
                 if i >= lo {
                     failed.push(&p);
                     obs.totals.push(&p);
@@ -559,7 +569,7 @@ impl MonteCarlo {
         let _timer = rexec_obs::span!("runner.run");
         let started = std::time::Instant::now();
         let summary = self.run_range(0, self.trials)?;
-        self.record_throughput(started);
+        record_throughput(self.trials, started);
         Ok(summary)
     }
 
@@ -602,7 +612,7 @@ impl MonteCarlo {
             window.publish(rexec_obs::global(), "runner.window");
             progress(done, self.trials);
         }
-        self.record_throughput(started);
+        record_throughput(self.trials, started);
         Ok(summary)
     }
 
@@ -636,11 +646,88 @@ impl MonteCarlo {
     /// Trials per chunk: the RNG-stream and reduction granule.
     const CHUNK: u64 = 256;
 
-    fn record_throughput(&self, started: std::time::Instant) {
-        let secs = started.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            rexec_obs::gauge!("runner.trials_per_sec").set(self.trials as f64 / secs);
+    /// Most chunks [`run_common`](Self::run_common) holds results for at
+    /// once: one [`Summary`] per config for each chunk of a wave, about
+    /// what one [`run`](Self::run) holds for its whole grid.
+    const WAVE: usize = 100;
+
+    /// Runs every config in `configs` for `trials` fast-path trials on
+    /// common random numbers: each trial chunk's stream
+    /// ([`SimRng::for_chunk`] of `seed`) is generated once and replayed
+    /// for every config, instead of once per config.
+    ///
+    /// Summary `j` is bit-identical to
+    /// `MonteCarlo::new(configs[j], trials, seed).with_engine(Engine::FastPath).run()`
+    /// at any `RAYON_NUM_THREADS`: the replayed stream yields the same
+    /// `(u, ln u)` pairs as a fresh [`UniformStream`], every config runs
+    /// the same chunk loop, and each config's chunk results merge in
+    /// chunk order. The flushed `runner.*`/`sim.*` integer totals equal
+    /// those of the separate runs. Chunks run in waves of at most
+    /// `WAVE`, folded before the next wave starts, so the live per-chunk
+    /// state stays near that of one [`run`](Self::run).
+    ///
+    /// # Errors
+    /// The [`EngineError`] of the first config the fast path rejects
+    /// ([`FastPattern::new`]), before any trial runs — also when
+    /// `trials` is 0, unlike [`run`](Self::run), which resolves nothing
+    /// for an empty run.
+    pub fn run_common(
+        configs: &[SimConfig],
+        trials: u64,
+        seed: u64,
+    ) -> Result<Vec<Summary>, EngineError> {
+        let _timer = rexec_obs::span!("runner.run");
+        let started = std::time::Instant::now();
+        let patterns = configs
+            .iter()
+            .map(FastPattern::new)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut summaries = vec![Summary::default(); configs.len()];
+        let grid = Self::chunk_grid(0, trials);
+        if grid.is_empty() || patterns.is_empty() {
+            return Ok(summaries);
         }
+        let wave_len = grid.len().div_ceil(grid.len().div_ceil(Self::WAVE));
+        let mut obs = ChunkObs::default();
+        for wave in grid.chunks(wave_len) {
+            let results: Vec<(Vec<Summary>, ChunkObs)> = wave
+                .to_vec()
+                .into_par_iter()
+                .map_init(
+                    || None,
+                    |slot: &mut Option<ReplayStream>, chunk| {
+                        let stream = SimRng::for_chunk(seed, chunk.0 / Self::CHUNK);
+                        let draws = match slot {
+                            Some(draws) => {
+                                draws.reset(stream);
+                                draws
+                            }
+                            None => slot.insert(ReplayStream::new(stream)),
+                        };
+                        let mut chunk_obs = ChunkObs::default();
+                        let chunk_summaries = patterns
+                            .iter()
+                            .map(|fp| {
+                                draws.rewind();
+                                let (s, o) = Self::run_chunk_fast(fp, draws, chunk);
+                                chunk_obs = std::mem::take(&mut chunk_obs).merge(o);
+                                s
+                            })
+                            .collect();
+                        (chunk_summaries, chunk_obs)
+                    },
+                )
+                .collect();
+            for (chunk_summaries, chunk_obs) in results {
+                for (summary, s) in summaries.iter_mut().zip(chunk_summaries) {
+                    *summary = summary.merge(s);
+                }
+                obs = obs.merge(chunk_obs);
+            }
+        }
+        obs.flush();
+        record_throughput(trials * configs.len() as u64, started);
+        Ok(summaries)
     }
 
     /// Runs all replications in parallel, additionally collecting full

@@ -523,61 +523,83 @@ fn geometric_factors((lo, hi): (f64, f64), n: u32) -> Vec<f64> {
     factors
 }
 
-/// Recovers the Theorem 2 scaling law from *simulation*: for each
-/// log-spaced λ (fail-stop errors only, σ₂ = 2σ₁ — the model of
-/// Theorem 2) the mixed fast path samples the expected time overhead
-/// `T/W` on a geometric `W` grid around the analytic optimum, and the
-/// minimizer is refined with a 3-point parabola fit in `(ln W, T/W)`.
-/// Returns the fitted log–log slope of the simulated `Wopt(λ)` (Theorem
-/// 2 predicts −2/3) plus per-λ rows `(λ, Some(wopt_sim), wopt_theory)`;
-/// a point the engine refuses degrades to `None` and is excluded from
-/// the fit.
-fn simulated_theorem2_slope(seed: u64, trials: u64) -> (f64, Vec<(f64, Option<f64>, f64)>) {
+/// One λ of the simulated Theorem 2 grid (X-mc-mixed).
+#[derive(Debug, Clone)]
+pub struct Theorem2Lambda {
+    /// Fail-stop error rate.
+    pub lambda: f64,
+    /// Theorem 2's optimal work `(12C/λ²)^(1/3)·σ₁`.
+    pub w_theory: f64,
+    /// The seed every config of this λ runs with: common random numbers
+    /// keep the sampled overhead curve correlated across `W`, which
+    /// stabilizes its argmin far better than fresh draws would.
+    pub seed: u64,
+    /// One config per `W` of the geometric grid around `w_theory`
+    /// (fail-stop errors only, σ₂ = 2σ₁ — the model of Theorem 2).
+    pub configs: Vec<SimConfig>,
+}
+
+/// The simulated Theorem 2 grid of X-mc-mixed for master seed `seed`:
+/// `THEOREM2_N_LAMBDA` log-spaced λ, each with `THEOREM2_N_W` `W`
+/// configs and its own seed.
+pub fn theorem2_sim_grid(seed: u64) -> Vec<Theorem2Lambda> {
     let c = 300.0;
     let (sigma1, sigma2) = (0.5, 1.0);
     let costs = ResilienceCosts::new(c, 0.0, c).unwrap();
     let power = PowerModel::new(1550.0, 60.0, 5.0).unwrap();
-    let (l_lo, f_lo) = (THEOREM2_LAMBDAS.0, THEOREM2_W_FACTORS.0);
-    let n_lambda = THEOREM2_N_LAMBDA;
-    let n_w = THEOREM2_N_W;
-    let w_factors = geometric_factors(THEOREM2_W_FACTORS, n_w);
-    let l_factors = geometric_factors(THEOREM2_LAMBDAS, n_lambda);
-
-    let mut rows = Vec::with_capacity(n_lambda as usize);
-    let mut fit: Vec<(f64, f64)> = Vec::with_capacity(n_lambda as usize);
-    for (i, l_factor) in (0..n_lambda).zip(l_factors) {
-        let lambda = l_lo * l_factor;
-        let w_theory = theorem2::optimal_work(c, lambda, sigma1);
-        let mm = MixedModel::new(ErrorRates::fail_stop_only(lambda).unwrap(), costs, power);
-        // One seed per λ, shared by the whole W grid: common random
-        // numbers keep the sampled overhead curves correlated across W,
-        // which stabilizes the argmin far better than fresh draws would.
-        let lambda_seed = seed.wrapping_add(u64::from(i));
-        let mut curve: Vec<(f64, f64)> = Vec::with_capacity(n_w as usize);
-        for &w_factor in &w_factors {
-            let w = w_theory * f_lo * w_factor;
-            let cfg = SimConfig::from_mixed_model(&mm, w, sigma1, sigma2);
-            let run = MonteCarlo::new(cfg, trials, lambda_seed)
-                .with_engine(Engine::FastPath)
-                .run();
-            match run {
-                Ok(summary) => curve.push((w.ln(), summary.time.mean() / w)),
-                // An engine refusal (degenerate never-completes point)
-                // drops this λ from the fit instead of aborting the
-                // sweep; the caller renders it as a tagged row.
-                Err(_) => {
-                    curve.clear();
-                    break;
-                }
+    let w_factors = geometric_factors(THEOREM2_W_FACTORS, THEOREM2_N_W);
+    let l_factors = geometric_factors(THEOREM2_LAMBDAS, THEOREM2_N_LAMBDA);
+    (0..THEOREM2_N_LAMBDA)
+        .zip(l_factors)
+        .map(|(i, l_factor)| {
+            let lambda = THEOREM2_LAMBDAS.0 * l_factor;
+            let w_theory = theorem2::optimal_work(c, lambda, sigma1);
+            let mm = MixedModel::new(ErrorRates::fail_stop_only(lambda).unwrap(), costs, power);
+            let configs = w_factors
+                .iter()
+                .map(|&w_factor| {
+                    let w = w_theory * THEOREM2_W_FACTORS.0 * w_factor;
+                    SimConfig::from_mixed_model(&mm, w, sigma1, sigma2)
+                })
+                .collect();
+            Theorem2Lambda {
+                lambda,
+                w_theory,
+                seed: seed.wrapping_add(u64::from(i)),
+                configs,
             }
+        })
+        .collect()
+}
+
+/// Recovers the Theorem 2 scaling law from *simulation*: for each λ of
+/// [`theorem2_sim_grid`] the mixed fast path samples the expected time
+/// overhead `T/W` of every `W` config on common random numbers
+/// ([`MonteCarlo::run_common`]), and the minimizer is refined with a
+/// 3-point parabola fit in `(ln W, T/W)`. Returns the fitted log–log
+/// slope of the simulated `Wopt(λ)` (Theorem 2 predicts −2/3) plus
+/// per-λ rows `(λ, Some(wopt_sim), wopt_theory)`; a λ with a config the
+/// engine refuses (a degenerate never-completes point) degrades to
+/// `None` and is excluded from the fit instead of aborting the sweep.
+fn simulated_theorem2_slope(seed: u64, trials: u64) -> (f64, Vec<(f64, Option<f64>, f64)>) {
+    let mut rows = Vec::new();
+    let mut fit: Vec<(f64, f64)> = Vec::new();
+    for point in theorem2_sim_grid(seed) {
+        let wopt_sim = MonteCarlo::run_common(&point.configs, trials, point.seed)
+            .ok()
+            .map(|summaries| {
+                let curve: Vec<(f64, f64)> = point
+                    .configs
+                    .iter()
+                    .zip(&summaries)
+                    .map(|(cfg, summary)| (cfg.w.ln(), summary.time.mean() / cfg.w))
+                    .collect();
+                parabola_argmin(&curve).exp()
+            });
+        if let Some(wopt_sim) = wopt_sim {
+            fit.push((point.lambda, wopt_sim));
         }
-        if curve.len() < 3 {
-            rows.push((lambda, None, w_theory));
-            continue;
-        }
-        let wopt_sim = parabola_argmin(&curve).exp();
-        rows.push((lambda, Some(wopt_sim), w_theory));
-        fit.push((lambda, wopt_sim));
+        rows.push((point.lambda, wopt_sim, point.w_theory));
     }
     (theorem2::loglog_slope(&fit), rows)
 }
