@@ -5,7 +5,6 @@
 //! gracefully on SIGTERM/ctrl-c.
 
 use rexec_serve::{ServeOptions, Server, ServiceConfig};
-use std::time::Duration;
 
 const USAGE: &str = "\
 rexec-serve — batching, plan-caching planning service
@@ -89,12 +88,10 @@ fn main() {
     std::io::stdout().flush().ok();
 
     #[cfg(unix)]
-    while !rexec_serve::server::signals::stop_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    rexec_serve::server::signals::wait();
     #[cfg(not(unix))]
     loop {
-        std::thread::sleep(Duration::from_secs(3600));
+        std::thread::sleep(std::time::Duration::from_secs(3600));
     }
 
     eprintln!("[rexec-serve] shutdown requested; draining");

@@ -535,27 +535,61 @@ fn publish_metrics(inner: &Arc<Inner>) {
     gauge!("serve.cache.evictions").set(cache.evictions as f64);
 }
 
-/// SIGINT/SIGTERM → drain-and-exit flag for the daemon binary.
+/// SIGINT/SIGTERM → drain-and-exit for the daemon binary. The handler
+/// sets a flag and writes one byte to a self-pipe (an atomic store and a
+/// `write`, both async-signal-safe), so the main thread sleeps in
+/// [`wait`](signals::wait) until a signal arrives instead of polling.
 #[cfg(unix)]
 pub mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::{ErrorKind, Read};
+    use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+    use std::sync::OnceLock;
 
     static STOP: AtomicBool = AtomicBool::new(false);
+    /// The self-pipe: the handler writes to the second end, [`wait`]
+    /// reads the first.
+    static PIPE: OnceLock<(UnixStream, UnixStream)> = OnceLock::new();
+    /// The write end's descriptor, for the handler (−1 before
+    /// [`install`]).
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+    static WAKE_BYTE: u8 = 1;
 
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
     extern "C" fn on_stop(_sig: i32) {
         STOP.store(true, Ordering::SeqCst);
+        let fd = WAKE_FD.load(Ordering::SeqCst);
+        if fd >= 0 {
+            // The write end is nonblocking: when the pipe is full a
+            // wake-up byte is already pending, so a failed write loses
+            // nothing.
+            unsafe {
+                write(fd, &WAKE_BYTE, 1);
+            }
+        }
     }
 
-    /// Installs SIGINT and SIGTERM handlers that set the stop flag
-    /// (async-signal-safe: one atomic store).
+    /// Installs SIGINT and SIGTERM handlers that set the stop flag and
+    /// wake [`wait`].
+    ///
+    /// # Panics
+    /// If the self-pipe cannot be created.
     pub fn install() {
+        let (_, wake) = PIPE.get_or_init(|| {
+            let (read, wake) = UnixStream::pair().expect("create the signal self-pipe");
+            wake.set_nonblocking(true)
+                .expect("make the signal self-pipe nonblocking");
+            (read, wake)
+        });
+        WAKE_FD.store(wake.as_raw_fd(), Ordering::SeqCst);
         unsafe {
             signal(SIGINT, on_stop as extern "C" fn(i32) as usize);
             signal(SIGTERM, on_stop as extern "C" fn(i32) as usize);
@@ -565,6 +599,23 @@ pub mod signals {
     /// Whether a termination signal has arrived.
     pub fn stop_requested() -> bool {
         STOP.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until a termination signal has arrived, asleep in a read
+    /// of the self-pipe. Returns at once if one already has.
+    ///
+    /// # Panics
+    /// If [`install`] has not run, or the self-pipe read fails.
+    pub fn wait() {
+        let (read, _) = PIPE.get().expect("signals::install runs before wait");
+        let mut byte = [0u8; 1];
+        while !stop_requested() {
+            match (&*read).read(&mut byte) {
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("signal self-pipe read failed: {e}"),
+            }
+        }
     }
 }
 
