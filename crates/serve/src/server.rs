@@ -571,6 +571,9 @@ pub mod signals {
             // The write end is nonblocking: when the pipe is full a
             // wake-up byte is already pending, so a failed write loses
             // nothing.
+            // SAFETY: `write` is async-signal-safe; `fd` is the write end
+            // of the pair in `PIPE`, which lives for the whole process,
+            // and `WAKE_BYTE` is a static one-byte buffer.
             unsafe {
                 write(fd, &WAKE_BYTE, 1);
             }
@@ -590,6 +593,8 @@ pub mod signals {
             (read, wake)
         });
         WAKE_FD.store(wake.as_raw_fd(), Ordering::SeqCst);
+        // SAFETY: `on_stop` is an `extern "C" fn(i32)` that only stores
+        // to atomics and calls `write`, all async-signal-safe.
         unsafe {
             signal(SIGINT, on_stop as extern "C" fn(i32) as usize);
             signal(SIGTERM, on_stop as extern "C" fn(i32) as usize);
@@ -597,7 +602,7 @@ pub mod signals {
     }
 
     /// Whether a termination signal has arrived.
-    pub fn stop_requested() -> bool {
+    fn stop_requested() -> bool {
         STOP.load(Ordering::SeqCst)
     }
 

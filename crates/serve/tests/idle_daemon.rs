@@ -67,6 +67,7 @@ fn idle_daemon_stays_asleep_and_drains_on_sigterm() {
     let woken = voluntary_switches(pid) - before;
     assert!(woken <= 2, "idle daemon woke {woken} times in 300 ms");
 
+    // SAFETY: `kill` takes plain integers; `pid` is our live child.
     assert_eq!(unsafe { kill(pid as i32, SIGTERM) }, 0, "send SIGTERM");
     let deadline = Instant::now() + Duration::from_secs(10);
     let status = loop {

@@ -188,29 +188,24 @@ impl UniformStream {
 /// ([`MonteCarlo::run_common`](crate::MonteCarlo::run_common)). Both
 /// yield the same values in the same order for the same [`SimRng`].
 pub trait Draws {
-    /// Next uniform draw in `(0, 1]`, identical in value and order to
-    /// calling [`SimRng::uniform_open`] directly on the wrapped stream.
-    fn next_uniform(&mut self) -> f64;
-
     /// Next uniform draw paired with its precomputed natural log
     /// (`fastmath::ln`, a few ulp from libm — see the module docs for
-    /// the accuracy contract). Consumes exactly one draw, so mixing
-    /// [`next_uniform`](Self::next_uniform) and this call preserves the
-    /// stream's draw order.
+    /// the accuracy contract). The draw is identical in value and order
+    /// to calling [`SimRng::uniform_open`] directly on the wrapped
+    /// stream.
     fn next_uniform_ln(&mut self) -> (f64, f64);
+
+    /// Next uniform draw in `(0, 1]`: the draw of
+    /// [`next_uniform_ln`](Self::next_uniform_ln) without its log.
+    /// Consumes exactly one draw, so mixing the two calls preserves the
+    /// stream's draw order.
+    #[inline]
+    fn next_uniform(&mut self) -> f64 {
+        self.next_uniform_ln().0
+    }
 }
 
 impl Draws for UniformStream {
-    #[inline]
-    fn next_uniform(&mut self) -> f64 {
-        if self.pos == self.swept {
-            self.advance();
-        }
-        let x = self.buf[self.pos];
-        self.pos += 1;
-        x
-    }
-
     #[inline]
     fn next_uniform_ln(&mut self) -> (f64, f64) {
         if self.pos == self.swept {
@@ -285,16 +280,6 @@ impl ReplayStream {
 }
 
 impl Draws for ReplayStream {
-    #[inline]
-    fn next_uniform(&mut self) -> f64 {
-        if self.pos == self.swept {
-            self.advance();
-        }
-        let x = self.buf[self.pos];
-        self.pos += 1;
-        x
-    }
-
     #[inline]
     fn next_uniform_ln(&mut self) -> (f64, f64) {
         if self.pos == self.swept {

@@ -545,8 +545,8 @@ pub struct Theorem2Lambda {
 pub fn theorem2_sim_grid(seed: u64) -> Vec<Theorem2Lambda> {
     let c = 300.0;
     let (sigma1, sigma2) = (0.5, 1.0);
-    let costs = ResilienceCosts::new(c, 0.0, c).unwrap();
-    let power = PowerModel::new(1550.0, 60.0, 5.0).unwrap();
+    let costs = ResilienceCosts::new(c, 0.0, c).expect("constant costs are valid");
+    let power = PowerModel::new(1550.0, 60.0, 5.0).expect("constant power model is valid");
     let w_factors = geometric_factors(THEOREM2_W_FACTORS, THEOREM2_N_W);
     let l_factors = geometric_factors(THEOREM2_LAMBDAS, THEOREM2_N_LAMBDA);
     (0..THEOREM2_N_LAMBDA)
@@ -554,7 +554,8 @@ pub fn theorem2_sim_grid(seed: u64) -> Vec<Theorem2Lambda> {
         .map(|(i, l_factor)| {
             let lambda = THEOREM2_LAMBDAS.0 * l_factor;
             let w_theory = theorem2::optimal_work(c, lambda, sigma1);
-            let mm = MixedModel::new(ErrorRates::fail_stop_only(lambda).unwrap(), costs, power);
+            let rates = ErrorRates::fail_stop_only(lambda).expect("grid rates are positive");
+            let mm = MixedModel::new(rates, costs, power);
             let configs = w_factors
                 .iter()
                 .map(|&w_factor| {
