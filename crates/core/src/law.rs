@@ -103,26 +103,42 @@ impl ErrorLaw {
         }
     }
 
-    /// Survival function `S(x) = P(X > x)` at nominal rate `lambda`.
+    /// Cumulative hazard `H(x) = −ln S(x)` at nominal rate `lambda`:
+    /// `λ·x` (exponential), `(x/η)^k` (Weibull), `−ln Φ̄(z)` with
+    /// `z = (ln x − μ)/s` (lognormal).
     ///
-    /// Returns 1 for `x ≤ 0` and treats `lambda ≤ 0` as an error
-    /// source that never fires (`S ≡ 1`), mirroring
+    /// This is the hazard one attempt of `x` seconds accumulates, the
+    /// form the [`renewal`](crate::renewal) closed form consumes: its
+    /// failure probability `−expm1(−H)` keeps full precision where
+    /// `1 − S` would cancel. Returns 0 for `x ≤ 0` and treats
+    /// `lambda ≤ 0` as an error source that never fires, mirroring
     /// `SimRng::exponential`'s convention.
-    pub fn survival(&self, x: f64, lambda: f64) -> f64 {
+    #[inline]
+    pub fn cumulative_hazard(&self, x: f64, lambda: f64) -> f64 {
         if lambda <= 0.0 || x <= 0.0 {
-            return 1.0;
+            return 0.0;
         }
         match *self {
-            ErrorLaw::Exponential => (-lambda * x).exp(),
-            ErrorLaw::Weibull { shape } => {
-                let eta = weibull_scale(shape, lambda);
-                (-(x / eta).powf(shape)).exp()
-            }
+            ErrorLaw::Exponential => lambda * x,
+            ErrorLaw::Weibull { shape } => (x / weibull_scale(shape, lambda)).powf(shape),
             ErrorLaw::LogNormal { sigma } => {
-                let mu = lognormal_mu(sigma, lambda);
-                norm_sf((x.ln() - mu) / sigma)
+                let z = (x.ln() - lognormal_mu(sigma, lambda)) / sigma;
+                // Below the median take `Φ̄(z) = 1 − Φ̄(−z)` through
+                // `ln_1p`, so that small hazards do not cancel.
+                if z < 0.0 {
+                    -(-norm_sf(-z)).ln_1p()
+                } else {
+                    -norm_sf(z).ln()
+                }
             }
         }
+    }
+
+    /// Survival function `S(x) = P(X > x) = e^{−H(x)}` at nominal rate
+    /// `lambda` (see [`cumulative_hazard`](Self::cumulative_hazard));
+    /// 1 for `x ≤ 0` or `lambda ≤ 0`.
+    pub fn survival(&self, x: f64, lambda: f64) -> f64 {
+        (-self.cumulative_hazard(x, lambda)).exp()
     }
 
     /// Inverse survival function: maps `u ∈ (0, 1]` to the time `x`
@@ -200,9 +216,8 @@ fn ln_gamma(x: f64) -> f64 {
 
 /// Standard normal survival function `Q(z) = P(Z > z)` via the
 /// Abramowitz & Stegun 26.2.17 rational approximation (absolute error
-/// below 7.5e-8) — accurate enough for the survival-probability guard
-/// and moment checks, while quantile sampling goes through the sharper
-/// [`inv_norm_cdf`].
+/// below 7.5e-8) — the lognormal cumulative hazard and survival, while
+/// quantile sampling goes through the sharper [`inv_norm_cdf`].
 fn norm_sf(z: f64) -> f64 {
     if z < 0.0 {
         return 1.0 - norm_sf(-z);
@@ -421,6 +436,53 @@ mod tests {
         ] {
             assert_eq!(law.survival(1e9, 0.0), 1.0);
             assert_eq!(law.survival(1e9, -1.0), 1.0);
+        }
+    }
+
+    #[test]
+    fn survival_is_exp_of_minus_cumulative_hazard() {
+        use crate::renewal::attempt;
+        use crate::{ErrorRates, MixedModel, PowerModel, ResilienceCosts};
+        let lambda = 2e-4;
+        let m = MixedModel::new(
+            ErrorRates::silent_only(lambda).unwrap(),
+            ResilienceCosts::symmetric(300.0, 15.4),
+            PowerModel::with_default_io(1550.0, 60.0, 0.15).unwrap(),
+        );
+        for law in [
+            ErrorLaw::Exponential,
+            ErrorLaw::Weibull { shape: 0.7 },
+            ErrorLaw::Weibull { shape: 1.5 },
+            ErrorLaw::LogNormal { sigma: 1.0 },
+        ] {
+            for x in [0.0, 1e-3, 1.0, 1e3, 5e3, 1e5] {
+                let h = law.cumulative_hazard(x, lambda);
+                assert!(h >= 0.0, "{} H({x}) = {h}", law.name());
+                assert_eq!(law.survival(x, lambda), (-h).exp(), "{} x={x}", law.name());
+            }
+            assert_eq!(law.cumulative_hazard(1e3, 0.0), 0.0);
+            // One attempt whose hazard is H ≈ 1e-12 (bisected in ln x):
+            // renewal's failure probability is H·(1 − H/2) to 1e-15,
+            // where `1 − S` is off by up to half an ulp of 1, ~5e-5.
+            let (mut lo, mut hi) = (1e-30 / lambda, 1.0 / lambda);
+            for _ in 0..200 {
+                let mid = (lo * hi).sqrt();
+                if law.cumulative_hazard(mid, lambda) < 1e-12 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let h = law.cumulative_hazard(hi, lambda);
+            assert!((h / 1e-12 - 1.0).abs() < 1e-6, "{} H = {h}", law.name());
+            let sigma = 0.5;
+            let f = attempt(&m, law, hi * sigma, 1, sigma).fail;
+            let want = h * (1.0 - 0.5 * h);
+            assert!(
+                (f - want).abs() <= 1e-15 * want,
+                "{}: f = {f} vs {want}",
+                law.name()
+            );
         }
     }
 

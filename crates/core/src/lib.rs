@@ -26,10 +26,11 @@
 //! * the `O(K²)` **BiCrit** solver ([`bicrit`]) that minimizes the expected
 //!   energy per unit of work subject to a bound `ρ` on the expected time per
 //!   unit of work, over a discrete set of speeds,
-//! * the classical time-only optimizers ([`mintime`], [`daly`]) used as
-//!   baselines, and **Theorem 2** ([`theorem2`]): with fail-stop errors only
-//!   and `σ₂ = 2σ₁`, the optimal pattern size scales as `Θ(λ^{-2/3})`
-//!   instead of Young/Daly’s `Θ(λ^{-1/2})`,
+//! * the classical time-only optimizer ([`daly`]) used as a baseline
+//!   (the time-only optimum over speed pairs is
+//!   [`BiCritSolver::min_feasible_rho`]), and **Theorem 2** ([`theorem2`]):
+//!   with fail-stop errors only and `σ₂ = 2σ₁`, the optimal pattern size
+//!   scales as `Θ(λ^{-2/3})` instead of Young/Daly’s `Θ(λ^{-1/2})`,
 //! * derivative-free numeric optimizers ([`numeric`]) used to cross-check
 //!   every closed form against the exact expectations.
 //!
@@ -73,7 +74,6 @@ pub mod cost;
 pub mod daly;
 pub mod error_model;
 pub mod law;
-pub mod mintime;
 pub mod mixed;
 pub mod multiverif;
 pub mod numeric;
@@ -117,7 +117,6 @@ pub mod prelude {
     pub use crate::daly;
     pub use crate::error_model::ErrorRates;
     pub use crate::law::ErrorLaw;
-    pub use crate::mintime::MinTimeSolver;
     pub use crate::mixed::MixedModel;
     pub use crate::multiverif;
     pub use crate::numeric;

@@ -25,6 +25,7 @@
 
 use crate::cost::ResilienceCosts;
 use crate::error_model::ErrorRates;
+use crate::law::ErrorLaw::Exponential;
 use crate::power::PowerModel;
 use crate::renewal::renewal;
 use serde::{Deserialize, Serialize};
@@ -53,23 +54,23 @@ impl MixedModel {
     /// Expected time of a pattern executed entirely at speed `sigma`
     /// (the re-execution fixed point `T(W,σ,σ)`).
     pub fn expected_time_single(&self, w: f64, sigma: f64) -> f64 {
-        renewal(self, w, 1, sigma, &[sigma]).time
+        renewal(self, Exponential, w, 1, sigma, &[sigma]).time
     }
 
     /// Proposition 4 (via the recursion) — expected time of a pattern with
     /// first execution at `sigma1` and re-executions at `sigma2`.
     pub fn expected_time(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        renewal(self, w, 1, sigma1, &[sigma2]).time
+        renewal(self, Exponential, w, 1, sigma1, &[sigma2]).time
     }
 
     /// Expected energy of a pattern executed entirely at speed `sigma`.
     pub fn expected_energy_single(&self, w: f64, sigma: f64) -> f64 {
-        renewal(self, w, 1, sigma, &[sigma]).energy
+        renewal(self, Exponential, w, 1, sigma, &[sigma]).energy
     }
 
     /// Proposition 5 (via the recursion) — expected energy with two speeds.
     pub fn expected_energy(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        renewal(self, w, 1, sigma1, &[sigma2]).energy
+        renewal(self, Exponential, w, 1, sigma1, &[sigma2]).energy
     }
 
     /// Exact time overhead `T(W,σ₁,σ₂)/W`.

@@ -18,6 +18,7 @@
 //! This is the instance `λᶠ = 0`, `retries = [σ₂]` of the
 //! [`renewal`](crate::renewal) form, with `q` segments per attempt.
 
+use crate::law::ErrorLaw::Exponential;
 use crate::pattern::SilentModel;
 use crate::renewal::renewal;
 use serde::{Deserialize, Serialize};
@@ -28,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// # Panics
 /// If `q == 0`.
 pub fn expected_time(m: &SilentModel, w: f64, q: u32, sigma1: f64, sigma2: f64) -> f64 {
-    renewal(&m.as_mixed(), w, q, sigma1, &[sigma2]).time
+    renewal(&m.as_mixed(), Exponential, w, q, sigma1, &[sigma2]).time
 }
 
 /// Expected energy of a pattern of `w` work with `q` verifications per
@@ -37,7 +38,7 @@ pub fn expected_time(m: &SilentModel, w: f64, q: u32, sigma1: f64, sigma2: f64) 
 /// # Panics
 /// If `q == 0`.
 pub fn expected_energy(m: &SilentModel, w: f64, q: u32, sigma1: f64, sigma2: f64) -> f64 {
-    renewal(&m.as_mixed(), w, q, sigma1, &[sigma2]).energy
+    renewal(&m.as_mixed(), Exponential, w, q, sigma1, &[sigma2]).energy
 }
 
 /// Time overhead `T/W`.
@@ -159,7 +160,9 @@ mod tests {
         let expected = crate::error_model::strike_probability(m.lambda, 4000.0 / 0.5);
         assert!((f - expected).abs() < 1e-12);
         // So the renewal form's attempt count does not depend on q.
-        let n = |q| crate::renewal::renewal(&m.as_mixed(), 4000.0, q, 0.5, &[0.8]).executions;
+        let n = |q| {
+            crate::renewal::renewal(&m.as_mixed(), Exponential, 4000.0, q, 0.5, &[0.8]).executions
+        };
         assert!((n(4) - n(1)).abs() < 1e-12 * n(1), "{} vs {}", n(4), n(1));
     }
 

@@ -20,6 +20,7 @@
 
 use crate::cost::ResilienceCosts;
 use crate::error_model::ErrorRates;
+use crate::law::ErrorLaw::Exponential;
 use crate::mixed::MixedModel;
 use crate::power::PowerModel;
 use crate::renewal::renewal;
@@ -72,19 +73,19 @@ impl SilentModel {
     /// Proposition 1 — expected time to execute a pattern of size `w` when
     /// **all** executions (first and re-executions) run at speed `sigma`.
     pub fn expected_time_single(&self, w: f64, sigma: f64) -> f64 {
-        renewal(&self.as_mixed(), w, 1, sigma, &[sigma]).time
+        renewal(&self.as_mixed(), Exponential, w, 1, sigma, &[sigma]).time
     }
 
     /// Proposition 2 — expected time to execute a pattern of size `w` with
     /// first execution at `sigma1` and all re-executions at `sigma2`.
     pub fn expected_time(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        renewal(&self.as_mixed(), w, 1, sigma1, &[sigma2]).time
+        renewal(&self.as_mixed(), Exponential, w, 1, sigma1, &[sigma2]).time
     }
 
     /// Proposition 3 — expected energy to execute a pattern of size `w`
     /// with first execution at `sigma1` and re-executions at `sigma2`.
     pub fn expected_energy(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        renewal(&self.as_mixed(), w, 1, sigma1, &[sigma2]).energy
+        renewal(&self.as_mixed(), Exponential, w, 1, sigma1, &[sigma2]).energy
     }
 
     /// Exact expected time per unit of work, `T(W,σ₁,σ₂)/W`.
@@ -104,7 +105,7 @@ impl SilentModel {
     /// first execution fails with probability `p₁ = 1 − e^{−λW/σ₁}` and
     /// each re-execution at `σ₂` succeeds with probability `e^{−λW/σ₂}`.
     pub fn expected_executions(&self, w: f64, sigma1: f64, sigma2: f64) -> f64 {
-        renewal(&self.as_mixed(), w, 1, sigma1, &[sigma2]).executions
+        renewal(&self.as_mixed(), Exponential, w, 1, sigma1, &[sigma2]).executions
     }
 
     /// Sweep helper: a copy with a different error rate.

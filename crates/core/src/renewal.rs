@@ -9,7 +9,7 @@
 //! `λˢ`) over its `W/(qσ)` of work — with probability `e^{−x/q}`, where
 //!
 //! ```text
-//! x = q·λᶠ·t + λˢ·W/σ                         total hazard of the attempt
+//! x = q·λᶠ·t + H(W/σ)                         total hazard of the attempt
 //! a = (1 − e^{−λᶠt})/λᶠ · Σ_{k<q} e^{−kx/q}   expected compute time
 //! f = 1 − e^{−x}                             failure probability
 //! ```
@@ -29,6 +29,14 @@
 //! place of each phase. Multiplying by `e^{x_s}` rather than dividing by
 //! `1 − f_s` keeps the tail finite where `1 − e^{−x}` rounds to 1.
 //!
+//! `H` is the silent [`ErrorLaw`]'s cumulative hazard at rate `λˢ`,
+//! `λˢ·W/σ` for the paper's exponential law. Any law fits one attempt
+//! (`q = 1`): a detected error rolls the pattern back, so each attempt
+//! draws a fresh inter-error time and fails independently with
+//! probability `1 − e^{−H}` — the retry count stays geometric whether
+//! or not the law is memoryless. Only segmenting an attempt (`q > 1`)
+//! needs the exponential law, whose hazard splits evenly over segments.
+//!
 //! Every model is an instance:
 //!
 //! * [`SilentModel`](crate::SilentModel) (Propositions 1–3): `λᶠ = 0`,
@@ -38,8 +46,9 @@
 //! * [`multiverif`](crate::multiverif): `λᶠ = 0`, `q ≥ 1`,
 //!   `retries = [σ₂]`;
 //! * [`ScheduleModel`](crate::ScheduleModel): `λᶠ = 0`, `q = 1`, any
-//!   `retries`.
+//!   `retries`, any law.
 
+use crate::law::ErrorLaw;
 use crate::mixed::MixedModel;
 
 /// Expected time, energy and number of attempts of one pattern.
@@ -54,21 +63,21 @@ pub struct Renewal {
 }
 
 /// One attempt at a single speed.
-struct Attempt {
+pub(crate) struct Attempt {
     /// Expected compute time `a`.
-    time: f64,
+    pub(crate) time: f64,
     /// Failure probability `f = 1 − e^{−x}`.
-    fail: f64,
+    pub(crate) fail: f64,
     /// Growth factor `e^{x} = 1/(1 − f)`.
-    growth: f64,
+    pub(crate) growth: f64,
 }
 
 #[inline]
-fn attempt(m: &MixedModel, w: f64, q: u32, sigma: f64) -> Attempt {
-    let (silent, fail_stop) = (m.rates.silent, m.rates.fail_stop);
+pub(crate) fn attempt(m: &MixedModel, law: ErrorLaw, w: f64, q: u32, sigma: f64) -> Attempt {
+    let fail_stop = m.rates.fail_stop;
     let seg = w / f64::from(q);
     let t = (seg + m.costs.verification) / sigma;
-    let x_seg = fail_stop * t + silent * (seg / sigma);
+    let x_seg = fail_stop * t + law.cumulative_hazard(seg / sigma, m.rates.silent);
     let seg_time = if fail_stop > 0.0 {
         -(-fail_stop * t).exp_m1() / fail_stop
     } else {
@@ -90,14 +99,27 @@ fn attempt(m: &MixedModel, w: f64, q: u32, sigma: f64) -> Attempt {
 
 /// Expected time, energy and attempt count of a pattern of `w` work in
 /// `q` verified segments, first attempt at `sigma1` and attempt `i ≥ 1`
-/// at `retries[min(i, len) − 1]` (see the module docs).
+/// at `retries[min(i, len) − 1]`, silent errors drawn from `law` (see
+/// the module docs).
 ///
 /// # Panics
-/// If `q == 0` or `retries` is empty.
+/// If `q == 0`, `retries` is empty, or `q > 1` with a law that is not
+/// memoryless.
 #[inline]
-pub fn renewal(m: &MixedModel, w: f64, q: u32, sigma1: f64, retries: &[f64]) -> Renewal {
+pub fn renewal(
+    m: &MixedModel,
+    law: ErrorLaw,
+    w: f64,
+    q: u32,
+    sigma1: f64,
+    retries: &[f64],
+) -> Renewal {
     assert!(q >= 1, "need at least one verification per pattern");
     assert!(!retries.is_empty(), "need a re-execution speed");
+    assert!(
+        q == 1 || law.is_memoryless(),
+        "segmented attempts need the exponential law"
+    );
     let (c, r) = (m.costs.checkpoint, m.costs.recovery);
     let p_io = m.power.io_power();
     let mut out = Renewal {
@@ -113,7 +135,7 @@ pub fn renewal(m: &MixedModel, w: f64, q: u32, sigma1: f64, retries: &[f64]) -> 
         if reach == 0.0 {
             break;
         }
-        let a = attempt(m, w, q, s);
+        let a = attempt(m, law, w, q, s);
         let weight = if i == retries.len() {
             reach * a.growth
         } else {
@@ -286,7 +308,7 @@ mod tests {
         for (silent, fail_stop) in [(0.0, 5e-4), (2e-4, 5e-4)] {
             let m = MixedModel::new(ErrorRates::new(silent, fail_stop).unwrap(), costs, power);
             for q in [1, 3] {
-                let out = renewal(&m, 2764.0, q, 0.4, &[0.8, 1.0]);
+                let out = renewal(&m, ErrorLaw::Exponential, 2764.0, q, 0.4, &[0.8, 1.0]);
                 let io = costs.checkpoint + (out.executions - 1.0) * costs.recovery;
                 assert_close(&format!("q={q}"), out.energy, io, 1e-12);
             }
@@ -298,7 +320,7 @@ mod tests {
         // λ = 0: the first attempt always succeeds, so the tail (here
         // at a settled speed whose own growth factor is 1) is skipped.
         let m = hera_xscale(0.0).as_mixed();
-        let out = renewal(&m, 1000.0, 3, 0.5, &[0.4, 1.0]);
+        let out = renewal(&m, ErrorLaw::Exponential, 1000.0, 3, 0.5, &[0.4, 1.0]);
         let t = (1000.0 + 3.0 * m.costs.verification) / 0.5;
         assert_eq!(out.executions, 1.0);
         assert!((out.time - (m.costs.checkpoint + t)).abs() < 1e-9);

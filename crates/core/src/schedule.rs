@@ -9,8 +9,10 @@
 //! still has a closed form: a finite prefix sum over the scheduled
 //! attempts plus a geometric tail at the settled speed. This is the
 //! instance `λᶠ = 0`, `q = 1` of the [`renewal`](crate::renewal) form,
-//! with the schedule's retries as they stand; the paper's `(σ₁, σ₂)`
-//! pair is Propositions 2–3 (pinned by test).
+//! with the schedule's retries as they stand and silent errors drawn
+//! from any [`ErrorLaw`] (exponential by default); the paper's
+//! `(σ₁, σ₂)` pair under the exponential law is Propositions 2–3
+//! (pinned by test).
 //!
 //! Because `T` is *deterministic given the attempt count* in the
 //! silent-error model, quantiles of `T` are exact too:
@@ -19,6 +21,7 @@
 //! quantile of `T/W` (a probabilistic deadline) rather than only the
 //! expectation the BiCrit solver bounds.
 
+use crate::law::ErrorLaw;
 use crate::numeric::{self, ConstrainedOptimum};
 use crate::pattern::SilentModel;
 use crate::renewal::{renewal, Renewal};
@@ -95,19 +98,33 @@ impl std::fmt::Display for SpeedSchedule {
 
 /// Exact pattern expectations under a [`SpeedSchedule`] (silent errors
 /// only). Generalizes Propositions 1–3 from `(σ₁, σ₂)` to an arbitrary
-/// per-attempt speed plan.
+/// per-attempt speed plan and silent-error law.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleModel {
-    /// The underlying silent-error platform model.
+    /// The underlying silent-error platform model; its `lambda` is the
+    /// law's nominal rate.
     pub model: SilentModel,
     /// The per-attempt speed plan.
     pub schedule: SpeedSchedule,
+    /// The law of silent-error inter-arrival times.
+    pub law: ErrorLaw,
 }
 
 impl ScheduleModel {
-    /// Wraps a model and a schedule.
+    /// Wraps a model and a schedule, under the paper's exponential law.
     pub fn new(model: SilentModel, schedule: SpeedSchedule) -> Self {
-        ScheduleModel { model, schedule }
+        ScheduleModel {
+            model,
+            schedule,
+            law: ErrorLaw::Exponential,
+        }
+    }
+
+    /// A copy under another silent-error law.
+    #[must_use]
+    pub fn with_law(mut self, law: ErrorLaw) -> Self {
+        self.law = law;
+        self
     }
 
     /// Expected time to execute a pattern of `w` work units: checkpoint
@@ -132,7 +149,21 @@ impl ScheduleModel {
 
     fn renewal(&self, w: f64) -> Renewal {
         let s = &self.schedule;
-        renewal(&self.model.as_mixed(), w, 1, s.sigma1, &s.retries)
+        renewal(&self.model.as_mixed(), self.law, w, 1, s.sigma1, &s.retries)
+    }
+
+    /// `ln p` of the failure probability `p = 1 − e^{−H}` of one
+    /// attempt at speed `s`, `H` the law's hazard over its `w/s` of
+    /// work. Taken as `ln(−expm1(−H))` up to `H = ln 2` and as
+    /// `ln_1p(−e^{−H})` above, where `p` itself rounds towards 1 and
+    /// `ln p` would read 0 (an attempt that never succeeds).
+    fn ln_fail(&self, w: f64, s: f64) -> f64 {
+        let h = self.law.cumulative_hazard(w / s, self.model.lambda);
+        if h <= std::f64::consts::LN_2 {
+            (-(-h).exp_m1()).ln()
+        } else {
+            (-(-h).exp()).ln_1p()
+        }
     }
 
     /// Exact `q`-quantile of the pattern time, `q ∈ [0, 1)`.
@@ -155,7 +186,7 @@ impl ScheduleModel {
         for i in 0..self.schedule.retries().len() {
             let s = self.schedule.speed_for_attempt(i as u32);
             t_attempts += (w + v) / s;
-            ln_reach += self.model.p_error(w, s).ln();
+            ln_reach += self.ln_fail(w, s);
             if ln_reach <= ln_tail {
                 return c + t_attempts + i as f64 * r;
             }
@@ -164,7 +195,7 @@ impl ScheduleModel {
         // ln_reach + k·ln(p) ≤ ln_tail.
         let len = self.schedule.retries().len() as f64;
         let s = self.schedule.settled();
-        let ln_p = self.model.p_error(w, s).ln();
+        let ln_p = self.ln_fail(w, s);
         if ln_p >= 0.0 {
             // p = 1: the pattern never completes.
             return f64::INFINITY;
@@ -394,6 +425,26 @@ mod tests {
         let w = 1000.0;
         let t = m.costs.checkpoint + (w + m.costs.verification) / 0.5;
         assert!((sm.quantile_time(w, 0.99) - t).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantile_time_stays_finite_where_p_rounds_to_one() {
+        // σ₁ = σ₂ = 1 and C = R: the attempt count is geometric with
+        // success probability e^{−x}, x = λW, so the median is
+        // ln 2 · E[T] up to O(e^{−x}). Taking ln p of a rounded
+        // p = 1 − e^{−x} drifts from x ≈ 30 on and reads +∞ from 38.
+        let m = hera_xscale().with_lambda(1e-3);
+        let sm = ScheduleModel::new(m, SpeedSchedule::two_speed(1.0, 1.0).unwrap());
+        for x in [30.0, 37.0, 38.0, 100.0] {
+            let w = x / m.lambda;
+            let median = sm.quantile_time(w, 0.5);
+            assert!(median.is_finite(), "x = {x}: median {median}");
+            let ratio = median / sm.expected_time(w);
+            assert!(
+                (ratio - std::f64::consts::LN_2).abs() < 1e-9,
+                "x = {x}: ratio {ratio}"
+            );
+        }
     }
 
     #[test]

@@ -387,6 +387,36 @@ fn run_validity_window() -> ExperimentResult {
     }
 }
 
+/// Formats one Hera/XScale validation row of X-mc or X-mc-mixed,
+/// degrading an engine refusal (e.g. a degenerate never-completes
+/// config) to a tagged ERR row per the sweep policy instead of aborting
+/// the experiment. Returns whether the row validated.
+fn validation_row(
+    t: &mut Table,
+    model: &str,
+    rep: Result<ValidationReport, rexec_sim::EngineError>,
+) -> bool {
+    match rep {
+        Ok(rep) => {
+            t.row(vec![
+                "Hera/XScale".to_string(),
+                model.to_string(),
+                fmt_num(rep.expected_time, 1),
+                fmt_num(rep.summary.time.mean(), 1),
+                format!("{:.3}%", 100.0 * rep.time_rel_error()),
+                fmt_num(rep.expected_energy, 0),
+                fmt_num(rep.summary.energy.mean(), 0),
+                format!("{:.3}%", 100.0 * rep.energy_rel_error()),
+            ]);
+            rep.ok()
+        }
+        Err(_) => {
+            t.row(tagged_error_row("Hera/XScale".to_string(), 8, "engine"));
+            false
+        }
+    }
+}
+
 fn run_monte_carlo(seed: u64) -> ExperimentResult {
     let trials = 40_000;
     let mut t = Table::new(vec![
@@ -405,34 +435,6 @@ fn run_monte_carlo(seed: u64) -> ExperimentResult {
     let m = hx.silent_model().unwrap().with_lambda(1e-4);
     let (w, s1, s2) = (2764.0, 0.4, 0.8);
     let cfg = SimConfig::from_silent_model(&m, w, s1, s2);
-    // Formats one validation row, degrading an engine refusal (e.g. a
-    // degenerate never-completes config) to a tagged ERR row per the
-    // sweep policy instead of aborting the experiment. Returns whether
-    // the row validated.
-    let validation_row = |t: &mut Table,
-                          model: &str,
-                          rep: Result<ValidationReport, rexec_sim::EngineError>|
-     -> bool {
-        match rep {
-            Ok(rep) => {
-                t.row(vec![
-                    "Hera/XScale".to_string(),
-                    model.to_string(),
-                    fmt_num(rep.expected_time, 1),
-                    fmt_num(rep.summary.time.mean(), 1),
-                    format!("{:.3}%", 100.0 * rep.time_rel_error()),
-                    fmt_num(rep.expected_energy, 0),
-                    fmt_num(rep.summary.energy.mean(), 0),
-                    format!("{:.3}%", 100.0 * rep.energy_rel_error()),
-                ]);
-                rep.ok()
-            }
-            Err(_) => {
-                t.row(tagged_error_row("Hera/XScale".to_string(), 8, "engine"));
-                false
-            }
-        }
-    };
     // Silent-only, i.e. the closed-form fast path at λᶠ = 0; select it
     // explicitly so the validation row keeps exercising it even if the
     // `Engine::Auto` heuristic changes.
@@ -634,25 +636,7 @@ fn run_monte_carlo_mixed(seed: u64) -> ExperimentResult {
             mm.expected_energy(w, s1, s2),
             3.29,
         );
-    let ok = match rep {
-        Ok(rep) => {
-            t.row(vec![
-                "Hera/XScale".to_string(),
-                "mixed fast path (Props 4-5)".to_string(),
-                fmt_num(rep.expected_time, 1),
-                fmt_num(rep.summary.time.mean(), 1),
-                format!("{:.3}%", 100.0 * rep.time_rel_error()),
-                fmt_num(rep.expected_energy, 0),
-                fmt_num(rep.summary.energy.mean(), 0),
-                format!("{:.3}%", 100.0 * rep.energy_rel_error()),
-            ]);
-            rep.ok()
-        }
-        Err(_) => {
-            t.row(tagged_error_row("Hera/XScale".to_string(), 8, "engine"));
-            false
-        }
-    };
+    let ok = validation_row(&mut t, "mixed fast path (Props 4-5)", rep);
 
     // Part 2: the simulated Theorem 2 slope.
     let (slope, rows) = simulated_theorem2_slope(seed, 100_000);
@@ -693,47 +677,6 @@ fn run_monte_carlo_mixed(seed: u64) -> ExperimentResult {
     }
 }
 
-/// Closed-form pattern expectations for a silent-only two-speed config
-/// under an arbitrary [`ErrorLaw`]. The simulator rolls back to pristine
-/// state after every detected error, so each attempt draws a *fresh*
-/// inter-error time (renewal semantics): the retry count is geometric in
-/// the law's per-attempt survival even when the law itself is not
-/// memoryless, and every expectation keeps a closed form. Returns
-/// `(E[T], E[E], E[attempts], [quantile of T at each q in qs])`.
-fn law_expectations(
-    m: &SilentModel,
-    law: ErrorLaw,
-    w: f64,
-    s1: f64,
-    s2: f64,
-    qs: [f64; 3],
-) -> (f64, f64, f64, [f64; 3]) {
-    let (c, r, v) = (m.costs.checkpoint, m.costs.recovery, m.costs.verification);
-    let p1 = 1.0 - law.survival(w / s1, m.lambda);
-    let p2 = 1.0 - law.survival(w / s2, m.lambda);
-    let retries = p1 / (1.0 - p2);
-    let attempt1 = (w + v) / s1;
-    let retry = (w + v) / s2;
-    let time = c + attempt1 + retries * (r + retry);
-    let p_io = m.power.io_power();
-    let energy = c * p_io
-        + attempt1 * m.power.compute_power(s1)
-        + retries * (r * p_io + retry * m.power.compute_power(s2));
-    // T is deterministic given the retry count M (silent errors are only
-    // caught at the verification), and P(M > m) = p1·p2^m, so the
-    // quantile inverts the geometric tail exactly.
-    let quantiles = qs.map(|q| {
-        let mut tail = p1;
-        let mut mth = 0u32;
-        while tail > 1.0 - q {
-            tail *= p2;
-            mth += 1;
-        }
-        c + attempt1 + f64::from(mth) * (r + retry)
-    });
-    (time, energy, 1.0 + retries, quantiles)
-}
-
 fn run_laws(seed: u64) -> ExperimentResult {
     let trials: u64 = 40_000;
     let z = 3.29;
@@ -766,52 +709,55 @@ fn run_laws(seed: u64) -> ExperimentResult {
     let mut all_ok = true;
 
     // One row per scenario: analytic values from the renewal closed
-    // forms, sampled values from the per-attempt scenario engine. All
-    // scenarios share one seed (common random numbers), so cross-law
-    // differences in the table are distributional, not sampling noise.
-    let law_row =
-        |t: &mut Table, csv: &mut String, name: &str, expected: (f64, f64, f64, [f64; 3]), run| {
-            let (te, ee, ne, [p99_lo, p99, p99_hi]) = expected;
-            match run {
-                Ok((summary, th, _)) => {
-                    let (summary, th): (rexec_sim::Summary, rexec_obs::HistogramSketch) =
-                        (summary, th);
-                    let p99_s = th.quantile(q99).unwrap_or(f64::NAN);
-                    let ok = (summary.time.mean() - te).abs()
-                        <= z * summary.time.std_dev() / n.sqrt()
-                        && (summary.energy.mean() - ee).abs()
-                            <= z * summary.energy.std_dev() / n.sqrt()
-                        && (summary.attempts.mean() - ne).abs()
-                            <= z * summary.attempts.std_dev() / n.sqrt()
-                        && p99_s >= 0.97 * p99_lo
-                        && p99_s <= 1.03 * p99_hi;
-                    t.row(vec![
-                        name.to_string(),
-                        fmt_num(te, 1),
-                        fmt_num(summary.time.mean(), 1),
-                        format!("{:.3}%", 100.0 * (summary.time.mean() / te - 1.0).abs()),
-                        format!("{:.3}%", 100.0 * (summary.energy.mean() / ee - 1.0).abs()),
-                        format!("{:.3}%", 100.0 * (summary.attempts.mean() / ne - 1.0).abs()),
-                        fmt_num(p99, 1),
-                        fmt_num(p99_s, 1),
-                        if ok { "OK".into() } else { "MISS".into() },
-                    ]);
-                    for (stat, a, s) in [
-                        ("time", te, summary.time.mean()),
-                        ("energy", ee, summary.energy.mean()),
-                        ("attempts", ne, summary.attempts.mean()),
-                        ("p99_time", p99, p99_s),
-                    ] {
-                        let _ = writeln!(csv, "{name},{stat},{a},{s}");
-                    }
-                    ok
+    // form of the scenario's ScheduleModel, sampled values from the
+    // per-attempt scenario engine. All scenarios share one seed (common
+    // random numbers), so cross-law differences in the table are
+    // distributional, not sampling noise.
+    let law_row = |t: &mut Table, csv: &mut String, name: &str, sm: &ScheduleModel, run| {
+        let (te, ee, ne) = (
+            sm.expected_time(w),
+            sm.expected_energy(w),
+            sm.expected_executions(w),
+        );
+        let [p99_lo, p99, p99_hi] = q_bracket.map(|q| sm.quantile_time(w, q));
+        match run {
+            Ok((summary, th, _)) => {
+                let (summary, th): (rexec_sim::Summary, rexec_obs::HistogramSketch) = (summary, th);
+                let p99_s = th.quantile(q99).unwrap_or(f64::NAN);
+                let ok = (summary.time.mean() - te).abs() <= z * summary.time.std_dev() / n.sqrt()
+                    && (summary.energy.mean() - ee).abs()
+                        <= z * summary.energy.std_dev() / n.sqrt()
+                    && (summary.attempts.mean() - ne).abs()
+                        <= z * summary.attempts.std_dev() / n.sqrt()
+                    && p99_s >= 0.97 * p99_lo
+                    && p99_s <= 1.03 * p99_hi;
+                t.row(vec![
+                    name.to_string(),
+                    fmt_num(te, 1),
+                    fmt_num(summary.time.mean(), 1),
+                    format!("{:.3}%", 100.0 * (summary.time.mean() / te - 1.0).abs()),
+                    format!("{:.3}%", 100.0 * (summary.energy.mean() / ee - 1.0).abs()),
+                    format!("{:.3}%", 100.0 * (summary.attempts.mean() / ne - 1.0).abs()),
+                    fmt_num(p99, 1),
+                    fmt_num(p99_s, 1),
+                    if ok { "OK".into() } else { "MISS".into() },
+                ]);
+                for (stat, a, s) in [
+                    ("time", te, summary.time.mean()),
+                    ("energy", ee, summary.energy.mean()),
+                    ("attempts", ne, summary.attempts.mean()),
+                    ("p99_time", p99, p99_s),
+                ] {
+                    let _ = writeln!(csv, "{name},{stat},{a},{s}");
                 }
-                Err(_) => {
-                    t.row(tagged_error_row(name.to_string(), 9, "engine"));
-                    false
-                }
+                ok
             }
-        };
+            Err(_) => {
+                t.row(tagged_error_row(name.to_string(), 9, "engine"));
+                false
+            }
+        }
+    };
 
     for (name, law) in [
         ("exponential", ErrorLaw::Exponential),
@@ -823,13 +769,8 @@ fn run_laws(seed: u64) -> ExperimentResult {
         let run = MonteCarlo::new(cfg, trials, seed)
             .with_law(law)
             .run_with_histograms();
-        all_ok &= law_row(
-            &mut t,
-            &mut csv,
-            name,
-            law_expectations(&m, law, w, s1, s2, q_bracket),
-            run,
-        );
+        let sm = ScheduleModel::new(m, SpeedSchedule::two_speed(s1, s2).unwrap()).with_law(law);
+        all_ok &= law_row(&mut t, &mut csv, name, &sm, run);
     }
 
     // A 3-speed schedule under the exponential law, against the exact
@@ -839,18 +780,7 @@ fn run_laws(seed: u64) -> ExperimentResult {
     let run = MonteCarlo::new(SimConfig::from_silent_model(&m, w, s1, 1.0), trials, seed)
         .with_schedule(schedule)
         .run_with_histograms();
-    all_ok &= law_row(
-        &mut t,
-        &mut csv,
-        "schedule (0.4,0.6,1)",
-        (
-            sm.expected_time(w),
-            sm.expected_energy(w),
-            sm.expected_executions(w),
-            q_bracket.map(|q| sm.quantile_time(w, q)),
-        ),
-        run,
-    );
+    all_ok &= law_row(&mut t, &mut csv, "schedule (0.4,0.6,1)", &sm, run);
 
     // CRN sanity anchor: Weibull with shape 1 *is* the exponential law,
     // and its sampler consumes the uniform stream identically, so the

@@ -112,16 +112,14 @@ fn x_heatmap_structure() {
 
 #[test]
 fn x_pareto_frontier_extremes_match_solvers() {
-    // The fast end of the frontier approaches the MinTime optimum; the
+    // The fast end of the frontier approaches the time-only optimum
+    // (the smallest first-order bound ρᵢⱼ over pairs); the
     // cheap end matches the unconstrained BiCrit optimum.
     let cfg = hera_xscale();
     let solver = cfg.solver().unwrap();
     let frontier = ParetoFrontier::compute(&solver, 20.0, 300);
     let fast = &frontier.points[0];
-    let mintime = MinTimeSolver::new(*solver.model(), solver.speeds().clone())
-        .solve()
-        .unwrap();
-    assert!(fast.time_overhead <= mintime.time_overhead * 1.05);
+    assert!(fast.time_overhead <= solver.min_feasible_rho() * 1.05);
     let cheap = frontier.points.last().unwrap();
     let loose = solver.solve(20.0).unwrap();
     assert!((cheap.energy_overhead - loose.energy_overhead).abs() / loose.energy_overhead < 1e-6);

@@ -235,22 +235,46 @@ fn draw_point(rng: &mut SimRng, speeds: usize) -> (ErrorRates, f64, Vec<f64>) {
 
 #[test]
 fn renewal_closed_form_matches_the_scenario_engine_over_schedules() {
-    // (λˢ, λᶠ, schedule) at q = 1: the per-attempt scenario engine
-    // against the one renewal closed form.
+    // (λˢ, λᶠ, schedule, law) at q = 1: the per-attempt scenario engine
+    // against the one renewal closed form. The law cycles through the
+    // exponential and three non-memoryless laws, so that with the depth
+    // cycle every (depth, law) pair is drawn once; a non-exponential law
+    // runs silent-only, where its closed form is a `ScheduleModel` with
+    // that law.
+    const LAWS: [ErrorLaw; 4] = [
+        ErrorLaw::Exponential,
+        ErrorLaw::Weibull { shape: 0.7 },
+        ErrorLaw::Weibull { shape: 1.5 },
+        ErrorLaw::LogNormal { sigma: 1.0 },
+    ];
     let m = hera_xscale_model();
     let mut draws = SimRng::new(0x5eed_0001);
-    for point in 0..8 {
+    for point in 0..12 {
         let depth = 2 + point % 3;
+        let law = LAWS[point % LAWS.len()];
         let (rates, w, speeds) = draw_point(&mut draws, depth);
-        let mm = MixedModel::new(rates, m.costs, m.power);
         let schedule = SpeedSchedule::new(speeds[0], speeds[1..].to_vec()).unwrap();
-        let cfg = SimConfig::from_mixed_model(&mm, w, speeds[0], schedule.settled());
-        ensure_completes(&cfg, ErrorLaw::Exponential, Some(&schedule)).unwrap();
+        let (cfg, expected) = if law.is_memoryless() {
+            let mm = MixedModel::new(rates, m.costs, m.power);
+            let cfg = SimConfig::from_mixed_model(&mm, w, speeds[0], schedule.settled());
+            (cfg, renewal(&mm, law, w, 1, speeds[0], &speeds[1..]))
+        } else {
+            let silent = m.with_lambda(rates.silent);
+            let cfg = SimConfig::from_silent_model(&silent, w, speeds[0], schedule.settled());
+            let sm = ScheduleModel::new(silent, schedule.clone()).with_law(law);
+            let expected = Renewal {
+                time: sm.expected_time(w),
+                energy: sm.expected_energy(w),
+                executions: sm.expected_executions(w),
+            };
+            (cfg, expected)
+        };
+        ensure_completes(&cfg, law, Some(&schedule)).unwrap();
         let s = sampled(20_000, 4000 + point as u64, |rng| {
-            simulate_pattern_scenario(&cfg, ErrorLaw::Exponential, Some(&schedule), rng)
+            simulate_pattern_scenario(&cfg, law, Some(&schedule), rng)
         });
-        let expected = renewal(&mm, w, 1, speeds[0], &speeds[1..]);
-        assert_within(&format!("{rates:?} W={w} {schedule}"), &s, &expected);
+        let label = format!("{law:?} {:?} W={w} {schedule}", cfg.rates);
+        assert_within(&label, &s, &expected);
     }
 }
 
@@ -267,7 +291,7 @@ fn renewal_closed_form_matches_the_segmented_engine() {
         let s = sampled(20_000, 5000 + u64::from(point), |rng| {
             simulate_pattern_segmented(&cfg, q, rng)
         });
-        let expected = renewal(&mm, w, q, speeds[0], &speeds[1..]);
+        let expected = renewal(&mm, ErrorLaw::Exponential, w, q, speeds[0], &speeds[1..]);
         assert_within(&format!("{rates:?} W={w} q={q} {speeds:?}"), &s, &expected);
     }
 }
@@ -295,7 +319,7 @@ fn renewal_closed_form_is_finite_wherever_the_engine_accepts() {
         };
         assert!(ensure_completes(&over, ErrorLaw::Exponential, None).is_err());
         for q in [1, 4] {
-            let r = renewal(&mm, w, q, s1, &[s2]);
+            let r = renewal(&mm, ErrorLaw::Exponential, w, q, s1, &[s2]);
             assert!(
                 r.time.is_finite() && r.energy.is_finite() && r.executions.is_finite(),
                 "fail share {fail_share}, q = {q}: {r:?}"
