@@ -1,42 +1,15 @@
 //! Argument parsing for `rexec-plan` (no external CLI dependency).
 
+use crate::spec::{check_positive, PlanSpec, SpecError};
 use std::fmt;
 
 /// Parsed command-line arguments.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Args {
-    /// Named platform (hera/atlas/coastal/coastal-ssd), if any.
-    pub platform: Option<String>,
-    /// Named processor (xscale/crusoe), if any.
-    pub processor: Option<String>,
-    /// Custom silent-error rate λ (1/s).
-    pub lambda: Option<f64>,
-    /// Custom checkpoint cost C (s).
-    pub checkpoint: Option<f64>,
-    /// Custom verification cost V (s, at full speed).
-    pub verification: Option<f64>,
-    /// Custom recovery cost R (s; defaults to C).
-    pub recovery: Option<f64>,
-    /// Custom cube-law coefficient κ (mW).
-    pub kappa: Option<f64>,
-    /// Custom idle power (mW).
-    pub p_idle: Option<f64>,
-    /// Custom I/O power (mW; defaults to κσ_min³).
-    pub p_io: Option<f64>,
-    /// Custom speed set.
-    pub speeds: Option<Vec<f64>>,
-    /// Performance bound ρ (default 3).
-    pub rho: f64,
-    /// Error law name (exponential/weibull/lognormal); non-exponential
-    /// laws are simulation-only and rejected by the analytic planner
-    /// with a typed error.
-    pub law: Option<String>,
-    /// Shape parameter for a non-exponential law.
-    pub shape: Option<f64>,
-    /// Re-execution schedule search depth (1–4; default: single σ₂).
-    pub schedule_depth: Option<u32>,
-    /// Deadline quantile q ∈ (0,1): bound the q-quantile of T/W.
-    pub quantile: Option<f64>,
+    /// The model parameters and scenario flags (`--platform` …
+    /// `--quantile`), validated and resolved through the shared rule
+    /// table the serve wire protocol also uses.
+    pub spec: PlanSpec,
     /// Total application work, enabling the application-level plan.
     pub w_base: Option<f64>,
     /// Monte Carlo validation trials (0 = off).
@@ -66,42 +39,11 @@ pub struct Args {
     pub help: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            platform: None,
-            processor: None,
-            lambda: None,
-            checkpoint: None,
-            verification: None,
-            recovery: None,
-            kappa: None,
-            p_idle: None,
-            p_io: None,
-            speeds: None,
-            rho: 3.0,
-            law: None,
-            shape: None,
-            schedule_depth: None,
-            quantile: None,
-            w_base: None,
-            validate: 0,
-            compare_one_speed: false,
-            pareto: None,
-            metrics: None,
-            metrics_prom: None,
-            trace_chrome: None,
-            trace_jsonl: None,
-            fault_plan: rexec_harness::FaultPlan::default(),
-            verbose: false,
-            help: false,
-        }
-    }
-}
-
 /// Argument-parsing failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
+    /// A model parameter fails the shared spec's domain rules.
+    Spec(SpecError),
     /// An option that requires a value was given none.
     MissingValue(String),
     /// A value could not be parsed as the expected type.
@@ -113,8 +55,8 @@ pub enum ParseError {
     },
     /// Unrecognized option.
     UnknownOption(String),
-    /// A value parsed but fails domain validation (NaN, negative rate,
-    /// zero speed, …). The reason says what the option requires.
+    /// A value parsed but is not one the option accepts. The reason
+    /// says what the option requires.
     InvalidValue {
         /// Offending option.
         option: String,
@@ -128,6 +70,7 @@ pub enum ParseError {
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ParseError::Spec(e) => fmt_spec_error(e, f),
             ParseError::MissingValue(o) => write!(f, "option {o} requires a value"),
             ParseError::BadValue { option, value } => {
                 write!(f, "cannot parse value `{value}` for option {option}")
@@ -145,6 +88,57 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+impl From<SpecError> for ParseError {
+    fn from(e: SpecError) -> Self {
+        ParseError::Spec(e)
+    }
+}
+
+/// The CLI spelling of a wire-level field name (`schedule_depth`
+/// crosses the wire with an underscore but is typed with a dash).
+fn option_name(field: &str) -> String {
+    format!("--{}", field.replace('_', "-"))
+}
+
+/// Renders a shared-spec failure in CLI terms, blaming the `--option`
+/// that sets the wire field: the one rendering behind both
+/// [`ParseError::Spec`] and [`RunError::Spec`](crate::run::RunError::Spec),
+/// so a rule reads the same whether parsing or planning caught it.
+pub(crate) fn fmt_spec_error(e: &SpecError, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn invalid(
+        f: &mut fmt::Formatter<'_>,
+        field: &str,
+        value: &dyn fmt::Display,
+        reason: &str,
+    ) -> fmt::Result {
+        let option = option_name(field);
+        write!(f, "invalid value `{value}` for option {option}: {reason}")
+    }
+    match e {
+        SpecError::Invalid {
+            field,
+            value,
+            reason,
+        } => invalid(f, field, value, reason),
+        SpecError::EmptySpeeds => invalid(f, "speeds", &"", "needs at least one speed"),
+        SpecError::UnknownName { field: "law", name } => {
+            invalid(f, "law", name, "must be exponential, weibull or lognormal")
+        }
+        SpecError::UnknownName { name, .. } => write!(f, "unknown name: {name}"),
+        // No named configuration supplies a shape: only `--shape` can.
+        SpecError::Underspecified("shape") => write!(f, "option --shape requires a value"),
+        SpecError::Underspecified(field) => write!(
+            f,
+            "missing parameter: {} (give --platform/--processor or custom values)",
+            option_name(field)
+        ),
+        SpecError::Unsupported { field, reason } => {
+            write!(f, "unsupported {}: {reason}", option_name(field))
+        }
+        SpecError::Model(e) => write!(f, "invalid parameters: {e}"),
+    }
+}
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -203,54 +197,18 @@ fn take_value(args: &mut std::vec::IntoIter<String>, opt: &str) -> Result<String
         .ok_or_else(|| ParseError::MissingValue(opt.to_string()))
 }
 
-fn parse_f64(opt: &str, text: &str) -> Result<f64, ParseError> {
+fn parse_value<T: std::str::FromStr>(opt: &str, text: &str) -> Result<T, ParseError> {
     text.parse().map_err(|_| ParseError::BadValue {
         option: opt.to_string(),
         value: text.to_string(),
     })
 }
 
-/// The CLI spelling of a wire-level field name (`schedule_depth`
-/// crosses the wire with an underscore but is typed with a dash).
-fn option_name(field: &str) -> String {
-    format!("--{}", field.replace('_', "-"))
-}
-
-/// Maps a shared-spec failure onto the CLI error surface: the wire
-/// field name becomes the `--option` that was blamed.
-fn spec_error(e: crate::spec::SpecError) -> ParseError {
-    use crate::spec::SpecError;
-    match e {
-        SpecError::Invalid {
-            field,
-            value,
-            reason,
-        } => ParseError::InvalidValue {
-            option: option_name(field),
-            value: format!("{value}"),
-            reason: reason.to_string(),
-        },
-        SpecError::EmptySpeeds => ParseError::InvalidValue {
-            option: "--speeds".into(),
-            value: String::new(),
-            reason: "needs at least one speed".into(),
-        },
-        // An unknown law name (`--law pareto`) or a shape-requiring law
-        // without its `--shape`.
-        SpecError::UnknownName(name) => ParseError::InvalidValue {
-            option: "--law".into(),
-            value: name,
-            reason: "must be exponential, weibull or lognormal".into(),
-        },
-        SpecError::Underspecified(field) => ParseError::MissingValue(option_name(field)),
-        SpecError::Unsupported { field, reason } => ParseError::InvalidValue {
-            option: option_name(field),
-            value: String::new(),
-            reason: reason.to_string(),
-        },
-        // Model construction happens at resolve time, after parsing.
-        SpecError::Model(e) => unreachable!("domain validation produced {e:?}"),
-    }
+fn take_parsed<T: std::str::FromStr>(
+    args: &mut std::vec::IntoIter<String>,
+    opt: &str,
+) -> Result<T, ParseError> {
+    parse_value(opt, &take_value(args, opt)?)
 }
 
 impl Args {
@@ -263,7 +221,7 @@ impl Args {
                 "--help" | "-h" => out.help = true,
                 "--one-speed" => out.compare_one_speed = true,
                 "--verbose" => out.verbose = true,
-                "--platform" | "--config" => out.platform = Some(take_value(&mut it, &a)?),
+                "--platform" | "--config" => out.spec.platform = Some(take_value(&mut it, &a)?),
                 "--metrics" => out.metrics = Some(take_value(&mut it, &a)?),
                 "--metrics-prom" => out.metrics_prom = Some(take_value(&mut it, &a)?),
                 "--trace-chrome" => out.trace_chrome = Some(take_value(&mut it, &a)?),
@@ -278,47 +236,27 @@ impl Args {
                         }
                     })?;
                 }
-                "--processor" => out.processor = Some(take_value(&mut it, &a)?),
-                "--lambda" => out.lambda = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--checkpoint" => out.checkpoint = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--verification" => {
-                    out.verification = Some(parse_f64(&a, &take_value(&mut it, &a)?)?)
-                }
-                "--recovery" => out.recovery = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--kappa" => out.kappa = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--pidle" => out.p_idle = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--pio" => out.p_io = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--rho" => out.rho = parse_f64(&a, &take_value(&mut it, &a)?)?,
-                "--law" => out.law = Some(take_value(&mut it, &a)?),
-                "--shape" => out.shape = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--quantile" => out.quantile = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--schedule-depth" => {
-                    let v = take_value(&mut it, &a)?;
-                    out.schedule_depth = Some(v.parse().map_err(|_| ParseError::BadValue {
-                        option: a.clone(),
-                        value: v,
-                    })?);
-                }
-                "--wbase" => out.w_base = Some(parse_f64(&a, &take_value(&mut it, &a)?)?),
-                "--validate" => {
-                    let v = take_value(&mut it, &a)?;
-                    out.validate = v.parse().map_err(|_| ParseError::BadValue {
-                        option: a.clone(),
-                        value: v,
-                    })?;
-                }
-                "--pareto" => {
-                    let v = take_value(&mut it, &a)?;
-                    out.pareto = Some(v.parse().map_err(|_| ParseError::BadValue {
-                        option: a.clone(),
-                        value: v,
-                    })?);
-                }
+                "--processor" => out.spec.processor = Some(take_value(&mut it, &a)?),
+                "--lambda" => out.spec.lambda = Some(take_parsed(&mut it, &a)?),
+                "--checkpoint" => out.spec.checkpoint = Some(take_parsed(&mut it, &a)?),
+                "--verification" => out.spec.verification = Some(take_parsed(&mut it, &a)?),
+                "--recovery" => out.spec.recovery = Some(take_parsed(&mut it, &a)?),
+                "--kappa" => out.spec.kappa = Some(take_parsed(&mut it, &a)?),
+                "--pidle" => out.spec.pidle = Some(take_parsed(&mut it, &a)?),
+                "--pio" => out.spec.pio = Some(take_parsed(&mut it, &a)?),
+                "--rho" => out.spec.rho = Some(take_parsed(&mut it, &a)?),
+                "--law" => out.spec.law = Some(take_value(&mut it, &a)?),
+                "--shape" => out.spec.shape = Some(take_parsed(&mut it, &a)?),
+                "--quantile" => out.spec.quantile = Some(take_parsed(&mut it, &a)?),
+                "--schedule-depth" => out.spec.schedule_depth = Some(take_parsed(&mut it, &a)?),
+                "--wbase" => out.w_base = Some(take_parsed(&mut it, &a)?),
+                "--validate" => out.validate = take_parsed(&mut it, &a)?,
+                "--pareto" => out.pareto = Some(take_parsed(&mut it, &a)?),
                 "--speeds" => {
                     let v = take_value(&mut it, &a)?;
                     let speeds: Result<Vec<f64>, _> =
-                        v.split(',').map(|s| parse_f64(&a, s.trim())).collect();
-                    out.speeds = Some(speeds?);
+                        v.split(',').map(|s| parse_value(&a, s.trim())).collect();
+                    out.spec.speeds = Some(speeds?);
                 }
                 other => return Err(ParseError::UnknownOption(other.to_string())),
             }
@@ -327,36 +265,13 @@ impl Args {
         Ok(out)
     }
 
-    /// The model parameters as the shared [`PlanSpec`](crate::spec::PlanSpec)
-    /// that both the CLI and the serve wire protocol validate and resolve
-    /// through — one rule table, two surfaces.
-    pub fn to_spec(&self) -> crate::spec::PlanSpec {
-        crate::spec::PlanSpec {
-            platform: self.platform.clone(),
-            processor: self.processor.clone(),
-            lambda: self.lambda,
-            checkpoint: self.checkpoint,
-            verification: self.verification,
-            recovery: self.recovery,
-            kappa: self.kappa,
-            pidle: self.p_idle,
-            pio: self.p_io,
-            speeds: self.speeds.clone(),
-            rho: Some(self.rho),
-            law: self.law.clone(),
-            shape: self.shape,
-            schedule_depth: self.schedule_depth,
-            quantile: self.quantile,
-        }
-    }
-
     /// Domain validation, run up front so a NaN or negative rate fails
     /// with a precise message instead of surfacing as solver misbehavior
     /// deep in a run. The model parameters go through the shared spec
     /// rule table; `--wbase` is CLI-only and checked here.
     fn validate_domains(&self) -> Result<(), ParseError> {
-        self.to_spec().validate_domains().map_err(spec_error)?;
-        crate::spec::check_positive("wbase", self.w_base).map_err(spec_error)?;
+        self.spec.validate_domains()?;
+        check_positive("wbase", self.w_base)?;
         Ok(())
     }
 }
@@ -372,10 +287,9 @@ mod tests {
     #[test]
     fn defaults() {
         let a = parse(&[]).unwrap();
-        assert_eq!(a.rho, 3.0);
+        assert_eq!(a.spec, PlanSpec::default(), "rho defaults at resolution");
         assert_eq!(a.validate, 0);
         assert!(!a.help && !a.compare_one_speed);
-        assert!(a.platform.is_none() && a.speeds.is_none());
     }
 
     #[test]
@@ -389,9 +303,9 @@ mod tests {
             "1.775",
         ])
         .unwrap();
-        assert_eq!(a.platform.as_deref(), Some("hera"));
-        assert_eq!(a.processor.as_deref(), Some("xscale"));
-        assert_eq!(a.rho, 1.775);
+        assert_eq!(a.spec.platform.as_deref(), Some("hera"));
+        assert_eq!(a.spec.processor.as_deref(), Some("xscale"));
+        assert_eq!(a.spec.rho, Some(1.775));
     }
 
     #[test]
@@ -416,9 +330,9 @@ mod tests {
             "--one-speed",
         ])
         .unwrap();
-        assert_eq!(a.lambda, Some(1e-5));
-        assert_eq!(a.checkpoint, Some(600.0));
-        assert_eq!(a.speeds, Some(vec![0.25, 0.5, 0.75, 1.0]));
+        assert_eq!(a.spec.lambda, Some(1e-5));
+        assert_eq!(a.spec.checkpoint, Some(600.0));
+        assert_eq!(a.spec.speeds, Some(vec![0.25, 0.5, 0.75, 1.0]));
         assert_eq!(a.w_base, Some(1e8));
         assert_eq!(a.validate, 5000);
         assert!(a.compare_one_speed);
@@ -451,12 +365,14 @@ mod tests {
     }
 
     fn assert_invalid(args: &[&str], expect_option: &str) {
-        match parse(args) {
-            Err(ParseError::InvalidValue { option, .. }) => {
-                assert_eq!(option, expect_option, "wrong option blamed for {args:?}")
-            }
-            other => panic!("expected InvalidValue for {args:?}, got {other:?}"),
-        }
+        let blamed = match parse(args) {
+            Err(ParseError::InvalidValue { option, .. }) => option,
+            Err(ParseError::Spec(
+                SpecError::Invalid { field, .. } | SpecError::UnknownName { field, .. },
+            )) => option_name(field),
+            other => panic!("expected an invalid value for {args:?}, got {other:?}"),
+        };
+        assert_eq!(blamed, expect_option, "wrong option blamed for {args:?}");
     }
 
     #[test]
@@ -518,10 +434,10 @@ mod tests {
             "0.99",
         ])
         .unwrap();
-        assert_eq!(a.law.as_deref(), Some("weibull"));
-        assert_eq!(a.shape, Some(0.7));
-        assert_eq!(a.schedule_depth, Some(3));
-        assert_eq!(a.quantile, Some(0.99));
+        assert_eq!(a.spec.law.as_deref(), Some("weibull"));
+        assert_eq!(a.spec.shape, Some(0.7));
+        assert_eq!(a.spec.schedule_depth, Some(3));
+        assert_eq!(a.spec.quantile, Some(0.99));
         // The rule table runs at parse time, with CLI option names.
         assert_invalid(&["--law", "pareto"], "--law");
         assert_invalid(&["--shape", "0.7"], "--shape");
@@ -541,7 +457,7 @@ mod tests {
         // A shape-requiring law without --shape blames the missing option.
         assert_eq!(
             parse(&["--law", "lognormal"]),
-            Err(ParseError::MissingValue("--shape".into()))
+            Err(ParseError::Spec(SpecError::Underspecified("shape")))
         );
         for flag in ["--law", "--shape", "--schedule-depth", "--quantile"] {
             assert!(USAGE.contains(flag), "usage must document {flag}");
@@ -551,7 +467,7 @@ mod tests {
     #[test]
     fn config_is_an_alias_for_platform() {
         let a = parse(&["--config", "hera", "--processor", "xscale"]).unwrap();
-        assert_eq!(a.platform.as_deref(), Some("hera"));
+        assert_eq!(a.spec.platform.as_deref(), Some("hera"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Builds the model from parsed arguments and renders the plan.
 
-use crate::args::Args;
+use crate::args::{fmt_spec_error, Args};
 use crate::spec::SpecError;
 use rexec_core::{
-    solve_quantile, solve_schedule, BiCritSolver, ExecutionPlan, ModelError, ParetoFrontier,
-    ScheduleModel,
+    solve_quantile, solve_schedule, BiCritSolver, ExecutionPlan, ParetoFrontier, ScheduleModel,
 };
 use rexec_sim::{render_timeline, MonteCarlo, SimConfig, ValidationReport};
 use std::fmt::Write as _;
@@ -32,20 +31,9 @@ pub struct Outcome {
 /// Errors surfaced to the user.
 #[derive(Debug)]
 pub enum RunError {
-    /// Bad platform/processor name.
-    UnknownName(String),
-    /// Parameters do not form a valid model.
-    Model(ModelError),
-    /// Neither a named configuration nor enough custom parameters.
-    Underspecified(&'static str),
-    /// A valid parameter names a capability the analytic planner does
-    /// not provide (e.g. a non-memoryless error law).
-    Unsupported {
-        /// The CLI option that was given (`--law`, …).
-        option: &'static str,
-        /// Why, and what to use instead.
-        reason: &'static str,
-    },
+    /// The parameters fail the shared spec's rules or do not resolve to
+    /// a model (bad name, missing parameter, unsupported law, …).
+    Spec(SpecError),
     /// The simulation engine refused the config (degenerate pattern).
     Engine(rexec_sim::EngineError),
 }
@@ -53,17 +41,7 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunError::UnknownName(n) => write!(f, "unknown name: {n}"),
-            RunError::Model(e) => write!(f, "invalid parameters: {e}"),
-            RunError::Underspecified(what) => {
-                write!(
-                    f,
-                    "missing parameter: {what} (give --platform/--processor or custom values)"
-                )
-            }
-            RunError::Unsupported { option, reason } => {
-                write!(f, "unsupported {option}: {reason}")
-            }
+            RunError::Spec(e) => fmt_spec_error(e, f),
             RunError::Engine(e) => write!(f, "simulation refused: {e}"),
         }
     }
@@ -71,9 +49,9 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-impl From<ModelError> for RunError {
-    fn from(e: ModelError) -> Self {
-        RunError::Model(e)
+impl From<SpecError> for RunError {
+    fn from(e: SpecError) -> Self {
+        RunError::Spec(e)
     }
 }
 
@@ -83,68 +61,33 @@ impl From<rexec_sim::EngineError> for RunError {
     }
 }
 
-/// The CLI option that owns a wire-level spec field, for error messages
-/// that blame `--checkpoint` rather than `checkpoint`.
-fn option_for(field: &'static str) -> &'static str {
-    match field {
-        "lambda" => "--lambda",
-        "checkpoint" => "--checkpoint",
-        "verification" => "--verification",
-        "recovery" => "--recovery",
-        "kappa" => "--kappa",
-        "pidle" => "--pidle",
-        "pio" => "--pio",
-        "speeds" => "--speeds",
-        "rho" => "--rho",
-        "law" => "--law",
-        "shape" => "--shape",
-        "schedule_depth" => "--schedule-depth",
-        "quantile" => "--quantile",
-        other => other,
-    }
-}
-
-impl From<SpecError> for RunError {
-    fn from(e: SpecError) -> Self {
-        match e {
-            SpecError::UnknownName(n) => RunError::UnknownName(n),
-            SpecError::Underspecified(field) => RunError::Underspecified(option_for(field)),
-            SpecError::Unsupported { field, reason } => RunError::Unsupported {
-                option: option_for(field),
-                reason,
-            },
-            SpecError::Model(m) => RunError::Model(m),
-            // Args::parse already ran the domain rules; a programmatic
-            // Args that skipped them still gets a precise message.
-            SpecError::Invalid {
-                field,
-                value,
-                reason,
-            } => RunError::Model(if reason.contains("not be negative") {
-                ModelError::NonNegative { name: field, value }
-            } else {
-                ModelError::Positive { name: field, value }
-            }),
-            SpecError::EmptySpeeds => RunError::Model(ModelError::EmptySpeedSet),
-        }
-    }
-}
-
-/// Resolves arguments into a solver (named configuration + overrides)
-/// through the shared [`PlanSpec`](crate::spec::PlanSpec) path — the
-/// same resolution the serve wire protocol uses.
-pub fn build_solver(args: &Args) -> Result<BiCritSolver, RunError> {
-    let resolved = args.to_spec().resolve()?;
-    Ok(BiCritSolver::new(resolved.model, resolved.speeds))
-}
-
 /// How many patterns `--trace-jsonl` simulates into one bounded trace.
 const TRACE_TRIALS: u64 = 4;
 /// Event capacity of the `--trace-jsonl` recorder; overflow is counted
 /// as dropped and reported instead of silently discarded.
 const TRACE_CAPACITY: usize = 4096;
 
-/// Runs the planner and renders the report.
+/// The run's observability payloads, as the flags asked for them.
+fn outcome(args: &Args, report: String, feasible: bool, trace_jsonl: Option<String>) -> Outcome {
+    Outcome {
+        report,
+        feasible,
+        metrics_json: args.metrics.is_some().then(rexec_obs::snapshot_json),
+        metrics_prom: args
+            .metrics_prom
+            .is_some()
+            .then(|| rexec_obs::prometheus_text(rexec_obs::global())),
+        trace_chrome: args
+            .trace_chrome
+            .is_some()
+            .then(rexec_obs::chrome_trace_json),
+        trace_jsonl,
+    }
+}
+
+/// Runs the planner and renders the report. The model resolves through
+/// the shared [`PlanSpec`](crate::spec::PlanSpec) path — the same
+/// resolution the serve wire protocol uses.
 pub fn execute(args: &Args) -> Result<Outcome, RunError> {
     if args.metrics.is_some() || args.metrics_prom.is_some() {
         // Span timing is off by default (it reads the clock); a metrics
@@ -154,7 +97,9 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
     if args.trace_chrome.is_some() {
         rexec_obs::set_timeline_enabled(true);
     }
-    let solver = build_solver(args)?;
+    let resolved = args.spec.resolve()?;
+    let rho = resolved.rho;
+    let solver = BiCritSolver::new(resolved.model, resolved.speeds);
     let m = *solver.model();
     let mut report = String::new();
     let _ = writeln!(
@@ -169,18 +114,18 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
         m.power.p_idle,
         m.power.p_io,
         solver.speeds().values(),
-        args.rho
+        rho
     );
 
     if args.verbose {
         eprintln!(
             "[rexec-plan] model ready; solving over {} speed pairs (rho = {})",
             solver.speeds().values().len().pow(2),
-            args.rho
+            rho
         );
     }
 
-    let solution = solver.solve(args.rho);
+    let solution = solver.solve(rho);
     if args.verbose {
         let g = rexec_obs::global();
         eprintln!(
@@ -201,23 +146,10 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
         let _ = writeln!(
             report,
             "\nINFEASIBLE: no speed pair meets rho = {}; smallest feasible rho is {:.4}",
-            args.rho,
+            rho,
             solver.min_feasible_rho()
         );
-        return Ok(Outcome {
-            report,
-            feasible: false,
-            metrics_json: args.metrics.is_some().then(rexec_obs::snapshot_json),
-            metrics_prom: args
-                .metrics_prom
-                .is_some()
-                .then(|| rexec_obs::prometheus_text(rexec_obs::global())),
-            trace_chrome: args
-                .trace_chrome
-                .is_some()
-                .then(rexec_obs::chrome_trace_json),
-            trace_jsonl: None,
-        });
+        return Ok(outcome(args, report, false, None));
     };
 
     let _ = writeln!(report, "\n=== optimal two-speed plan ===");
@@ -233,7 +165,7 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
     );
 
     if args.compare_one_speed {
-        if let Some(one) = solver.solve_one_speed(args.rho) {
+        if let Some(one) = solver.solve_one_speed(rho) {
             let saving = 100.0 * (1.0 - best.energy_overhead / one.energy_overhead);
             let _ = writeln!(
                 report,
@@ -277,7 +209,7 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
     }
 
     if let Some(n) = args.pareto {
-        let frontier = ParetoFrontier::compute(&solver, (args.rho * 3.0).max(10.0), n.max(2));
+        let frontier = ParetoFrontier::compute(&solver, (rho * 3.0).max(10.0), n.max(2));
         let _ = writeln!(
             report,
             "\ntime/energy Pareto frontier ({} non-dominated points):",
@@ -297,12 +229,12 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
         }
     }
 
-    if let Some(depth) = args.schedule_depth {
+    if let Some(depth) = args.spec.schedule_depth {
         let _ = writeln!(
             report,
             "\n=== re-execution schedule search (depth {depth}) ==="
         );
-        match solve_schedule(&m, solver.speeds(), args.rho, depth as usize) {
+        match solve_schedule(&m, solver.speeds(), rho, depth as usize) {
             Some(sol) => {
                 let saving = 100.0 * (1.0 - sol.energy_overhead / best.energy_overhead);
                 let _ = writeln!(
@@ -322,19 +254,19 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
                 let _ = writeln!(
                     report,
                     "INFEASIBLE: no depth-{depth} schedule meets rho = {}",
-                    args.rho
+                    rho
                 );
             }
         }
     }
 
-    if let Some(q) = args.quantile {
-        let depth = args.schedule_depth.unwrap_or(1);
+    if let Some(q) = args.spec.quantile {
+        let depth = args.spec.schedule_depth.unwrap_or(1);
         let _ = writeln!(
             report,
             "\n=== deadline plan (P[T/W <= rho] >= {q}, depth {depth}) ==="
         );
-        match solve_quantile(&m, solver.speeds(), args.rho, q, depth as usize) {
+        match solve_quantile(&m, solver.speeds(), rho, q, depth as usize) {
             Some(sol) => {
                 let sm = ScheduleModel::new(m, sol.schedule.clone());
                 let _ = writeln!(report, "schedule {}, Wopt = {:.0}", sol.schedule, sol.w_opt);
@@ -352,7 +284,7 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
                     report,
                     "INFEASIBLE: no schedule keeps the p{:.0} of T/W within rho = {}",
                     q * 100.0,
-                    args.rho
+                    rho
                 );
             }
         }
@@ -377,25 +309,13 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
         trace_jsonl = Some(recorder.to_jsonl());
     }
 
-    Ok(Outcome {
-        report,
-        feasible: true,
-        metrics_json: args.metrics.is_some().then(rexec_obs::snapshot_json),
-        metrics_prom: args
-            .metrics_prom
-            .is_some()
-            .then(|| rexec_obs::prometheus_text(rexec_obs::global())),
-        trace_chrome: args
-            .trace_chrome
-            .is_some()
-            .then(rexec_obs::chrome_trace_json),
-        trace_jsonl,
-    })
+    Ok(outcome(args, report, true, trace_jsonl))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::PlanSpec;
 
     fn parse(args: &[&str]) -> Args {
         Args::parse(args.iter().map(|s| s.to_string())).unwrap()
@@ -530,19 +450,20 @@ mod tests {
         // Depth-2 schedules include every constant (two-speed) schedule;
         // the search and the BiCrit solver use different W optimizers, so
         // allow sub-percent numeric slack but no real loss.
+        let hera = parse(&["--platform", "hera", "--processor", "xscale"])
+            .spec
+            .resolve()
+            .unwrap()
+            .model;
         let d2 = rexec_core::solve_schedule(
-            build_solver(&parse(&["--platform", "hera", "--processor", "xscale"]))
-                .unwrap()
-                .model(),
+            &hera,
             &rexec_core::SpeedSet::new(vec![0.15, 0.4, 0.6, 0.8, 1.0]).unwrap(),
             3.0,
             2,
         )
         .expect("feasible");
         let d1 = rexec_core::solve_schedule(
-            build_solver(&parse(&["--platform", "hera", "--processor", "xscale"]))
-                .unwrap()
-                .model(),
+            &hera,
             &rexec_core::SpeedSet::new(vec![0.15, 0.4, 0.6, 0.8, 1.0]).unwrap(),
             3.0,
             1,
@@ -579,8 +500,10 @@ mod tests {
             "0.7",
         ]));
         match err {
-            Err(RunError::Unsupported { option, reason }) => {
-                assert_eq!(option, "--law");
+            Err(RunError::Spec(SpecError::Unsupported {
+                field: "law",
+                reason,
+            })) => {
                 assert!(reason.contains("memoryless"));
             }
             other => panic!("expected Unsupported, got {other:?}"),
@@ -598,18 +521,74 @@ mod tests {
         assert!(ok.feasible);
     }
 
+    /// A programmatic [`Args`] skips the parser's domain check; `execute`
+    /// must still blame the rule `Args::parse` blames, not a rebuilt
+    /// model error.
+    #[test]
+    fn execute_names_the_rule_the_parser_names() {
+        let cases = [
+            (
+                PlanSpec {
+                    quantile: Some(1.5),
+                    ..PlanSpec::default()
+                },
+                ["--quantile", "1.5"],
+            ),
+            (
+                PlanSpec {
+                    schedule_depth: Some(7),
+                    ..PlanSpec::default()
+                },
+                ["--schedule-depth", "7"],
+            ),
+            (
+                PlanSpec {
+                    quantile: Some(f64::NAN),
+                    ..PlanSpec::default()
+                },
+                ["--quantile", "NaN"],
+            ),
+        ];
+        for (spec, flags) in cases {
+            let args = Args {
+                spec: PlanSpec {
+                    platform: Some("hera".into()),
+                    processor: Some("xscale".into()),
+                    ..spec
+                },
+                ..Args::default()
+            };
+            let argv = ["--platform", "hera", "--processor", "xscale"]
+                .into_iter()
+                .chain(flags)
+                .map(String::from);
+            let parsed = Args::parse(argv).unwrap_err().to_string();
+            let executed = execute(&args).unwrap_err().to_string();
+            assert_eq!(executed, parsed, "execute and parse disagree on {flags:?}");
+        }
+    }
+
     #[test]
     fn unknown_names_error() {
         let err = execute(&parse(&["--platform", "jupiter", "--processor", "xscale"]));
-        assert!(matches!(err, Err(RunError::UnknownName(_))));
+        assert!(matches!(
+            err,
+            Err(RunError::Spec(SpecError::UnknownName { .. }))
+        ));
         let err2 = execute(&parse(&["--platform", "hera", "--processor", "epyc"]));
-        assert!(matches!(err2, Err(RunError::UnknownName(_))));
+        assert!(matches!(
+            err2,
+            Err(RunError::Spec(SpecError::UnknownName { .. }))
+        ));
     }
 
     #[test]
     fn underspecified_custom_setup_errors() {
         let err = execute(&parse(&["--lambda", "1e-5"]));
-        assert!(matches!(err, Err(RunError::Underspecified(_))));
+        assert!(matches!(
+            err,
+            Err(RunError::Spec(SpecError::Underspecified(_)))
+        ));
         let msg = format!("{}", err.unwrap_err());
         assert!(msg.contains("--checkpoint"));
     }
@@ -693,7 +672,7 @@ mod tests {
 
     #[test]
     fn default_pio_is_dynamic_power_at_min_speed() {
-        let solver = build_solver(&parse(&[
+        let model = parse(&[
             "--lambda",
             "1e-5",
             "--checkpoint",
@@ -706,8 +685,11 @@ mod tests {
             "10",
             "--speeds",
             "0.5,1.0",
-        ]))
-        .unwrap();
-        assert!((solver.model().power.p_io - 1000.0 * 0.125).abs() < 1e-9);
+        ])
+        .spec
+        .resolve()
+        .unwrap()
+        .model;
+        assert!((model.power.p_io - 1000.0 * 0.125).abs() < 1e-9);
     }
 }

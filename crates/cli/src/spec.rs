@@ -88,8 +88,13 @@ pub enum SpecError {
     },
     /// A speed list was given but empty.
     EmptySpeeds,
-    /// Bad platform/processor name.
-    UnknownName(String),
+    /// Bad platform, processor or law name.
+    UnknownName {
+        /// Wire-level field name (`platform`, `processor` or `law`).
+        field: &'static str,
+        /// The name as given (a law's is quoted, e.g. ``law `pareto` ``).
+        name: String,
+    },
     /// Neither a named configuration nor enough custom parameters.
     Underspecified(&'static str),
     /// Parameters pass the field rules but do not form a valid model.
@@ -114,7 +119,7 @@ impl fmt::Display for SpecError {
                 reason,
             } => write!(f, "invalid value `{value}` for `{field}`: {reason}"),
             SpecError::EmptySpeeds => write!(f, "`speeds` needs at least one speed"),
-            SpecError::UnknownName(n) => write!(f, "unknown name: {n}"),
+            SpecError::UnknownName { name, .. } => write!(f, "unknown name: {name}"),
             SpecError::Underspecified(what) => write!(
                 f,
                 "missing parameter: {what} (give a platform/processor or custom values)"
@@ -178,7 +183,12 @@ pub fn platform_by_name(name: &str) -> Result<Platform, SpecError> {
         "atlas" => PlatformId::Atlas,
         "coastal" => PlatformId::Coastal,
         "coastal-ssd" | "coastal_ssd" | "coastalssd" => PlatformId::CoastalSsd,
-        _ => return Err(SpecError::UnknownName(name.to_string())),
+        _ => {
+            return Err(SpecError::UnknownName {
+                field: "platform",
+                name: name.to_string(),
+            })
+        }
     };
     Ok(Platform::get(id))
 }
@@ -188,7 +198,12 @@ pub fn processor_by_name(name: &str) -> Result<Processor, SpecError> {
     let id = match name.to_ascii_lowercase().as_str() {
         "xscale" | "intel-xscale" => ProcessorId::IntelXScale,
         "crusoe" | "transmeta-crusoe" => ProcessorId::TransmetaCrusoe,
-        _ => return Err(SpecError::UnknownName(name.to_string())),
+        _ => {
+            return Err(SpecError::UnknownName {
+                field: "processor",
+                name: name.to_string(),
+            })
+        }
     };
     Ok(Processor::get(id))
 }
@@ -261,7 +276,12 @@ impl PlanSpec {
             Some("lognormal") => ErrorLaw::LogNormal {
                 sigma: self.shape.ok_or(SpecError::Underspecified("shape"))?,
             },
-            Some(other) => return Err(SpecError::UnknownName(format!("law `{other}`"))),
+            Some(other) => {
+                return Err(SpecError::UnknownName {
+                    field: "law",
+                    name: format!("law `{other}`"),
+                })
+            }
         };
         law.validate().map_err(|reason| SpecError::Invalid {
             field: "shape",
@@ -385,11 +405,17 @@ mod tests {
     fn unknown_names_are_rejected() {
         assert!(matches!(
             named("jupiter", "xscale").resolve(),
-            Err(SpecError::UnknownName(_))
+            Err(SpecError::UnknownName {
+                field: "platform",
+                ..
+            })
         ));
         assert!(matches!(
             named("hera", "epyc").resolve(),
-            Err(SpecError::UnknownName(_))
+            Err(SpecError::UnknownName {
+                field: "processor",
+                ..
+            })
         ));
     }
 
@@ -521,7 +547,7 @@ mod tests {
         };
         assert!(matches!(
             unknown.validate_domains(),
-            Err(SpecError::UnknownName(n)) if n.contains("pareto")
+            Err(SpecError::UnknownName { field: "law", name }) if name.contains("pareto")
         ));
         // NaN/zero shapes fall to the positivity rule before law logic.
         for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {

@@ -5,8 +5,8 @@ use crate::platform::{Platform, PlatformId};
 use crate::processor::{Processor, ProcessorId};
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a virtual configuration (platform × processor), named
-/// after the paper figure it anchors.
+/// Identifier of a virtual configuration (platform × processor);
+/// [`ConfigId::ALL`] lists the eight in the paper's figure order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ConfigId {
     /// The platform half.
@@ -18,7 +18,8 @@ pub struct ConfigId {
 impl ConfigId {
     /// The eight configurations in the order the paper presents them:
     /// Atlas/Crusoe first (Figures 2–7), then the XScale column (Figures
-    /// 8–11), then the remaining Crusoe rows (Figures 12–14).
+    /// 8–11), then the remaining Crusoe rows (Figures 12–14): Figure `n`
+    /// for `n ≥ 8` shows `ALL[n − 7]`.
     pub const ALL: [ConfigId; 8] = [
         ConfigId {
             platform: PlatformId::Atlas,
@@ -53,21 +54,6 @@ impl ConfigId {
             processor: ProcessorId::TransmetaCrusoe,
         },
     ];
-
-    /// The paper figure whose sweeps this configuration anchors
-    /// (Figures 2–7 all show Atlas/Crusoe; 8–14 show one config each).
-    pub fn figure(&self) -> &'static str {
-        match (self.platform, self.processor) {
-            (PlatformId::Atlas, ProcessorId::TransmetaCrusoe) => "Figures 2-7",
-            (PlatformId::Hera, ProcessorId::IntelXScale) => "Figure 8",
-            (PlatformId::Atlas, ProcessorId::IntelXScale) => "Figure 9",
-            (PlatformId::Coastal, ProcessorId::IntelXScale) => "Figure 10",
-            (PlatformId::CoastalSsd, ProcessorId::IntelXScale) => "Figure 11",
-            (PlatformId::Hera, ProcessorId::TransmetaCrusoe) => "Figure 12",
-            (PlatformId::Coastal, ProcessorId::TransmetaCrusoe) => "Figure 13",
-            (PlatformId::CoastalSsd, ProcessorId::TransmetaCrusoe) => "Figure 14",
-        }
-    }
 }
 
 impl std::fmt::Display for ConfigId {
@@ -108,13 +94,6 @@ mod tests {
     #[test]
     fn atlas_crusoe_is_first() {
         assert_eq!(all_configurations()[0].name(), "Atlas/Crusoe");
-    }
-
-    #[test]
-    fn figures_cover_2_through_14() {
-        let figs: Vec<_> = ConfigId::ALL.iter().map(|c| c.figure()).collect();
-        assert_eq!(figs[0], "Figures 2-7");
-        assert_eq!(figs[7], "Figure 14");
     }
 
     #[test]

@@ -529,7 +529,7 @@ mod tests {
         };
         assert!(matches!(
             svc.plan_spec(&unknown),
-            Err(SpecError::UnknownName(_))
+            Err(SpecError::UnknownName { .. })
         ));
     }
 }

