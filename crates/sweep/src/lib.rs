@@ -34,7 +34,7 @@ pub mod render;
 pub mod series;
 pub mod table_rho;
 
-pub use experiments::{run_experiment_seeded, ExperimentId, ExperimentResult};
+pub use experiments::{ExperimentId, ExperimentResult};
 pub use figure::{sweep_figure, FigurePoint, FigureSeries, SolutionPoint, SweepParam};
 pub use grid::Grid;
 pub use heatmap::{Heatmap, HeatmapCell};
