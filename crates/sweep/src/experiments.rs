@@ -1374,24 +1374,6 @@ mod tests {
     }
 
     #[test]
-    fn quick_subset_keeps_its_order() {
-        let ids: Vec<String> = quick_experiment_ids().into_iter().map(id_string).collect();
-        assert_eq!(
-            ids,
-            ["T-rho8", "T-rho3", "X-validity", "F4", "X-thm2", "X-laws"]
-        );
-    }
-
-    #[test]
-    fn parse_id_is_a_table_lookup() {
-        assert_eq!(parse_id("T-rho1.775"), parse_id("T-rho1_775"));
-        assert_eq!(parse_id("F14").map(id_string).as_deref(), Some("F14"));
-        for bad in ["F99", "F0", "F04", "T-rho2", "x-mc", ""] {
-            assert_eq!(parse_id(bad), None, "`{bad}` must not parse");
-        }
-    }
-
-    #[test]
     fn id_list_covers_all_artifacts() {
         let ids = all_experiment_ids();
         // 4 tables + F1 + 6 figures + 7 config panels + 12 extras.

@@ -435,7 +435,11 @@ mod tests {
         ]);
         assert!(cfg.resume);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.ids, quick_experiment_ids());
+        let ids: Vec<String> = cfg.ids.into_iter().map(id_string).collect();
+        assert_eq!(
+            ids,
+            ["T-rho8", "T-rho3", "X-validity", "F4", "X-thm2", "X-laws"]
+        );
         assert_eq!(cfg.fault.kill_after_unit, Some(2));
         assert_eq!(cfg.fault.seed, 3);
     }
@@ -477,10 +481,12 @@ mod tests {
 
     #[test]
     fn unknown_ids_and_options_are_typed_errors() {
-        assert!(matches!(
-            parse(&["F99"]),
-            Err(HarnessError::UnknownExperiment(id)) if id == "F99"
-        ));
+        for bad in ["F99", "F0", "F04", "T-rho2", "x-mc", ""] {
+            assert!(matches!(
+                parse(&[bad]),
+                Err(HarnessError::UnknownExperiment(id)) if id == bad
+            ));
+        }
         assert!(matches!(
             parse(&["--frobnicate"]),
             Err(HarnessError::InvalidArg { .. })
