@@ -92,7 +92,7 @@ pub enum SpecError {
     UnknownName {
         /// Wire-level field name (`platform`, `processor` or `law`).
         field: &'static str,
-        /// The name as given (a law's is quoted, e.g. ``law `pareto` ``).
+        /// The name as given (a law's lowercased).
         name: String,
     },
     /// Neither a named configuration nor enough custom parameters.
@@ -119,7 +119,7 @@ impl fmt::Display for SpecError {
                 reason,
             } => write!(f, "invalid value `{value}` for `{field}`: {reason}"),
             SpecError::EmptySpeeds => write!(f, "`speeds` needs at least one speed"),
-            SpecError::UnknownName { name, .. } => write!(f, "unknown name: {name}"),
+            SpecError::UnknownName { field, name } => write!(f, "unknown {field}: {name}"),
             SpecError::Underspecified(what) => write!(
                 f,
                 "missing parameter: {what} (give a platform/processor or custom values)"
@@ -279,7 +279,7 @@ impl PlanSpec {
             Some(other) => {
                 return Err(SpecError::UnknownName {
                     field: "law",
-                    name: format!("law `{other}`"),
+                    name: other.to_string(),
                 })
             }
         };
@@ -547,8 +547,13 @@ mod tests {
         };
         assert!(matches!(
             unknown.validate_domains(),
-            Err(SpecError::UnknownName { field: "law", name }) if name.contains("pareto")
+            Err(SpecError::UnknownName { field: "law", name }) if name == "pareto"
         ));
+        // The wire message names the field once and the law bare.
+        assert_eq!(
+            unknown.validate_domains().unwrap_err().to_string(),
+            "unknown law: pareto"
+        );
         // NaN/zero shapes fall to the positivity rule before law logic.
         for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
             let s = PlanSpec {

@@ -23,7 +23,7 @@ const CASES: &[(&[&str], &str, i32)] = &[
     ),
     (
         &["--law", "pareto"],
-        "error: invalid value `law `pareto`` for option --law: \
+        "error: invalid value `pareto` for option --law: \
          must be exponential, weibull or lognormal",
         2,
     ),

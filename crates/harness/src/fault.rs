@@ -118,19 +118,20 @@ impl FaultInjector {
         Ok(())
     }
 
-    /// Called with each artifact's sealed bytes; flips one seeded byte
-    /// when this artifact is the planned corruption. Returns whether the
-    /// bytes were mutated.
-    pub fn corrupt_artifact(&self, bytes: &mut [u8]) -> bool {
+    /// Called with each artifact's sealed bytes; returns them with one
+    /// seeded byte flipped when this artifact is the planned corruption,
+    /// and `None` (write the bytes as they are) otherwise.
+    pub fn corrupt_artifact(&self, bytes: &[u8]) -> Option<Vec<u8>> {
         let n = self.artifacts.fetch_add(1, Ordering::Relaxed) + 1;
         if self.plan.corrupt_artifact != Some(n) || bytes.is_empty() {
-            return false;
+            return None;
         }
+        let mut corrupt = bytes.to_vec();
         let idx = (self.plan.seed as usize) % bytes.len();
         // XOR with a fixed nonzero mask so the flip always changes the byte.
-        bytes[idx] ^= 0xA5;
+        corrupt[idx] ^= 0xA5;
         rexec_obs::counter!("harness.injected_corruptions").incr();
-        true
+        Some(corrupt)
     }
 
     /// Whether the plan kills the run after the given completed unit
@@ -209,11 +210,8 @@ mod tests {
         let inj = FaultPlan::parse("corrupt-artifact=2,seed=3")
             .unwrap()
             .injector();
-        let mut first = b"abcdef".to_vec();
-        assert!(!inj.corrupt_artifact(&mut first));
-        assert_eq!(first, b"abcdef");
-        let mut second = b"abcdef".to_vec();
-        assert!(inj.corrupt_artifact(&mut second));
+        assert_eq!(inj.corrupt_artifact(b"abcdef"), None);
+        let second = inj.corrupt_artifact(b"abcdef").expect("the 2nd artifact");
         assert_ne!(second, b"abcdef");
         // seed = 3 → byte index 3 flipped, rest untouched.
         assert_eq!(&second[..3], b"abc");

@@ -16,7 +16,8 @@
 //!   fsync, never truncated under a crash and never lost to power loss;
 //! * [`run_units`] — the checkpoint/resume lifecycle itself, generic
 //!   over [`Storage`], shared verbatim by the `experiments` pipeline and
-//!   the model checker;
+//!   the model checker: [`plan_units`] decides every unit from reads
+//!   alone, then [`seal_units`] computes and seals them in order;
 //! * [`Digest`] / [`digest_bytes`] / [`digest_file`] — FNV-1a content
 //!   digests seal each artifact (the runner's verification step `V`);
 //! * [`RunManifest`] — the per-run checkpoint state: which units are
@@ -53,8 +54,8 @@ pub use digest::{digest_bytes, digest_file, digest_file_in, Digest};
 pub use error::HarnessError;
 pub use fault::{FaultInjector, FaultPlan};
 pub use lifecycle::{
-    run_units, sweep_stale_temps, verify_reason, LifecycleConfig, LifecycleEvent, LifecycleOutcome,
-    UnitDisposition, UnitOutput, UnitPlan,
+    plan_units, run_units, seal_units, sweep_stale_temps, verify_reason, LifecycleConfig,
+    LifecycleEvent, LifecycleOutcome, LifecyclePlan, UnitDisposition, UnitOutput, UnitPlan,
 };
 pub use manifest::{ArtifactRecord, RunManifest, UnitRecord, VerifyOutcome, MANIFEST_NAME};
 pub use retry::RetryPolicy;

@@ -8,15 +8,16 @@
 //! that could drift from the production path.
 //!
 //! Per run: sweep stale temp droppings, load (on resume) or create the
-//! [`RunManifest`], then for each unit either re-verify + skip it or
-//! compute it, seal its artifacts (digest the intended bytes, write
-//! atomically with parent-dir fsync), and atomically rewrite the
-//! manifest so the on-disk checkpoint always describes exactly the
-//! sealed prefix. The caller observes progress through
-//! [`LifecycleEvent`]s — the model checker uses [`UnitSealed`]
-//! (`LifecycleEvent::UnitSealed`) to mark the storage-op index at which
-//! each unit's checkpoint was acknowledged, the boundary after which
-//! losing that unit is a durability violation.
+//! [`RunManifest`] and decide every unit's disposition — on resume by
+//! re-verifying its digests; then, for each unit not skipped, compute
+//! it, seal its artifacts (digest the intended bytes, write atomically
+//! with parent-dir fsync), and atomically rewrite the manifest so the
+//! on-disk checkpoint always describes exactly the sealed prefix. The
+//! caller observes progress through [`LifecycleEvent`]s — the model
+//! checker uses [`UnitSealed`] (`LifecycleEvent::UnitSealed`) to mark
+//! the storage-op index at which each unit's checkpoint was
+//! acknowledged, the boundary after which losing that unit is a
+//! durability violation.
 
 use crate::atomic::{atomic_write_in, is_temp_name};
 use crate::digest::digest_bytes;
@@ -72,8 +73,10 @@ pub enum LifecycleEvent<'a> {
         /// Units the loaded manifest seals.
         sealed_units: usize,
     },
-    /// A unit is about to run (or be skipped) with this disposition.
-    UnitStarting {
+    /// A unit's disposition is decided ([`plan_units`]). Every unit is
+    /// decided, in order, before the first is computed; units are then
+    /// computed and sealed in the same order ([`seal_units`]).
+    UnitDecided {
         /// Unit id.
         id: &'a str,
         /// Skip / compute / recompute decision for the unit.
@@ -167,17 +170,31 @@ fn seal_artifact(
         bytes: bytes.len() as u64,
         digest: digest_bytes(bytes),
     };
-    let mut on_disk = bytes.to_vec();
-    injector.corrupt_artifact(&mut on_disk);
-    atomic_write_in(storage, &dir.join(name), &on_disk, retry, injector)?;
+    let corrupt = injector.corrupt_artifact(bytes);
+    let on_disk = corrupt.as_deref().unwrap_or(bytes);
+    atomic_write_in(storage, &dir.join(name), on_disk, retry, injector)?;
     Ok(record)
 }
 
-/// Runs the verified-checkpoint lifecycle over `units` on `storage`.
+/// Every unit's disposition, decided before the lifecycle's first
+/// write: what [`plan_units`] hands to [`seal_units`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LifecyclePlan {
+    manifest: RunManifest,
+    units: Vec<(String, UnitDisposition)>,
+}
+
+impl LifecyclePlan {
+    /// `(unit id, disposition)` in unit order.
+    pub fn units(&self) -> &[(String, UnitDisposition)] {
+        &self.units
+    }
+}
+
+/// Runs the verified-checkpoint lifecycle over `units` on `storage`:
+/// [`plan_units`], then [`seal_units`].
 ///
-/// Executes (or, on resume, verifies and skips) every unit in order,
-/// sealing artifacts and atomically rewriting the manifest after each
-/// one. The fault plan's `kill-after-unit=K` aborts with
+/// The fault plan's `kill-after-unit=K` aborts with
 /// [`HarnessError::KilledByFaultPlan`] after the K-th unit of *this
 /// invocation* is sealed or skipped — the manifest is already on
 /// storage, so a subsequent resume continues from unit K+1.
@@ -188,13 +205,30 @@ pub fn run_units(
     injector: &FaultInjector,
     observe: &mut dyn FnMut(LifecycleEvent<'_>),
 ) -> Result<LifecycleOutcome, HarnessError> {
+    let ids = units.iter().map(|u| u.id.clone());
+    let plan = plan_units(storage, cfg, ids, observe)?;
+    seal_units(storage, cfg, plan, units, injector, observe)
+}
+
+/// The first half of [`run_units`]: creates the output directory and
+/// sweeps stale temp droppings from it, then loads (on resume) or
+/// creates the manifest and decides each unit's disposition in order —
+/// on resume by re-verifying its digests — announcing each as
+/// [`LifecycleEvent::UnitDecided`]. No unit is computed or written
+/// yet, so a caller may hand the units to compute to other threads
+/// before the first of them is sealed.
+pub fn plan_units(
+    storage: &dyn Storage,
+    cfg: &LifecycleConfig,
+    ids: impl IntoIterator<Item = String>,
+    observe: &mut dyn FnMut(LifecycleEvent<'_>),
+) -> Result<LifecyclePlan, HarnessError> {
     storage
         .create_dir_all(&cfg.out_dir)
         .map_err(|e| HarnessError::io("create output directory", &cfg.out_dir, &e))?;
     sweep_stale_temps(storage, &cfg.out_dir);
     let manifest_path = cfg.out_dir.join(MANIFEST_NAME);
-
-    let mut manifest = if cfg.resume && storage.exists(&manifest_path) {
+    let manifest = if cfg.resume && storage.exists(&manifest_path) {
         let mut m = RunManifest::load_from(storage, &manifest_path)?;
         m.check_resumable(&cfg.tool, cfg.seed, &cfg.config_digest)?;
         // The manifest claims completion only once *this* run's last
@@ -212,24 +246,56 @@ pub fn run_units(
             cfg.config_digest.clone(),
         )
     };
+    let units = ids
+        .into_iter()
+        .map(|id| {
+            let disposition = if cfg.resume {
+                match manifest.verify_unit_in(storage, &cfg.out_dir, &id) {
+                    VerifyOutcome::Verified => UnitDisposition::SkippedVerified,
+                    other => UnitDisposition::Recomputed(verify_reason(&other)),
+                }
+            } else {
+                UnitDisposition::Computed
+            };
+            observe(LifecycleEvent::UnitDecided {
+                id: &id,
+                disposition: &disposition,
+            });
+            (id, disposition)
+        })
+        .collect();
+    Ok(LifecyclePlan { manifest, units })
+}
 
-    let mut dispositions: Vec<(String, UnitDisposition)> = vec![];
-    for (idx, unit) in units.iter_mut().enumerate() {
-        let key = unit.id.clone();
-        let disposition = if cfg.resume {
-            match manifest.verify_unit_in(storage, &cfg.out_dir, &key) {
-                VerifyOutcome::Verified => UnitDisposition::SkippedVerified,
-                other => UnitDisposition::Recomputed(verify_reason(&other)),
-            }
-        } else {
-            UnitDisposition::Computed
-        };
-        observe(LifecycleEvent::UnitStarting {
-            id: &key,
-            disposition: &disposition,
-        });
-
-        if disposition == UnitDisposition::SkippedVerified {
+/// The second half of [`run_units`]: computes each unit `plan` does not
+/// skip, in order, seals its artifacts and atomically rewrites the
+/// manifest after each one. Every storage operation runs on the calling
+/// thread, in this order.
+///
+/// # Panics
+/// If `units` are not the units `plan` decided, in the same order.
+pub fn seal_units(
+    storage: &dyn Storage,
+    cfg: &LifecycleConfig,
+    plan: LifecyclePlan,
+    units: &mut [UnitPlan<'_>],
+    injector: &FaultInjector,
+    observe: &mut dyn FnMut(LifecycleEvent<'_>),
+) -> Result<LifecycleOutcome, HarnessError> {
+    assert!(
+        plan.units
+            .iter()
+            .map(|(id, _)| id)
+            .eq(units.iter().map(|u| &u.id)),
+        "the plan decides exactly these units"
+    );
+    let LifecyclePlan {
+        mut manifest,
+        units: dispositions,
+    } = plan;
+    let manifest_path = cfg.out_dir.join(MANIFEST_NAME);
+    for (idx, (unit, (key, disposition))) in units.iter_mut().zip(&dispositions).enumerate() {
+        if *disposition == UnitDisposition::SkippedVerified {
             rexec_obs::counter!("harness.units_skipped").incr();
         } else {
             if matches!(disposition, UnitDisposition::Recomputed(_)) {
@@ -259,12 +325,11 @@ pub fn run_units(
             manifest.save_in(storage, &manifest_path, &cfg.retry, injector)?;
             rexec_obs::counter!("harness.units_sealed").incr();
             observe(LifecycleEvent::UnitSealed {
-                id: &key,
-                unit: manifest.unit(&key).expect("just recorded"),
+                id: key,
+                unit: manifest.unit(key).expect("just recorded"),
             });
         }
 
-        dispositions.push((key, disposition));
         if injector.should_kill_after_unit(idx as u64 + 1) {
             return Err(HarnessError::KilledByFaultPlan {
                 after_unit: idx as u64 + 1,
@@ -283,7 +348,7 @@ pub fn run_units(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simfs::SimFs;
+    use crate::simfs::{SimFs, StorageOp};
     use crate::FaultPlan;
 
     fn fixture_cfg(resume: bool) -> LifecycleConfig {
@@ -371,6 +436,46 @@ mod tests {
             ]
         );
         assert_eq!(fs.tree(), clean);
+    }
+
+    #[test]
+    fn every_disposition_is_decided_before_any_unit_is_written() {
+        let fs = SimFs::new();
+        let none = FaultInjector::none();
+        run_units(
+            &fs,
+            &fixture_cfg(false),
+            &mut two_units(),
+            &none,
+            &mut |_| {},
+        )
+        .unwrap();
+        for resume in [false, true] {
+            let start = fs.op_count();
+            let mut decided_at = vec![];
+            run_units(
+                &fs,
+                &fixture_cfg(resume),
+                &mut two_units(),
+                &none,
+                &mut |e| {
+                    if let LifecycleEvent::UnitDecided { .. } = e {
+                        decided_at.push(fs.op_count());
+                    }
+                },
+            )
+            .unwrap();
+            let first_write = start
+                + fs.ops()[start..]
+                    .iter()
+                    .position(|op| matches!(op, StorageOp::WriteFile { .. }))
+                    .expect("every run rewrites its manifest");
+            assert_eq!(decided_at.len(), 2);
+            assert!(
+                decided_at.iter().all(|&at| at <= first_write),
+                "resume = {resume}: decided at {decided_at:?}, first write at op {first_write}"
+            );
+        }
     }
 
     #[test]

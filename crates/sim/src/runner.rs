@@ -658,8 +658,10 @@ impl MonteCarlo {
 
     /// Most chunks [`run_common`](Self::run_common) holds results for at
     /// once: one [`Summary`] per config for each chunk of a wave, about
-    /// what one [`run`](Self::run) holds for its whole grid.
-    const WAVE: usize = 100;
+    /// half what one [`run`](Self::run) holds for its whole grid. The
+    /// `experiments` pipeline computes other units while X-mc-mixed runs
+    /// its waves, so their live state adds to the wave's.
+    const WAVE: usize = 50;
 
     /// Runs every config in `configs` for `trials` fast-path trials on
     /// common random numbers: each trial chunk's stream

@@ -30,7 +30,7 @@ fn main() {
         }
         CliCommand::Run(cfg) => *cfg,
     };
-    if let Err(e) = run(&cfg) {
+    if let Err(e) = run(&cfg, &mut std::io::stdout()) {
         eprintln!("error: {e}");
         std::process::exit(e.exit_code());
     }

@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+mod ahead;
 pub mod experiments;
 pub mod figure;
 pub mod grid;

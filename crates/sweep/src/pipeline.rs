@@ -7,9 +7,11 @@
 //! verify-or-compute, seal artifacts atomically (temp file + sync +
 //! rename + parent-dir fsync), rewrite the manifest after every unit —
 //! lives in [`rexec_harness::run_units`], generic over the
-//! [`rexec_harness::Storage`] alphabet. This module supplies the
-//! experiments as [`UnitPlan`]s, runs the lifecycle on the real
-//! filesystem ([`StdFs`]), prints progress, and writes the
+//! [`rexec_harness::Storage`] alphabet. This module runs its two halves
+//! on the real filesystem ([`StdFs`]): [`plan_units`] decides every
+//! unit, then [`seal_units`] seals the experiments, supplied as
+//! [`UnitPlan`]s, while the units to compute are computed ahead of the
+//! sealing thread (`crate::ahead`). It prints progress and writes the
 //! wall-clock-bearing `metrics.json`. The `rexec-check` model checker
 //! drives the *same* lifecycle against a crash-simulating in-memory
 //! filesystem, exhaustively crashing between every pair of storage
@@ -23,17 +25,21 @@
 //! faults (fail the Nth write, corrupt the Nth artifact, kill after unit
 //! K) so the recovery paths are exercised in-tree.
 
+use crate::ahead;
 use crate::experiments::{
     all_experiment_ids, id_string, parse_id, quick_experiment_ids, run_experiment_seeded,
     ExperimentId, DEFAULT_SEED,
 };
 use rexec_harness::{
-    atomic_write, run_units, FaultInjector, FaultPlan, HarnessError, LifecycleConfig,
+    atomic_write, plan_units, seal_units, FaultInjector, FaultPlan, HarnessError, LifecycleConfig,
     LifecycleEvent, RetryPolicy, RunManifest, StdFs, UnitOutput, UnitPlan, MANIFEST_NAME,
 };
 use serde::Value;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::fmt;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// What happened to one unit during a pipeline run (re-exported from the
@@ -206,6 +212,36 @@ pub fn config_digest() -> String {
     d.finish()
 }
 
+/// The rule above and below each unit's header line.
+const RULE: &str = "================================================================";
+
+/// Progress lines, written through a fallible writer. The first failed
+/// write — say, the reader of a stdout pipe went away — is kept and
+/// later lines are dropped; [`Progress::check`] then ends the run with
+/// that error at the next unit boundary, so the sealed prefix stays
+/// resumable.
+struct Progress<'w> {
+    out: Mutex<&'w mut (dyn Write + Send)>,
+    failed: OnceLock<HarnessError>,
+}
+
+impl Progress<'_> {
+    fn line(&self, text: fmt::Arguments<'_>) {
+        if self.failed.get().is_none() {
+            let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Err(e) = writeln!(out, "{text}") {
+                let _ =
+                    self.failed
+                        .set(HarnessError::io("write progress", Path::new("stdout"), &e));
+            }
+        }
+    }
+
+    fn check(&self) -> Result<(), HarnessError> {
+        self.failed.get().map_or(Ok(()), |e| Err(e.clone()))
+    }
+}
+
 fn unix_secs() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -215,14 +251,26 @@ fn unix_secs() -> u64 {
 
 /// Runs the pipeline: executes (or, on resume, verifies and skips) every
 /// unit in `cfg.ids` through the storage-generic lifecycle
-/// ([`rexec_harness::run_units`]) on the real filesystem, then writes
-/// the metrics report. Progress and unit reports go to stdout.
+/// ([`plan_units`], then [`seal_units`]) on the real filesystem, then
+/// writes the metrics report. Progress and unit reports go to `out`
+/// (stdout in the `experiments` binary).
+///
+/// Units are computed ahead of the thread that seals them, on the
+/// process-wide `rayon` thread budget (`RAYON_NUM_THREADS`); storage
+/// operations, progress lines and seals stay on the calling thread in
+/// unit order, so artifacts, manifest and output are those of a serial
+/// run.
 ///
 /// The fault plan's `kill-after-unit=K` aborts with
 /// [`HarnessError::KilledByFaultPlan`] after the K-th unit of *this
 /// invocation* is sealed or skipped — the manifest is already on disk,
-/// so a subsequent `--resume` continues from unit K+1.
-pub fn run(cfg: &PipelineConfig) -> Result<PipelineSummary, HarnessError> {
+/// so a subsequent `--resume` continues from unit K+1. A failed
+/// progress write (a closed stdout) ends the run with
+/// [`HarnessError::Io`] at the next unit boundary.
+pub fn run(
+    cfg: &PipelineConfig,
+    out: &mut (dyn Write + Send),
+) -> Result<PipelineSummary, HarnessError> {
     // Span timing feeds the `spans` section of metrics.json (the
     // manifest's `wall_secs` come from an `Instant`, not from spans).
     rexec_obs::set_spans_enabled(true);
@@ -244,75 +292,93 @@ pub fn run(cfg: &PipelineConfig) -> Result<PipelineSummary, HarnessError> {
         resume: cfg.resume,
         retry: cfg.retry,
     };
-    let mut units: Vec<UnitPlan<'_>> = cfg
-        .ids
-        .iter()
-        .map(|&id| {
-            let key = id_string(id);
-            let seed = cfg.seed;
-            UnitPlan {
-                id: key.clone(),
-                compute: Box::new(move || {
-                    let exp_started = Instant::now();
-                    let r = run_experiment_seeded(id, seed)?;
-                    let wall_secs = exp_started.elapsed().as_secs_f64();
-                    println!("================================================================");
-                    println!(
-                        "[{}] {}  ({:.2}s, {} points)",
-                        key,
-                        r.title,
-                        wall_secs,
-                        r.point_count()
-                    );
-                    println!("================================================================");
-                    println!("{}", r.report);
-                    let points = r.point_count() as u64;
-                    let mut artifacts: Vec<(String, Vec<u8>)> = r
-                        .datasets
-                        .iter()
-                        .map(|(name, csv)| (format!("{name}.csv"), csv.as_bytes().to_vec()))
-                        .collect();
-                    artifacts.push((format!("report_{key}.txt"), r.report.into_bytes()));
-                    Ok(UnitOutput {
-                        title: r.title,
-                        points,
-                        wall_secs,
-                        artifacts,
-                    })
-                }),
-            }
-        })
-        .collect();
-
-    let out_dir = cfg.out_dir.clone();
-    let outcome = run_units(
-        &StdFs,
-        &lifecycle_cfg,
-        &mut units,
-        &injector,
-        &mut |event| match event {
-            LifecycleEvent::ResumeLoaded { sealed_units } => {
-                println!("resuming: manifest seals {sealed_units} unit(s), re-verifying digests");
-            }
-            LifecycleEvent::UnitStarting { id, disposition } => match disposition {
-                UnitOutcome::SkippedVerified => {
-                    println!("[{id}] verified intact, skipping (sealed by an earlier run)");
-                }
-                UnitOutcome::Recomputed(reason) => {
-                    println!("[{id}] re-verification failed ({reason}); recomputing");
-                }
-                UnitOutcome::Computed => {}
-            },
-            LifecycleEvent::UnitSealed { unit, .. } => {
-                for a in &unit.artifacts {
-                    if a.name.ends_with(".csv") {
-                        println!("  dataset written: {}", out_dir.join(&a.name).display());
-                    }
-                }
-                println!();
-            }
+    let progress = Progress {
+        out: Mutex::new(out),
+        failed: OnceLock::new(),
+    };
+    let mut observe = |event: LifecycleEvent<'_>| match event {
+        LifecycleEvent::ResumeLoaded { sealed_units } => progress.line(format_args!(
+            "resuming: manifest seals {sealed_units} unit(s), re-verifying digests"
+        )),
+        LifecycleEvent::UnitDecided { id, disposition } => match disposition {
+            UnitOutcome::SkippedVerified => progress.line(format_args!(
+                "[{id}] verified intact, skipping (sealed by an earlier run)"
+            )),
+            UnitOutcome::Recomputed(reason) => progress.line(format_args!(
+                "[{id}] re-verification failed ({reason}); recomputing"
+            )),
+            UnitOutcome::Computed => {}
         },
-    )?;
+        LifecycleEvent::UnitSealed { unit, .. } => {
+            for a in &unit.artifacts {
+                if a.name.ends_with(".csv") {
+                    progress.line(format_args!(
+                        "  dataset written: {}",
+                        cfg.out_dir.join(&a.name).display()
+                    ));
+                }
+            }
+            progress.line(format_args!(""));
+        }
+    };
+    let ids = cfg.ids.iter().map(|&id| id_string(id));
+    let plan = plan_units(&StdFs, &lifecycle_cfg, ids, &mut observe)?;
+    let todo = (0..cfg.ids.len())
+        .filter(|&i| plan.units()[i].1 != UnitOutcome::SkippedVerified)
+        .collect();
+    let compute = |i: usize| {
+        let started = Instant::now();
+        let result = run_experiment_seeded(cfg.ids[i], cfg.seed);
+        (result, started.elapsed().as_secs_f64())
+    };
+    let outcome = ahead::run(todo, &compute, |ahead| {
+        let mut units: Vec<UnitPlan<'_>> = plan
+            .units()
+            .iter()
+            .enumerate()
+            .map(|(i, (key, _))| {
+                let key = key.clone();
+                let progress = &progress;
+                UnitPlan {
+                    id: key.clone(),
+                    compute: Box::new(move || {
+                        progress.check()?;
+                        let (result, wall_secs) = ahead.take(i);
+                        let r = result?;
+                        progress.line(format_args!(
+                            "{RULE}\n[{key}] {}  ({wall_secs:.2}s, {} points)\n{RULE}\n{}",
+                            r.title,
+                            r.point_count(),
+                            r.report
+                        ));
+                        progress.check()?;
+                        let points = r.point_count() as u64;
+                        let mut artifacts: Vec<(String, Vec<u8>)> = r
+                            .datasets
+                            .into_iter()
+                            .map(|(name, csv)| (format!("{name}.csv"), csv.into_bytes()))
+                            .collect();
+                        artifacts.push((format!("report_{key}.txt"), r.report.into_bytes()));
+                        Ok(UnitOutput {
+                            title: r.title,
+                            points,
+                            wall_secs,
+                            artifacts,
+                        })
+                    }),
+                }
+            })
+            .collect();
+        seal_units(
+            &StdFs,
+            &lifecycle_cfg,
+            plan,
+            &mut units,
+            &injector,
+            &mut observe,
+        )
+    })?;
+    progress.check()?;
 
     let manifest_path = cfg.out_dir.join(MANIFEST_NAME);
     let metrics_path = cfg.out_dir.join(METRICS_NAME);
@@ -322,18 +388,28 @@ pub fn run(cfg: &PipelineConfig) -> Result<PipelineSummary, HarnessError> {
         metrics_path: metrics_path.clone(),
     };
     write_metrics(cfg, &outcome.manifest, started_unix, run_started, &injector)?;
-    println!("run manifest written: {}", manifest_path.display());
-    println!("run metrics written: {}", metrics_path.display());
+    progress.line(format_args!(
+        "run manifest written: {}",
+        manifest_path.display()
+    ));
+    progress.line(format_args!(
+        "run metrics written: {}",
+        metrics_path.display()
+    ));
     if let Some(path) = &cfg.metrics_prom {
         let text = rexec_obs::prometheus_text(rexec_obs::global());
         atomic_write(path, text.as_bytes(), &cfg.retry, &injector)?;
-        println!("prometheus metrics written: {}", path.display());
+        progress.line(format_args!(
+            "prometheus metrics written: {}",
+            path.display()
+        ));
     }
     if let Some(path) = &cfg.trace_chrome {
         let json = rexec_obs::chrome_trace_json();
         atomic_write(path, json.as_bytes(), &cfg.retry, &injector)?;
-        println!("chrome trace written: {}", path.display());
+        progress.line(format_args!("chrome trace written: {}", path.display()));
     }
+    progress.check()?;
     Ok(summary)
 }
 

@@ -14,6 +14,7 @@ use rexec_harness::{FaultPlan, RetryPolicy};
 use rexec_sweep::experiments::{quick_experiment_ids, DEFAULT_SEED};
 use rexec_sweep::pipeline::{run, PipelineConfig};
 use std::fs;
+use std::io;
 
 fn ev(name: &str, tid: u64, id: u64, parent: Option<u64>, range: (u64, u64)) -> TimelineEvent {
     TimelineEvent {
@@ -121,7 +122,7 @@ fn experiments_pipeline_trace_validates() {
         metrics_prom: None,
         trace_chrome: Some(trace_path.clone()),
     };
-    run(&cfg).expect("quick pipeline run");
+    run(&cfg, &mut io::sink()).expect("quick pipeline run");
 
     let json = fs::read_to_string(&trace_path).expect("trace file written");
     let n = validate_chrome_trace(&json).expect("exported trace must validate");

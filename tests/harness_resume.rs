@@ -9,7 +9,24 @@ use rexec_sweep::experiments::{quick_experiment_ids, DEFAULT_SEED};
 use rexec_sweep::pipeline::{run, PipelineConfig, UnitOutcome};
 use std::collections::BTreeMap;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Holds the tests of this file to one at a time, so the process-wide
+/// `sweep.experiments_run` counter sees only the running test's units.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What `run` returns, and the experiments computed while it ran.
+fn experiments_computed<R>(run: impl FnOnce() -> R) -> (R, u64) {
+    let computed = rexec_obs::global().counter("sweep.experiments_run");
+    let before = computed.get();
+    let out = run();
+    (out, computed.get() - before)
+}
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rexec-resume-{name}-{}", std::process::id()));
@@ -62,15 +79,16 @@ fn assert_identical_artifacts(a: &Path, b: &Path) {
 
 #[test]
 fn kill_then_resume_matches_uninterrupted_run() {
+    let _serial = serial();
     let clean = fresh_dir("kill-clean");
     let faulty = fresh_dir("kill-faulty");
-    run(&quick_config(clean.clone())).expect("uninterrupted run");
+    run(&quick_config(clean.clone()), &mut io::sink()).expect("uninterrupted run");
 
     // Killed after the 2nd unit: typed error, exit code 137, and a
     // manifest that seals exactly the completed prefix.
     let mut cfg = quick_config(faulty.clone());
     cfg.fault = FaultPlan::parse("kill-after-unit=2").unwrap();
-    let err = run(&cfg).expect_err("fault plan must kill the run");
+    let err = run(&cfg, &mut io::sink()).expect_err("fault plan must kill the run");
     assert!(
         matches!(err, HarnessError::KilledByFaultPlan { after_unit: 2 }),
         "unexpected error: {err:?}"
@@ -86,7 +104,7 @@ fn kill_then_resume_matches_uninterrupted_run() {
     // recomputed, and the result is byte-identical to the clean run.
     cfg.fault = FaultPlan::default();
     cfg.resume = true;
-    let summary = run(&cfg).expect("resumed run");
+    let summary = run(&cfg, &mut io::sink()).expect("resumed run");
     let outcomes: Vec<&UnitOutcome> = summary.units.iter().map(|(_, o)| o).collect();
     assert_eq!(outcomes[0], &UnitOutcome::SkippedVerified);
     assert_eq!(outcomes[1], &UnitOutcome::SkippedVerified);
@@ -105,9 +123,10 @@ fn kill_then_resume_matches_uninterrupted_run() {
 
 #[test]
 fn corrupted_sealed_artifact_is_flagged_and_recomputed() {
+    let _serial = serial();
     let clean = fresh_dir("corrupt-clean");
     let faulty = fresh_dir("corrupt-faulty");
-    run(&quick_config(clean.clone())).expect("uninterrupted run");
+    run(&quick_config(clean.clone()), &mut io::sink()).expect("uninterrupted run");
 
     // In the quick set the 4th sealed artifact is F4's CSV dataset
     // (artifacts 1-3 are the T-rho8 / T-rho3 / X-validity reports).
@@ -115,7 +134,7 @@ fn corrupted_sealed_artifact_is_flagged_and_recomputed() {
     // intended digest, so this models silent corruption.
     let mut cfg = quick_config(faulty.clone());
     cfg.fault = FaultPlan::parse("corrupt-artifact=4,seed=11").unwrap();
-    run(&cfg).expect("corrupting run still completes");
+    run(&cfg, &mut io::sink()).expect("corrupting run still completes");
 
     let f4_key = "F4";
     let corrupted: Vec<String> = artifacts(&faulty)
@@ -129,10 +148,19 @@ fn corrupted_sealed_artifact_is_flagged_and_recomputed() {
         "expected F4's CSV to be the corrupted artifact, got {corrupted:?}"
     );
 
-    // Resume re-verifies every digest: only F4 fails and is recomputed.
+    // A resume over the intact tree computes nothing.
+    let mut intact = quick_config(clean.clone());
+    intact.resume = true;
+    let (_, computed) = experiments_computed(|| run(&intact, &mut io::sink()));
+    assert_eq!(computed, 0, "an intact tree computes no unit");
+
+    // Resume re-verifies every digest: only F4 fails and is recomputed,
+    // and it is the one unit computed.
     cfg.fault = FaultPlan::default();
     cfg.resume = true;
-    let summary = run(&cfg).expect("resumed run");
+    let (summary, computed) = experiments_computed(|| run(&cfg, &mut io::sink()));
+    let summary = summary.expect("resumed run");
+    assert_eq!(computed, 1, "only the corrupt unit is computed");
     for (id, outcome) in &summary.units {
         if id == f4_key {
             assert!(
@@ -155,15 +183,16 @@ fn corrupted_sealed_artifact_is_flagged_and_recomputed() {
 
 #[test]
 fn transient_write_failure_is_retried_to_success() {
+    let _serial = serial();
     let clean = fresh_dir("retry-clean");
     let flaky = fresh_dir("retry-flaky");
-    run(&quick_config(clean.clone())).expect("uninterrupted run");
+    run(&quick_config(clean.clone()), &mut io::sink()).expect("uninterrupted run");
 
     // The 2nd write attempt fails once; the retry policy re-issues it
     // and the run completes with identical outputs.
     let mut cfg = quick_config(flaky.clone());
     cfg.fault = FaultPlan::parse("fail-write=2").unwrap();
-    run(&cfg).expect("retries must absorb a single transient failure");
+    run(&cfg, &mut io::sink()).expect("retries must absorb a single transient failure");
     assert_identical_artifacts(&clean, &flaky);
 
     let _ = fs::remove_dir_all(&clean);

@@ -22,7 +22,7 @@ use rexec_harness::{FaultPlan, RetryPolicy};
 use rexec_serve::{ServeOptions, Server};
 use rexec_sweep::experiments::{quick_experiment_ids, DEFAULT_SEED};
 use rexec_sweep::pipeline::{run, PipelineConfig};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 const KINDS: [&str; 4] = ["counter", "gauge", "sketch", "span"];
@@ -148,16 +148,19 @@ fn every_emitted_metric_is_catalogued() {
 
     let dir = std::env::temp_dir().join(format!("rexec-metric-catalogue-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    run(&PipelineConfig {
-        out_dir: dir.clone(),
-        seed: DEFAULT_SEED,
-        resume: false,
-        ids: quick_experiment_ids(),
-        fault: FaultPlan::default(),
-        retry: RetryPolicy::immediate(3),
-        metrics_prom: None,
-        trace_chrome: None,
-    })
+    run(
+        &PipelineConfig {
+            out_dir: dir.clone(),
+            seed: DEFAULT_SEED,
+            resume: false,
+            ids: quick_experiment_ids(),
+            fault: FaultPlan::default(),
+            retry: RetryPolicy::immediate(3),
+            metrics_prom: None,
+            trace_chrome: None,
+        },
+        &mut io::sink(),
+    )
     .expect("quick pipeline run");
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -15,6 +15,7 @@ use rexec_harness::{FaultPlan, RetryPolicy};
 use rexec_sweep::experiments::{quick_experiment_ids, DEFAULT_SEED};
 use rexec_sweep::pipeline::{run, PipelineConfig};
 use std::fs;
+use std::io;
 
 #[test]
 fn real_pipelines_emit_checker_clean_expositions() {
@@ -75,7 +76,7 @@ fn real_pipelines_emit_checker_clean_expositions() {
         metrics_prom: Some(prom_path.clone()),
         trace_chrome: None,
     };
-    run(&cfg).expect("quick pipeline run");
+    run(&cfg, &mut io::sink()).expect("quick pipeline run");
     let written = fs::read_to_string(&prom_path).expect("exposition file written");
     check_prometheus_text(&written).expect("pipeline exposition must pass the strict checker");
     assert!(
