@@ -34,10 +34,14 @@
 //!   `sim_fastpath_parallel` (rayon fast path, asserted bit-identical
 //!   to the sequential fast path); the same trio runs again on a mixed
 //!   fail-stop + silent config as `sim_mixed_reference`,
-//!   `sim_mixed_fastpath` and `sim_mixed_fastpath_parallel`; and
-//!   `sim_crn_grid`, the simulated Theorem 2 grid of X-mc-mixed run on
-//!   common random numbers (`MonteCarlo::run_common`, asserted
-//!   bit-identical to separate runs) with its `speedup_vs_separate`;
+//!   `sim_mixed_fastpath` and `sim_mixed_fastpath_parallel`;
+//!   `sim_weibull_reference` (single-thread per-attempt loop under a
+//!   Weibull 0.7 law) and `sim_laws_histograms` (X-laws' Weibull row:
+//!   the same law through `run_with_histograms`, every trial recorded
+//!   into the outcome sketches); and `sim_crn_grid`, the simulated
+//!   Theorem 2 grid of X-mc-mixed run on common random numbers
+//!   (`MonteCarlo::run_common`, asserted bit-identical to separate
+//!   runs) with its `speedup_vs_separate`;
 //! * **serve** — the planning-service core on a deterministic mixed
 //!   hit/miss query stream over paper and synthetic K = 20 tables:
 //!   `serve_unbatched` (plan cache off, one scalar solve per query —
@@ -413,6 +417,25 @@ fn simulator_stage(quick: bool, out: &mut Vec<StageResult>) {
         "simulator",
         "sim_weibull_reference",
         weibull_secs,
+        trials,
+        "patterns",
+        BTreeMap::new(),
+    ));
+
+    // X-laws' own call: the Weibull row of its table at the experiment's
+    // λ, recording every trial's time and energy into the outcome
+    // sketches (worker-local copies folded at the end).
+    let laws_cfg = SimConfig::from_silent_model(&model.with_lambda(1e-4), 2764.0, 0.4, 0.8);
+    let laws = MonteCarlo::new(laws_cfg, trials, 2024)
+        .with_law(rexec_core::ErrorLaw::Weibull { shape: 0.7 });
+    let laws_secs = best_of(reps, || {
+        laws.run_with_histograms()
+            .expect("benchmark config is valid")
+    });
+    out.push(StageResult::single(
+        "simulator",
+        "sim_laws_histograms",
+        laws_secs,
         trials,
         "patterns",
         BTreeMap::new(),

@@ -106,6 +106,22 @@ impl HistogramSketch {
         update_extreme(&self.max_bits, value, |new, cur| new > cur);
     }
 
+    /// [`record`](Self::record) through exclusive access: plain adds and
+    /// compares instead of atomic read-modify-writes, byte-identical in
+    /// effect. For a sketch one thread owns, like a worker's local copy.
+    pub fn record_mut(&mut self, value: f64) {
+        if !value.is_finite() {
+            *self.ignored.get_mut() += 1;
+            return;
+        }
+        let value = value.max(0.0);
+        let b = self.bucket_of(value);
+        *self.buckets[b].get_mut() += 1;
+        *self.total.get_mut() += 1;
+        set_extreme(self.min_bits.get_mut(), value, |new, cur| new < cur);
+        set_extreme(self.max_bits.get_mut(), value, |new, cur| new > cur);
+    }
+
     /// Records `n` copies of one value in O(1) — byte-identical to `n`
     /// successive [`record`](Self::record) calls, but the bucket index is
     /// computed (and the extremes CAS'd) once. Hot loops that see long
@@ -286,6 +302,13 @@ impl Serialize for HistogramSketch {
     }
 }
 
+/// [`update_extreme`] on an exclusively held cell.
+fn set_extreme(cell: &mut u64, value: f64, better: impl Fn(f64, f64) -> bool) {
+    if better(value, f64::from_bits(*cell)) {
+        *cell = value.to_bits();
+    }
+}
+
 /// CAS loop updating an atomic `f64`-bits cell when `better(new, current)`.
 fn update_extreme(cell: &AtomicU64, value: f64, better: impl Fn(f64, f64) -> bool) {
     let mut current = cell.load(Ordering::Relaxed);
@@ -432,6 +455,45 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a, all);
         assert_eq!(a.quantile(0.9), all.quantile(0.9));
+    }
+
+    #[test]
+    fn record_mut_matches_record() {
+        let mut owned = HistogramSketch::new(1.0, 0.1, 100.0);
+        let shared = owned.empty_like();
+        let edges: Vec<f64> = (0..owned.buckets.len())
+            .map(|b| shared.bucket_low(b))
+            .collect();
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -3.0,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            1.1,
+            7.25,
+            99.9,
+            100.0,
+            1e9,
+        ];
+        for v in values.into_iter().chain(edges) {
+            owned.record_mut(v);
+            shared.record(v);
+        }
+        assert_eq!(owned, shared);
+        assert_eq!(
+            (owned.count(), owned.ignored(), owned.overflow_count()),
+            (shared.count(), shared.ignored(), shared.overflow_count())
+        );
+        assert_eq!(owned.min().to_bits(), shared.min().to_bits());
+        assert_eq!(owned.max().to_bits(), shared.max().to_bits());
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(owned.quantile(q), shared.quantile(q), "q = {q}");
+        }
+        assert_eq!(owned.summary_value(), shared.summary_value());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! Two stream granularities exist, in disjoint stream-id namespaces:
 //!
 //! * [`SimRng::for_trial`] — one stream per trial (stream ids
-//!   `1..=trials`), used by the bit-reproducible reference engine;
+//!   `1..=trials`), used by the bit-reproducible reference engine,
+//!   which derives them sixteen at a time ([`SimRng::for_trials`]);
 //! * [`SimRng::for_chunk`] — one stream per fixed-size trial *chunk*
 //!   (stream ids `2⁶³ | chunk`), used by the fast path so the cipher
 //!   setup is amortized over a whole chunk instead of paid per trial.
@@ -22,6 +23,9 @@ use rand_chacha::ChaCha8Rng;
 /// the bottom half, so the two granularities never collide for the same
 /// master seed.
 const CHUNK_STREAM_BASE: u64 = 1 << 63;
+
+/// Trial streams [`SimRng::for_trials`] derives per call.
+pub const TRIAL_LANES: usize = rand_chacha::LANES;
 
 /// Simulator RNG: reproducible, splittable.
 #[derive(Debug, Clone)]
@@ -46,16 +50,29 @@ impl SimRng {
     /// 2⁶⁴-block counter range.
     ///
     /// **Cost cliff**: every call builds a fresh cipher — a 32-byte key
-    /// expansion from `seed` plus a block generation on first draw
-    /// (~a few hundred ns). That is fine once per *trial*; it is a cost
-    /// cliff if paid per *draw*, and it is exactly the per-trial setup
-    /// the chunked [`for_chunk`](Self::for_chunk) streams amortize away
-    /// in the simulator fast path.
+    /// expansion from `seed` plus a scalar block generation on first
+    /// draw (~70 ns with that draw, on an AVX-512 x86-64 core). That is
+    /// fine once per *trial*; it is a cost cliff if paid per *draw*, and
+    /// it is exactly the per-trial setup the chunked
+    /// [`for_chunk`](Self::for_chunk) streams amortize away in the
+    /// simulator fast path. [`for_trials`](Self::for_trials) derives
+    /// sixteen trial streams at once for ~22 ns each, first draw
+    /// included, on the same core.
     #[inline]
     pub fn for_trial(seed: u64, index: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.set_stream(index.wrapping_add(1));
         SimRng { inner: rng }
+    }
+
+    /// The streams of the [`TRIAL_LANES`] trials `first`, `first + 1`, …
+    /// — lane `l` bit-identical to `for_trial(seed, first + l)` — from
+    /// one key expansion and one lane-parallel pass that generates every
+    /// stream's first block.
+    pub fn for_trials(seed: u64, first: u64) -> [Self; TRIAL_LANES] {
+        ChaCha8Rng::seed_from_u64(seed)
+            .stream_heads(first.wrapping_add(1))
+            .map(|inner| SimRng { inner })
     }
 
     /// Derives an independent stream for trial-chunk `chunk` from `seed`.
@@ -324,6 +341,22 @@ mod tests {
         let mut t0b = SimRng::for_trial(7, 0);
         let x0b: Vec<f64> = (0..5).map(|_| t0b.uniform_open()).collect();
         assert_eq!(x0, x0b);
+    }
+
+    #[test]
+    fn for_trials_lanes_are_for_trial_streams() {
+        for first in [0, 5, 256, u64::MAX - 3] {
+            for (l, mut lane) in SimRng::for_trials(7, first).into_iter().enumerate() {
+                let mut one = SimRng::for_trial(7, first.wrapping_add(l as u64));
+                for i in 0..40 {
+                    assert_eq!(
+                        lane.uniform_open().to_bits(),
+                        one.uniform_open().to_bits(),
+                        "first {first} lane {l} draw {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::engine::{
     ensure_completes, simulate_pattern_scenario, simulate_pattern_scenario_traced, EngineError,
     FastPattern, PatternOutcome, SimConfig,
 };
-use crate::rng::{Draws, ReplayStream, SimRng, UniformStream};
+use crate::rng::{Draws, ReplayStream, SimRng, UniformStream, TRIAL_LANES};
 use crate::stats::Stats;
 use crate::trace::TraceRecorder;
 use rayon::prelude::*;
@@ -281,8 +281,9 @@ enum Sampler {
 }
 
 /// A worker's private copy of a run's (time, energy) outcome sketches:
-/// its trials record into it uncontended, and it folds into the run's
-/// pair when the worker finishes (on drop). Bucket counts are integers
+/// its trials record into it through `record_mut` (plain adds, no
+/// atomic read-modify-writes), and it folds into the run's pair when
+/// the worker finishes (on drop). Bucket counts are integers
 /// and extremes are exact, so the fold is order-independent.
 struct WorkerSketches<'a> {
     run: &'a [HistogramSketch; 2],
@@ -431,7 +432,7 @@ impl MonteCarlo {
         &self,
         sampler: &Sampler,
         (chunk_lo, lo, hi): (u64, u64, u64),
-        sketches: Option<&[HistogramSketch; 2]>,
+        mut sketches: Option<&mut [HistogramSketch; 2]>,
     ) -> (Summary, ChunkObs) {
         match sampler {
             Sampler::Fast(fp) => {
@@ -440,23 +441,31 @@ impl MonteCarlo {
                 Self::run_chunk_fast(fp, &mut UniformStream::new(stream), (chunk_lo, lo, hi))
             }
             Sampler::PerAttempt { law, schedule } => {
-                // Per-trial streams: thread determinism and
-                // range-partition replay are automatic.
+                // Per-trial streams, derived in groups of `TRIAL_LANES`
+                // aligned on the absolute trial index: thread determinism
+                // and range-partition replay are automatic.
                 let mut s = Summary::default();
                 let mut obs = ChunkObs {
                     trials: hi - lo,
                     ..ChunkObs::default()
                 };
-                for i in lo..hi {
-                    let mut rng = SimRng::for_trial(self.seed, i);
-                    let p =
-                        simulate_pattern_scenario(&self.config, *law, schedule.as_ref(), &mut rng);
-                    s.push(&p);
-                    obs.totals.push(&p);
-                    obs.record_attempts(p.attempts, 1);
-                    if let Some([time, energy]) = sketches {
-                        time.record(p.time);
-                        energy.record(p.energy);
+                let group_lo = lo - lo % TRIAL_LANES as u64;
+                for group in (group_lo..hi).step_by(TRIAL_LANES) {
+                    let trials = (group..).zip(SimRng::for_trials(self.seed, group));
+                    for (_, mut rng) in trials.filter(|&(i, _)| i >= lo && i < hi) {
+                        let p = simulate_pattern_scenario(
+                            &self.config,
+                            *law,
+                            schedule.as_ref(),
+                            &mut rng,
+                        );
+                        s.push(&p);
+                        obs.totals.push(&p);
+                        obs.record_attempts(p.attempts, 1);
+                        if let Some([time, energy]) = sketches.as_deref_mut() {
+                            time.record_mut(p.time);
+                            energy.record_mut(p.energy);
+                        }
                     }
                 }
                 (s, obs)
@@ -543,7 +552,9 @@ impl MonteCarlo {
             .into_par_iter()
             .map_init(
                 || sketches.map(WorkerSketches::new),
-                |worker, chunk| self.run_chunk(sampler, chunk, worker.as_ref().map(|w| &w.local)),
+                |worker, chunk| {
+                    self.run_chunk(sampler, chunk, worker.as_mut().map(|w| &mut w.local))
+                },
             )
             .collect();
         let (summary, obs) = chunks

@@ -6,9 +6,10 @@
 //! lognormal, or a re-execution speed schedule) must keep `run`,
 //! `run_sequential`, and any chunk-respecting composition of
 //! `run_range` **byte-identical** regardless of the rayon pool size.
-//! The scenario samplers draw per-trial ChaCha streams exactly like the
-//! fast path, so the same gluing rules apply; this test is what keeps
-//! that true as new laws are added.
+//! The scenario samplers draw per-trial ChaCha streams where the fast
+//! path draws per-chunk ones, but both fold on the same absolute chunk
+//! grid, so the same gluing rules apply; this test is what keeps that
+//! true as new laws are added.
 //!
 //! Everything lives in one `#[test]` because `RAYON_NUM_THREADS` is
 //! process-global state — parallel test functions mutating it would
