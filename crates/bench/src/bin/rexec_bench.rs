@@ -28,17 +28,17 @@
 //!   §4.2 ρ-tables, reported as points/sec;
 //! * **heatmap** — a λ × ρ map, reported as cells/sec;
 //! * **simulator** — Monte Carlo pattern replication, reported as
-//!   patterns/sec in three sub-stages: `sim_reference` (single-thread
-//!   per-attempt loop), `sim_fastpath` (single-thread geometric
-//!   sampling, with its speedup over the reference), and
-//!   `sim_fastpath_parallel` (rayon fast path, asserted bit-identical
-//!   to the sequential fast path); the same trio runs again on a mixed
+//!   patterns/sec in three sub-stages: `sim_reference` (per-attempt
+//!   loop at width 1), `sim_fastpath` (geometric sampling at width 1,
+//!   with its speedup over the reference), and `sim_fastpath_parallel`
+//!   (rayon fast path, asserted bit-identical to the width-1 fast
+//!   path); the same trio runs again on a mixed
 //!   fail-stop + silent config as `sim_mixed_reference`,
 //!   `sim_mixed_fastpath` and `sim_mixed_fastpath_parallel`;
-//!   `sim_weibull_reference` (single-thread per-attempt loop under a
+//!   `sim_weibull_reference` (per-attempt loop at width 1 under a
 //!   Weibull 0.7 law) and `sim_laws_histograms` (X-laws' Weibull row:
-//!   the same law through `run_with_histograms`, every trial recorded
-//!   into the outcome sketches); and `sim_crn_grid`, the simulated
+//!   the same law with a histogram sink, every trial recorded into the
+//!   outcome sketches); and `sim_crn_grid`, the simulated
 //!   Theorem 2 grid of X-mc-mixed run on common random numbers
 //!   (`MonteCarlo::run_common`, asserted bit-identical to separate
 //!   runs) with its `speedup_vs_separate`;
@@ -71,7 +71,8 @@
 
 use rexec_bench::stats::{median_sorted, quartiles_sorted, regressions, sorted, StageSample};
 use rexec_bench::{atlas_crusoe, hera_xscale, synthetic_solver};
-use rexec_sim::{Engine, MonteCarlo, SimConfig, Summary};
+use rexec_sim::runner::outcome_sketches;
+use rexec_sim::{Engine, MonteCarlo, SimConfig, Sinks, Summary};
 use rexec_sweep::figure::{lambda_hi_for, sweep_figure_paper_grid, SweepParam};
 use rexec_sweep::{rho_table, Grid, Heatmap};
 use serde::{Serialize, Value};
@@ -294,9 +295,24 @@ fn sweep_stages(quick: bool, out: &mut Vec<StageResult>) {
     ));
 }
 
-/// Benches one config through the reference engine, the sequential fast
-/// path and the parallel fast path (asserted bit-identical to the
-/// sequential one), pushing the three named stages.
+/// Runs `work` at `RAYON_NUM_THREADS=1`, where the pool maps every
+/// chunk in order on the calling thread, then restores the ambient
+/// width. The simulator stages run with no other thread alive, so
+/// switching the process-wide variable races with nothing.
+fn at_width_one<R>(work: impl FnOnce() -> R) -> R {
+    let ambient = std::env::var_os("RAYON_NUM_THREADS");
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let out = work();
+    match ambient {
+        Some(width) => std::env::set_var("RAYON_NUM_THREADS", width),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    out
+}
+
+/// Benches one config through the reference engine and the fast path
+/// at width 1, and the parallel fast path (asserted bit-identical to
+/// the width-1 one), pushing the three named stages.
 fn simulator_trio(
     quick: bool,
     out: &mut Vec<StageResult>,
@@ -309,11 +325,8 @@ fn simulator_trio(
     // Single-thread reference engine: the bit-reproducible per-attempt
     // loop, the baseline the fast path's speedup is measured against.
     let reference = MonteCarlo::new(cfg, trials, 2024).with_engine(Engine::Reference);
-    let ref_secs = best_of(reps, || {
-        reference
-            .run_sequential()
-            .expect("benchmark config is valid")
-    });
+    let ref_secs =
+        at_width_one(|| best_of(reps, || reference.run().expect("benchmark config is valid")));
     out.push(StageResult::single(
         "simulator",
         names[0],
@@ -325,9 +338,8 @@ fn simulator_trio(
 
     // Single-thread closed-form fast path over the same config and seed.
     let fast = MonteCarlo::new(cfg, trials, 2024).with_engine(Engine::FastPath);
-    let fast_secs = best_of(reps, || {
-        fast.run_sequential().expect("benchmark config is valid")
-    });
+    let fast_secs =
+        at_width_one(|| best_of(reps, || fast.run().expect("benchmark config is valid")));
     let mut extra = BTreeMap::new();
     extra.insert(
         "speedup_vs_reference".to_string(),
@@ -343,8 +355,8 @@ fn simulator_trio(
     ));
 
     // Multi-thread fast path; its Summary must stay bit-identical to the
-    // sequential run (chunked RNG streams + order-preserving reduction).
-    let seq_summary = fast.run_sequential().expect("benchmark config is valid");
+    // width-1 run (chunked RNG streams + order-preserving reduction).
+    let seq_summary = at_width_one(|| fast.run()).expect("benchmark config is valid");
     let before = rexec_obs::global().counter("sim.patterns").get();
     let mut par_summary = Summary::default();
     let par_secs = best_of(reps, || {
@@ -353,7 +365,7 @@ fn simulator_trio(
     let patterns = rexec_obs::global().counter("sim.patterns").get() - before;
     assert_eq!(
         par_summary, seq_summary,
-        "parallel fast path diverged from the sequential fast path"
+        "parallel fast path diverged from the width-1 fast path"
     );
     let mut extra = BTreeMap::new();
     extra.insert("patterns_total".to_string(), patterns.to_value());
@@ -410,9 +422,8 @@ fn simulator_stage(quick: bool, out: &mut Vec<StageResult>) {
     let trials: u64 = if quick { 4_000 } else { 40_000 };
     let weibull = MonteCarlo::new(silent_cfg, trials, 2024)
         .with_law(rexec_core::ErrorLaw::Weibull { shape: 0.7 });
-    let weibull_secs = best_of(reps, || {
-        weibull.run_sequential().expect("benchmark config is valid")
-    });
+    let weibull_secs =
+        at_width_one(|| best_of(reps, || weibull.run().expect("benchmark config is valid")));
     out.push(StageResult::single(
         "simulator",
         "sim_weibull_reference",
@@ -429,7 +440,12 @@ fn simulator_stage(quick: bool, out: &mut Vec<StageResult>) {
     let laws = MonteCarlo::new(laws_cfg, trials, 2024)
         .with_law(rexec_core::ErrorLaw::Weibull { shape: 0.7 });
     let laws_secs = best_of(reps, || {
-        laws.run_with_histograms()
+        let sketches = outcome_sketches();
+        let sinks = Sinks {
+            histograms: Some(&sketches),
+            ..Sinks::default()
+        };
+        laws.run_with(0..trials, sinks)
             .expect("benchmark config is valid")
     });
     out.push(StageResult::single(

@@ -5,7 +5,7 @@ use crate::spec::SpecError;
 use rexec_core::{
     solve_quantile, solve_schedule, BiCritSolver, ExecutionPlan, ParetoFrontier, ScheduleModel,
 };
-use rexec_sim::{render_timeline, MonteCarlo, SimConfig, ValidationReport};
+use rexec_sim::{render_timeline, MonteCarlo, SimConfig, Sinks, TraceRecorder, ValidationReport};
 use std::fmt::Write as _;
 
 /// Everything `rexec-plan` computed, ready to print.
@@ -185,9 +185,13 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
         let mc = MonteCarlo::new(cfg, args.validate, 0xC0FFEE);
         let summary = if args.verbose {
             eprintln!("[rexec-plan] Monte Carlo: {} trials", args.validate);
-            mc.run_with_progress(&mut |done, total| {
-                eprintln!("[rexec-plan]   {done}/{total} trials");
-            })?
+            let sinks = Sinks {
+                progress: Some(&mut |done, total| {
+                    eprintln!("[rexec-plan]   {done}/{total} trials")
+                }),
+                ..Sinks::default()
+            };
+            mc.run_with(0..args.validate, sinks)?
         } else {
             mc.run()?
         };
@@ -293,8 +297,12 @@ pub fn execute(args: &Args) -> Result<Outcome, RunError> {
     let mut trace_jsonl = None;
     if args.trace_jsonl.is_some() {
         let cfg = SimConfig::from_silent_model(&m, best.w_opt, best.sigma1, best.sigma2);
-        let (ts, recorder) =
-            MonteCarlo::new(cfg, TRACE_TRIALS, 0xC0FFEE).run_with_trace(TRACE_CAPACITY)?;
+        let mut recorder = TraceRecorder::new(TRACE_CAPACITY);
+        let sinks = Sinks {
+            trace: Some(&mut recorder),
+            ..Sinks::default()
+        };
+        let ts = MonteCarlo::new(cfg, TRACE_TRIALS, 0xC0FFEE).run_with(0..TRACE_TRIALS, sinks)?;
         let _ = writeln!(
             report,
             "\n=== simulated pattern trace ({TRACE_TRIALS} patterns) ===",

@@ -94,7 +94,7 @@ impl ErrorLaw {
         match *self {
             ErrorLaw::Exponential => mean * mean,
             ErrorLaw::Weibull { shape } => {
-                let eta = weibull_scale(shape, lambda);
+                let eta = self.prepare(lambda).scale;
                 let g1 = ln_gamma(1.0 + 1.0 / shape).exp();
                 let g2 = ln_gamma(1.0 + 2.0 / shape).exp();
                 eta * eta * (g2 - g1 * g1)
@@ -104,25 +104,96 @@ impl ErrorLaw {
     }
 
     /// Cumulative hazard `H(x) = −ln S(x)` at nominal rate `lambda`:
-    /// `λ·x` (exponential), `(x/η)^k` (Weibull), `−ln Φ̄(z)` with
-    /// `z = (ln x − μ)/s` (lognormal).
+    /// [`PreparedLaw::cumulative_hazard`] of [`prepare(lambda)`](Self::prepare).
+    #[inline]
+    pub fn cumulative_hazard(&self, x: f64, lambda: f64) -> f64 {
+        self.prepare(lambda).cumulative_hazard(x)
+    }
+
+    /// Survival function `S(x) = P(X > x) = e^{−H(x)}` at nominal rate
+    /// `lambda` (see [`cumulative_hazard`](Self::cumulative_hazard));
+    /// 1 for `x ≤ 0` or `lambda ≤ 0`.
+    pub fn survival(&self, x: f64, lambda: f64) -> f64 {
+        (-self.cumulative_hazard(x, lambda)).exp()
+    }
+
+    /// Inverse survival function at nominal rate `lambda`:
+    /// [`PreparedLaw::inverse_survival`] of [`prepare(lambda)`](Self::prepare).
+    pub fn inverse_survival(&self, u: f64, lambda: f64) -> f64 {
+        self.prepare(lambda).inverse_survival(u)
+    }
+
+    /// Quantile function: the time `x` with `P(X ≤ x) = q`, for
+    /// `q ∈ [0, 1)`.
+    pub fn quantile(&self, q: f64, lambda: f64) -> f64 {
+        self.inverse_survival(1.0 - q, lambda)
+    }
+
+    /// The law at nominal rate `lambda`, with its scale constants
+    /// computed once: the form a sampler drawing many inter-error times
+    /// at one rate holds on to.
+    pub fn prepare(self, lambda: f64) -> PreparedLaw {
+        // Mean-matched to `1/λ`: the Weibull mean is `η·Γ(1 + 1/k)`, the
+        // lognormal mean `e^{μ + s²/2}`.
+        let (scale, inv_shape) = match self {
+            ErrorLaw::Exponential => (lambda, 1.0),
+            ErrorLaw::Weibull { shape } => (
+                1.0 / (lambda * ln_gamma(1.0 + 1.0 / shape).exp()),
+                1.0 / shape,
+            ),
+            ErrorLaw::LogNormal { sigma } => (-lambda.ln() - 0.5 * sigma * sigma, 1.0),
+        };
+        PreparedLaw {
+            law: self,
+            lambda,
+            scale,
+            inv_shape,
+        }
+    }
+}
+
+/// An [`ErrorLaw`] at one nominal rate `λ`, made by
+/// [`ErrorLaw::prepare`]: the Weibull scale `η` and `1/k`, or the
+/// lognormal log-mean `μ`, are computed once instead of per draw. Its
+/// two functions are the only implementations of the formulas; the
+/// [`ErrorLaw`] methods of the same names prepare and delegate, so
+/// both give the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedLaw {
+    law: ErrorLaw,
+    lambda: f64,
+    /// Weibull `η` or lognormal `μ`.
+    scale: f64,
+    /// Weibull `1/k`.
+    inv_shape: f64,
+}
+
+impl PreparedLaw {
+    /// The nominal rate `λ`.
+    pub fn lambda(&self) -> f64 {
+        self.lambda
+    }
+
+    /// Cumulative hazard `H(x) = −ln S(x)`: `λ·x` (exponential),
+    /// `(x/η)^k` (Weibull), `−ln Φ̄(z)` with `z = (ln x − μ)/s`
+    /// (lognormal).
     ///
     /// This is the hazard one attempt of `x` seconds accumulates, the
     /// form the [`renewal`](crate::renewal) closed form consumes: its
     /// failure probability `−expm1(−H)` keeps full precision where
     /// `1 − S` would cancel. Returns 0 for `x ≤ 0` and treats
-    /// `lambda ≤ 0` as an error source that never fires, mirroring
+    /// `λ ≤ 0` as an error source that never fires, mirroring
     /// `SimRng::exponential`'s convention.
     #[inline]
-    pub fn cumulative_hazard(&self, x: f64, lambda: f64) -> f64 {
-        if lambda <= 0.0 || x <= 0.0 {
+    pub fn cumulative_hazard(&self, x: f64) -> f64 {
+        if self.lambda <= 0.0 || x <= 0.0 {
             return 0.0;
         }
-        match *self {
-            ErrorLaw::Exponential => lambda * x,
-            ErrorLaw::Weibull { shape } => (x / weibull_scale(shape, lambda)).powf(shape),
+        match self.law {
+            ErrorLaw::Exponential => self.lambda * x,
+            ErrorLaw::Weibull { shape } => (x / self.scale).powf(shape),
             ErrorLaw::LogNormal { sigma } => {
-                let z = (x.ln() - lognormal_mu(sigma, lambda)) / sigma;
+                let z = (x.ln() - self.scale) / sigma;
                 // Below the median take `Φ̄(z) = 1 − Φ̄(−z)` through
                 // `ln_1p`, so that small hazards do not cancel.
                 if z < 0.0 {
@@ -134,13 +205,6 @@ impl ErrorLaw {
         }
     }
 
-    /// Survival function `S(x) = P(X > x) = e^{−H(x)}` at nominal rate
-    /// `lambda` (see [`cumulative_hazard`](Self::cumulative_hazard));
-    /// 1 for `x ≤ 0` or `lambda ≤ 0`.
-    pub fn survival(&self, x: f64, lambda: f64) -> f64 {
-        (-self.cumulative_hazard(x, lambda)).exp()
-    }
-
     /// Inverse survival function: maps `u ∈ (0, 1]` to the time `x`
     /// with `S(x) = u`. Feeding a uniform `(0, 1]` draw produces an
     /// inter-error time with this law — the sampling primitive the
@@ -150,38 +214,16 @@ impl ErrorLaw {
     /// which is the same distribution — this is exactly `-ln(u)/λ`,
     /// bit-identical to `SimRng::exponential` on the same draw (pinned
     /// by test; common-random-number validation depends on it).
-    pub fn inverse_survival(&self, u: f64, lambda: f64) -> f64 {
-        match *self {
-            ErrorLaw::Exponential => -u.ln() / lambda,
-            ErrorLaw::Weibull { shape } => {
-                if shape == 1.0 {
-                    -u.ln() / lambda
-                } else {
-                    weibull_scale(shape, lambda) * (-u.ln()).powf(1.0 / shape)
-                }
+    #[inline]
+    pub fn inverse_survival(&self, u: f64) -> f64 {
+        match self.law {
+            ErrorLaw::Weibull { shape } if shape != 1.0 => {
+                self.scale * (-u.ln()).powf(self.inv_shape)
             }
-            ErrorLaw::LogNormal { sigma } => {
-                let mu = lognormal_mu(sigma, lambda);
-                (mu + sigma * inv_norm_cdf(1.0 - u)).exp()
-            }
+            ErrorLaw::Exponential | ErrorLaw::Weibull { .. } => -u.ln() / self.lambda,
+            ErrorLaw::LogNormal { sigma } => (self.scale + sigma * inv_norm_cdf(1.0 - u)).exp(),
         }
     }
-
-    /// Quantile function: the time `x` with `P(X ≤ x) = q`, for
-    /// `q ∈ [0, 1)`.
-    pub fn quantile(&self, q: f64, lambda: f64) -> f64 {
-        self.inverse_survival(1.0 - q, lambda)
-    }
-}
-
-/// Weibull scale `η` such that the mean `η·Γ(1 + 1/k)` equals `1/λ`.
-fn weibull_scale(shape: f64, lambda: f64) -> f64 {
-    1.0 / (lambda * ln_gamma(1.0 + 1.0 / shape).exp())
-}
-
-/// Lognormal log-mean `μ` such that the mean `e^{μ + s²/2}` equals `1/λ`.
-fn lognormal_mu(sigma: f64, lambda: f64) -> f64 {
-    -lambda.ln() - 0.5 * sigma * sigma
 }
 
 /// `ln Γ(x)` for `x > 0` via the Lanczos approximation (g = 7, 9

@@ -95,7 +95,7 @@ mod validate;
 pub use crate::bicrit::{BiCritSolution, BiCritSolver, SpeedPairReport};
 pub use crate::cost::ResilienceCosts;
 pub use crate::error_model::ErrorRates;
-pub use crate::law::ErrorLaw;
+pub use crate::law::{ErrorLaw, PreparedLaw};
 pub use crate::mixed::MixedModel;
 pub use crate::multiverif::MultiVerifSolution;
 pub use crate::pareto::{ParetoFrontier, ParetoPoint};
@@ -116,7 +116,7 @@ pub mod prelude {
     pub use crate::cost::ResilienceCosts;
     pub use crate::daly;
     pub use crate::error_model::ErrorRates;
-    pub use crate::law::ErrorLaw;
+    pub use crate::law::{ErrorLaw, PreparedLaw};
     pub use crate::mixed::MixedModel;
     pub use crate::multiverif;
     pub use crate::numeric;

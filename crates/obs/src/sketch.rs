@@ -4,7 +4,8 @@
 //! HdrHistogram's log-linear scheme but simpler) in a fixed array of
 //! atomics, so concurrent recorders never lock, plus explicit
 //! underflow/overflow buckets. The simulator's outcome distributions
-//! (`MonteCarlo::run_with_histograms`) and the metrics registry share it.
+//! (`MonteCarlo::run_with` with a histogram sink) and the metrics
+//! registry share it.
 //! Bucket counts are exact `u64`s, so aggregates are byte-identical for a
 //! given multiset of recorded values regardless of thread count.
 

@@ -29,7 +29,7 @@ use crate::energy::EnergyMeter;
 use crate::events::{Event, EventKind};
 use crate::rng::{Draws, SimRng};
 use crate::trace::TraceRecorder;
-use rexec_core::{ErrorLaw, ErrorRates, PowerModel, ResilienceCosts, SpeedSchedule};
+use rexec_core::{ErrorLaw, ErrorRates, PowerModel, PreparedLaw, ResilienceCosts, SpeedSchedule};
 use serde::{Deserialize, Serialize};
 
 /// Full configuration of a simulated execution.
@@ -105,18 +105,18 @@ enum AttemptEnd {
     SilentDetected,
 }
 
-/// Draws a silent-error arrival time under `law`, mirroring
-/// [`SimRng::exponential`]'s contract: a non-positive rate yields `+∞`
-/// *without consuming a draw*, and the exponential law routes through
-/// `SimRng::exponential` itself — so the reference engine's draw stream
-/// under `ErrorLaw::Exponential` is bit-identical to the historical one.
+/// Draws a silent-error arrival time under `law` (prepared at the
+/// silent rate), mirroring [`SimRng::exponential`]'s contract: a
+/// non-positive rate yields `+∞` *without consuming a draw*. Under the
+/// exponential law the draw is `-ln(u)/λ` of one `uniform_open` draw,
+/// exactly `SimRng::exponential`'s — so the reference engine's draw
+/// stream is bit-identical to the historical one.
 #[inline]
-fn silent_arrival(law: ErrorLaw, lambda: f64, rng: &mut SimRng) -> f64 {
-    match law {
-        ErrorLaw::Exponential => rng.exponential(lambda),
-        _ if lambda <= 0.0 => f64::INFINITY,
-        _ => law.inverse_survival(rng.uniform_open(), lambda),
+fn silent_arrival(law: PreparedLaw, rng: &mut SimRng) -> f64 {
+    if law.lambda() <= 0.0 {
+        return f64::INFINITY;
     }
+    law.inverse_survival(rng.uniform_open())
 }
 
 /// Simulates one attempt of the pattern at `sigma`, metering time/energy.
@@ -133,7 +133,7 @@ fn run_attempt(
     cfg: &SimConfig,
     q: u32,
     sigma: f64,
-    law: ErrorLaw,
+    law: PreparedLaw,
     clock: &mut f64,
     meter: &mut EnergyMeter,
     rng: &mut SimRng,
@@ -144,7 +144,7 @@ fn run_attempt(
     // First arrivals over the attempt: fail-stop in attempt-local wall
     // time, silent in accumulated work time (verifications are immune).
     let t_fail = rng.exponential(cfg.rates.fail_stop);
-    let t_silent = silent_arrival(law, cfg.rates.silent, rng);
+    let t_silent = silent_arrival(law, rng);
 
     if let Some(tr) = trace.as_deref_mut() {
         tr.record(Event::new(*clock, EventKind::WorkStart { speed: sigma }));
@@ -328,19 +328,21 @@ pub fn ensure_completes(
 }
 
 /// The per-attempt loop: simulates one pattern of `q ≥ 1` verified
-/// segments until it checkpoints, under a silent-error `law` and an
-/// optional per-attempt speed `schedule`, optionally recording a trace.
+/// segments until it checkpoints, under a silent-error `law` (prepared
+/// at `cfg.rates.silent`) and an optional per-attempt speed
+/// `schedule`, optionally recording a trace.
 ///
 /// Every per-attempt entry point is an instance of this loop: the
 /// reference engine is (`Exponential`, no schedule, `q = 1`), scenarios
-/// vary the law and schedule, and
+/// vary the law and schedule, the Monte Carlo runner drives it with a
+/// law prepared once per run, and
 /// [`simulate_pattern_segmented`](crate::segmented::simulate_pattern_segmented)
 /// varies `q`. Inlined so that the `q = 1` callers fold the segment
 /// loop away.
 #[inline]
 pub(crate) fn run_pattern(
     cfg: &SimConfig,
-    law: ErrorLaw,
+    law: PreparedLaw,
     schedule: Option<&SpeedSchedule>,
     q: u32,
     rng: &mut SimRng,
@@ -404,13 +406,12 @@ pub(crate) fn run_pattern(
 }
 
 /// Simulates one pattern until it checkpoints successfully under an
-/// arbitrary silent-error law and optional per-attempt speed schedule,
-/// optionally recording a trace.
+/// arbitrary silent-error law and optional per-attempt speed schedule.
 ///
 /// This is the *scenario* engine: the generalization the closed-form
 /// fast path cannot cover. With `ErrorLaw::Exponential` and no schedule
-/// it is the reference engine ([`simulate_pattern_traced`] delegates
-/// here). A schedule overrides the `σ₁`/`σ₂` speed rule with
+/// it is the reference engine ([`simulate_pattern`]). A schedule
+/// overrides the `σ₁`/`σ₂` speed rule with
 /// `schedule.speed_for_attempt(i)`; a non-memoryless law replaces the
 /// per-attempt exponential silent draw with an inverse-survival draw
 /// from a fresh renewal of the error process (rollback restores a
@@ -419,25 +420,13 @@ pub(crate) fn run_pattern(
 ///
 /// # Panics
 /// After [`MAX_ATTEMPTS`] failed executions (success probability ≈ 0).
-pub fn simulate_pattern_scenario_traced(
-    cfg: &SimConfig,
-    law: ErrorLaw,
-    schedule: Option<&SpeedSchedule>,
-    rng: &mut SimRng,
-    trace: Option<&mut TraceRecorder>,
-) -> PatternOutcome {
-    run_pattern(cfg, law, schedule, 1, rng, trace)
-}
-
-/// Simulates one pattern until it checkpoints successfully under an
-/// arbitrary silent-error law and optional speed schedule.
 pub fn simulate_pattern_scenario(
     cfg: &SimConfig,
     law: ErrorLaw,
     schedule: Option<&SpeedSchedule>,
     rng: &mut SimRng,
 ) -> PatternOutcome {
-    run_pattern(cfg, law, schedule, 1, rng, None)
+    run_pattern(cfg, law.prepare(cfg.rates.silent), schedule, 1, rng, None)
 }
 
 /// Simulates one pattern until it checkpoints successfully, optionally
@@ -451,12 +440,13 @@ pub fn simulate_pattern_traced(
     rng: &mut SimRng,
     trace: Option<&mut TraceRecorder>,
 ) -> PatternOutcome {
-    run_pattern(cfg, ErrorLaw::Exponential, None, 1, rng, trace)
+    let law = ErrorLaw::Exponential.prepare(cfg.rates.silent);
+    run_pattern(cfg, law, None, 1, rng, trace)
 }
 
 /// Simulates one pattern until it checkpoints successfully.
 pub fn simulate_pattern(cfg: &SimConfig, rng: &mut SimRng) -> PatternOutcome {
-    run_pattern(cfg, ErrorLaw::Exponential, None, 1, rng, None)
+    simulate_pattern_scenario(cfg, ErrorLaw::Exponential, None, rng)
 }
 
 /// Precomputed closed-form tables for the fast path: the paper's

@@ -36,12 +36,11 @@ pub mod trace;
 pub use energy::EnergyMeter;
 pub use engine::{
     ensure_completes, simulate_application, simulate_pattern, simulate_pattern_scenario,
-    simulate_pattern_scenario_traced, AppOutcome, EngineError, FastPattern, PatternOutcome,
-    SimConfig,
+    AppOutcome, EngineError, FastPattern, PatternOutcome, SimConfig,
 };
 pub use events::{Event, EventKind};
 pub use rng::{Draws, SimRng, UniformStream};
-pub use runner::{Engine, MonteCarlo, Summary, ValidationReport};
+pub use runner::{Engine, MonteCarlo, Sinks, Summary, ValidationReport};
 pub use segmented::simulate_pattern_segmented;
 pub use stats::Stats;
 pub use trace::{events_from_jsonl, events_to_jsonl, render_timeline, TraceRecorder};
@@ -51,12 +50,11 @@ pub mod prelude {
     pub use crate::energy::EnergyMeter;
     pub use crate::engine::{
         ensure_completes, simulate_application, simulate_pattern, simulate_pattern_scenario,
-        simulate_pattern_scenario_traced, AppOutcome, EngineError, FastPattern, PatternOutcome,
-        SimConfig,
+        AppOutcome, EngineError, FastPattern, PatternOutcome, SimConfig,
     };
     pub use crate::events::{Event, EventKind};
     pub use crate::rng::{Draws, SimRng, UniformStream};
-    pub use crate::runner::{Engine, MonteCarlo, Summary, ValidationReport};
+    pub use crate::runner::{Engine, MonteCarlo, Sinks, Summary, ValidationReport};
     pub use crate::segmented::simulate_pattern_segmented;
     pub use crate::stats::Stats;
     pub use crate::trace::{events_from_jsonl, events_to_jsonl, render_timeline, TraceRecorder};

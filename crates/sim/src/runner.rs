@@ -3,42 +3,52 @@
 //! Two samplers drive the replication (selected via [`Engine`]):
 //!
 //! * **per-attempt loop** — the exact attempt-by-attempt simulation of
-//!   [`simulate_pattern_scenario`], one RNG stream per trial:
-//!   bit-reproducible against historical runs, and the only sampler for
-//!   non-memoryless error laws, speed schedules, traces and histograms;
+//!   [`simulate_pattern_scenario`](crate::engine::simulate_pattern_scenario),
+//!   one RNG stream per trial: bit-reproducible against historical runs,
+//!   and the only sampler for non-memoryless error laws, speed
+//!   schedules, traces and histograms. The silent law is prepared once
+//!   per run ([`ErrorLaw::prepare`]), not per draw;
 //! * **fast path** — the closed-form [`FastPattern`] sampler, one RNG
 //!   stream per fixed-size trial *chunk* (stream id = chunk id), drawing
 //!   through a buffered [`UniformStream`]. It serves silent-only
 //!   (`λᶠ = 0`) and mixed fail-stop + silent configs alike, is
 //!   statistically identical to the per-attempt loop (same outcome law),
 //!   and is over an order of magnitude faster (see `sim_fastpath` and
-//!   `sim_mixed_fastpath` in `BENCH_sweeps.json`).
+//!   `sim_mixed_fastpath` in `BENCH_sweeps.json`). Several configs can
+//!   share each chunk's stream ([`MonteCarlo::run_common`]).
 //!
-//! Engine resolution is fallible, never panicking: a degenerate
-//! never-completes config surfaces as an
-//! [`EngineError`] from `run*` before any
-//! worker starts, and sweeps degrade it to a tagged `ERR(...)` row.
+//! Every entry point — [`run`](MonteCarlo::run),
+//! [`validate`](MonteCarlo::validate),
+//! [`run_common`](MonteCarlo::run_common) and
+//! [`run_with`](MonteCarlo::run_with), whose [`Sinks`] add progress,
+//! outcome histograms and a trace — resolves its engine before any
+//! trial runs, even for an empty range: a degenerate never-completes
+//! config surfaces as an [`EngineError`], never a panic inside a worker,
+//! and sweeps degrade it to a tagged `ERR(...)` row.
 //!
-//! Either way, trials fold into plain [`Summary`] accumulators
-//! (Welford-style merge, no per-pattern allocation), chunks are aligned
-//! to a fixed absolute grid, and per-chunk results merge in chunk order —
-//! so parallel runs are **bit-identical** to sequential ones at any
-//! `RAYON_NUM_THREADS`. Observability rides along as plain-integer
-//! `ChunkObs` accumulators that merge exactly in the reduction and
-//! flush into the global `rexec_obs` registry once per run — not one
-//! registry update per pattern, nor one sketch per chunk.
+//! Then one driver runs it. It walks the trial range's chunks, aligned
+//! to a fixed absolute grid, in waves; maps each wave's chunks in
+//! parallel (in trial order on the calling thread when a trace is
+//! recorded); folds the per-chunk results in chunk order into plain
+//! [`Summary`] accumulators (Welford-style merge, no per-pattern
+//! allocation) and one plain-integer `ChunkObs`; and after each wave
+//! flushes that into the global `rexec_obs` registry and reports
+//! progress. So runs are **bit-identical** at any `RAYON_NUM_THREADS`,
+//! and the registry sees one update per wave — not one per pattern, nor
+//! one sketch per chunk.
 
 use crate::engine::{
-    ensure_completes, simulate_pattern_scenario, simulate_pattern_scenario_traced, EngineError,
-    FastPattern, PatternOutcome, SimConfig,
+    ensure_completes, run_pattern, EngineError, FastPattern, PatternOutcome, SimConfig,
 };
 use crate::rng::{Draws, ReplayStream, SimRng, UniformStream, TRIAL_LANES};
 use crate::stats::Stats;
 use crate::trace::TraceRecorder;
 use rayon::prelude::*;
-use rexec_core::{ErrorLaw, SpeedSchedule};
-use rexec_obs::{counter, sketch, HistogramSketch};
+use rexec_core::{ErrorLaw, PreparedLaw, SpeedSchedule};
+use rexec_obs::{counter, sketch, HistogramSketch, RollingWindow};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::time::Instant;
 
 /// Aggregated result of many independent pattern simulations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -54,15 +64,15 @@ pub struct Summary {
 }
 
 impl Summary {
-    fn push(&mut self, p: &crate::engine::PatternOutcome) {
+    fn push(&mut self, p: &PatternOutcome) {
         self.time.push(p.time);
         self.energy.push(p.energy);
         self.attempts.push(f64::from(p.attempts));
     }
 
     /// Folds another summary into this one — the deterministic reduction
-    /// the parallel runner uses, also handy for gluing [`MonteCarlo::run_range`]
-    /// slices back together.
+    /// the parallel runner uses, also handy for gluing
+    /// [`MonteCarlo::run_with`] range slices back together.
     #[must_use]
     pub fn merge(mut self, other: Summary) -> Summary {
         self.time.merge(&other.time);
@@ -73,48 +83,20 @@ impl Summary {
     }
 }
 
-/// Per-chunk integer totals, merged along the reduction and flushed
-/// into the global registry once per run (the batched replacement for
-/// the engine's former per-pattern `counter!` adds).
-#[derive(Debug, Clone, Copy, Default)]
-struct Totals {
+/// Plain-integer observability accumulator for one chunk (or a merge of
+/// chunks): the pattern totals behind `runner.trials` and the `sim.*`
+/// counters (one pattern is one trial), and an exact attempts-per-trial
+/// histogram (inline counts for small attempt values, a tiny spill list
+/// for pathological ones). Merging is integer addition — associative
+/// and exact — and the registry's log-bucket sketch is touched once per
+/// *wave*, not per chunk: allocating and merging a ~1.7k-bucket sketch
+/// per 256-trial chunk previously cost more than the trials themselves.
+#[derive(Debug, Clone, Default)]
+struct ChunkObs {
     patterns: u64,
     attempts: u64,
     silent: u64,
     fail_stop: u64,
-}
-
-impl Totals {
-    #[inline]
-    fn push(&mut self, p: &PatternOutcome) {
-        self.patterns += 1;
-        self.attempts += u64::from(p.attempts);
-        self.silent += u64::from(p.silent_errors);
-        self.fail_stop += u64::from(p.fail_stop_errors);
-    }
-
-    /// Flushes into the global registry under the engine's historical
-    /// counter names (registered even when zero).
-    fn flush(&self) {
-        counter!("sim.patterns").add(self.patterns);
-        counter!("sim.attempts").add(self.attempts);
-        counter!("sim.silent_errors").add(self.silent);
-        counter!("sim.fail_stop_errors").add(self.fail_stop);
-    }
-}
-
-/// Plain-integer observability accumulator for one chunk (or a merge of
-/// chunks): the trial count, the `sim.*` totals, and an exact
-/// attempts-per-trial histogram (inline counts for small attempt values,
-/// a tiny spill list for pathological ones). Merging is integer addition
-/// — associative and exact — and the registry's log-bucket sketch is
-/// touched once per *run*, not per chunk: allocating and merging a
-/// ~1.7k-bucket sketch per 256-trial chunk previously cost more than the
-/// trials themselves.
-#[derive(Debug, Clone, Default)]
-struct ChunkObs {
-    trials: u64,
-    totals: Totals,
     /// `attempt_counts[n]` = number of trials that took `n` executions,
     /// for `n < INLINE`.
     attempt_counts: [u64; Self::INLINE],
@@ -124,6 +106,15 @@ struct ChunkObs {
 
 impl ChunkObs {
     const INLINE: usize = 32;
+
+    #[inline]
+    fn push(&mut self, p: &PatternOutcome) {
+        self.patterns += 1;
+        self.attempts += u64::from(p.attempts);
+        self.silent += u64::from(p.silent_errors);
+        self.fail_stop += u64::from(p.fail_stop_errors);
+        self.record_attempts(p.attempts, 1);
+    }
 
     #[inline]
     fn record_attempts(&mut self, attempts: u32, n: u64) {
@@ -137,11 +128,10 @@ impl ChunkObs {
     }
 
     fn merge(mut self, other: ChunkObs) -> ChunkObs {
-        self.trials += other.trials;
-        self.totals.patterns += other.totals.patterns;
-        self.totals.attempts += other.totals.attempts;
-        self.totals.silent += other.totals.silent;
-        self.totals.fail_stop += other.totals.fail_stop;
+        self.patterns += other.patterns;
+        self.attempts += other.attempts;
+        self.silent += other.silent;
+        self.fail_stop += other.fail_stop;
         for (mine, theirs) in self.attempt_counts.iter_mut().zip(other.attempt_counts) {
             *mine += theirs;
         }
@@ -151,13 +141,17 @@ impl ChunkObs {
         self
     }
 
-    /// Flushes the run's totals into the global registry — identical to
-    /// recording every trial individually (`record_n` is byte-identical
-    /// to n `record`s). The attempts sketch is registered only once a
-    /// trial lands in it.
+    /// Flushes the totals into the global registry under the runner's
+    /// and the engine's historical names (counters registered even when
+    /// zero) — identical to recording every trial individually
+    /// (`record_n` is byte-identical to n `record`s). The attempts
+    /// sketch is registered only once a trial lands in it.
     fn flush(self) {
-        counter!("runner.trials").add(self.trials);
-        self.totals.flush();
+        counter!("runner.trials").add(self.patterns);
+        counter!("sim.patterns").add(self.patterns);
+        counter!("sim.attempts").add(self.attempts);
+        counter!("sim.silent_errors").add(self.silent);
+        counter!("sim.fail_stop_errors").add(self.fail_stop);
         let inline = (0u32..).zip(self.attempt_counts);
         for (attempts, count) in inline.chain(self.attempt_spill) {
             if count > 0 {
@@ -166,7 +160,6 @@ impl ChunkObs {
         }
     }
 }
-
 /// Power-sum accumulator for one chunk's failed-trial outcomes: per
 /// field a sum, a sum of squares, and the extremes. `push` is
 /// straight-line short-latency arithmetic (the fast path's hot loop
@@ -234,15 +227,6 @@ impl RetriedSums {
     }
 }
 
-/// Publishes the wall-clock `runner.trials_per_sec` gauge of a run of
-/// `trials` trials that started at `started`.
-fn record_throughput(trials: u64, started: std::time::Instant) {
-    let secs = started.elapsed().as_secs_f64();
-    if secs > 0.0 {
-        rexec_obs::gauge!("runner.trials_per_sec").set(trials as f64 / secs);
-    }
-}
-
 /// Which simulation engine a [`MonteCarlo`] run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Engine {
@@ -259,50 +243,89 @@ pub enum Engine {
     FastPath,
 }
 
-/// Upper edge of the [`MonteCarlo::run_with_histograms`] sketches, in
-/// seconds or millijoules: far above any pattern time or energy of the
+/// A fresh (time, energy) pair of outcome sketches for
+/// [`Sinks::histograms`]: 1 % relative resolution from 1e-3 up to 1e12
+/// seconds or millijoules — far above any pattern time or energy of the
 /// paper's platforms, so the overflow bucket stays empty (it would
 /// still report the exact maximum).
-const OUTCOME_SKETCH_MAX: f64 = 1e12;
+pub fn outcome_sketches() -> [HistogramSketch; 2] {
+    std::array::from_fn(|_| HistogramSketch::new(1e-3, 0.01, 1e12))
+}
 
-/// A resolved engine selection: the concrete sampler `run*` drives.
+/// Optional observers of a [`MonteCarlo::run_with`] run;
+/// `Sinks::default()` observes nothing. None of them changes the
+/// summary's statistics or the flushed counter/histogram aggregates,
+/// except that histograms and a trace select the per-attempt loop.
+#[derive(Default)]
+pub struct Sinks<'a> {
+    /// Called as `progress(done, total)` with the trials of the range
+    /// done so far after each of about ten waves, for user-facing
+    /// progress lines on long runs. Each wave's wall time also feeds a
+    /// [`RollingWindow`], published after every wave as the
+    /// `runner.window.p50` / `runner.window.p99` (wave seconds) and
+    /// `runner.window.per_sec` (waves per second) gauges — a live
+    /// view over the last ~10 s of the run. Gauges are wall-clock and
+    /// sit outside the determinism guarantee.
+    pub progress: Option<&'a mut dyn FnMut(u64, u64)>,
+    /// Time and energy sketches, as made by [`outcome_sketches`], that
+    /// every trial's outcome is recorded into (through per-worker
+    /// copies). Runs the per-attempt loop whatever the [`Engine`]:
+    /// distribution studies want the historical bit-reproducible trial
+    /// streams (the configured law and schedule are honoured).
+    pub histograms: Option<&'a [HistogramSketch; 2]>,
+    /// A bounded recorder that every trial's events are appended to, in
+    /// trial order; events past its capacity are counted in
+    /// [`Summary::dropped_events`]. Runs the per-attempt loop whatever
+    /// the [`Engine`] (the fast path never materializes events), and
+    /// maps the chunks in order on the calling thread.
+    pub trace: Option<&'a mut TraceRecorder>,
+}
+
+/// A resolved engine selection: the concrete sampler the driver runs.
 #[derive(Debug, Clone)]
 enum Sampler {
-    /// Closed-form fast path, one RNG stream per trial chunk.
-    Fast(FastPattern),
+    /// Closed-form fast path, one RNG stream per trial chunk, for one
+    /// config or for several on common random numbers.
+    Fast(Vec<FastPattern>),
     /// The per-attempt loop, one RNG stream per trial; the reference
     /// engine is its (exponential law, no schedule) instance.
     PerAttempt {
-        /// Silent inter-error law.
-        law: ErrorLaw,
+        /// Simulation configuration.
+        config: SimConfig,
+        /// Silent inter-error law, prepared at `config`'s silent rate.
+        silent: PreparedLaw,
         /// Per-attempt speed schedule, when one overrides `σ₁`/`σ₂`.
         schedule: Option<SpeedSchedule>,
     },
 }
 
-/// A worker's private copy of a run's (time, energy) outcome sketches:
-/// its trials record into it through `record_mut` (plain adds, no
-/// atomic read-modify-writes), and it folds into the run's pair when
-/// the worker finishes (on drop). Bucket counts are integers
-/// and extremes are exact, so the fold is order-independent.
-struct WorkerSketches<'a> {
-    run: &'a [HistogramSketch; 2],
-    local: [HistogramSketch; 2],
+/// One worker's scratch, kept across the chunks it maps: a private copy
+/// of the run's (time, energy) outcome sketches, and the replay buffer
+/// of several fast-path configs. Trials record into the copy through
+/// `record_mut` (plain adds, no atomic read-modify-writes), and it
+/// folds into the run's pair when the worker finishes (on drop). Bucket
+/// counts are integers and extremes are exact, so the fold is
+/// order-independent.
+struct Worker<'a> {
+    sketches: Option<(&'a [HistogramSketch; 2], [HistogramSketch; 2])>,
+    replay: Option<ReplayStream>,
 }
 
-impl<'a> WorkerSketches<'a> {
-    fn new(run: &'a [HistogramSketch; 2]) -> Self {
-        WorkerSketches {
-            run,
-            local: [run[0].empty_like(), run[1].empty_like()],
+impl<'a> Worker<'a> {
+    fn new(run: Option<&'a [HistogramSketch; 2]>) -> Self {
+        Worker {
+            sketches: run.map(|run| (run, [run[0].empty_like(), run[1].empty_like()])),
+            replay: None,
         }
     }
 }
 
-impl Drop for WorkerSketches<'_> {
+impl Drop for Worker<'_> {
     fn drop(&mut self) {
-        for (run, local) in self.run.iter().zip(&self.local) {
-            run.merge_from(local);
+        if let Some((run, local)) = &self.sketches {
+            for (run, local) in run.iter().zip(local) {
+                run.merge_from(local);
+            }
         }
     }
 }
@@ -384,7 +407,7 @@ impl MonteCarlo {
         match self.engine {
             Engine::Reference => self.per_attempt(),
             Engine::Auto | Engine::FastPath if baseline => {
-                FastPattern::new(&self.config).map(Sampler::Fast)
+                Ok(Sampler::Fast(vec![FastPattern::new(&self.config)?]))
             }
             Engine::Auto => self.per_attempt(),
             Engine::FastPath => Err(EngineError::UnsupportedScenario {
@@ -398,77 +421,110 @@ impl MonteCarlo {
     fn per_attempt(&self) -> Result<Sampler, EngineError> {
         ensure_completes(&self.config, self.law, self.schedule.as_ref())?;
         Ok(Sampler::PerAttempt {
-            law: self.law,
+            config: self.config,
+            silent: self.law.prepare(self.config.rates.silent),
             schedule: self.schedule.clone(),
         })
     }
 
-    /// Chunk triples `(chunk_lo, lo, hi)` covering `[start, end)`,
-    /// aligned to the absolute `CHUNK` grid: `chunk_lo` is the chunk's
-    /// grid origin (fixing its RNG stream id), `[lo, hi)` the trials of
-    /// this range that fall inside it. Grid alignment makes every
-    /// partition of `0..trials` reuse the same per-chunk streams.
-    fn chunk_grid(start: u64, end: u64) -> Vec<(u64, u64, u64)> {
-        let first = start - start % Self::CHUNK;
-        (first..end)
+    /// Chunk triples `(chunk_lo, lo, hi)` covering `trials`, aligned to
+    /// the absolute `CHUNK` grid: `chunk_lo` is the chunk's grid origin
+    /// (fixing its RNG stream id), `[lo, hi)` the trials of the range
+    /// that fall inside it. Grid alignment makes every partition of
+    /// `0..trials` reuse the same per-chunk streams.
+    fn chunk_grid(trials: Range<u64>) -> Vec<(u64, u64, u64)> {
+        let first = trials.start - trials.start % Self::CHUNK;
+        (first..trials.end)
             .step_by(Self::CHUNK as usize)
             .map(|chunk_lo| {
                 (
                     chunk_lo,
-                    chunk_lo.max(start),
-                    (chunk_lo + Self::CHUNK).min(end),
+                    chunk_lo.max(trials.start),
+                    (chunk_lo + Self::CHUNK).min(trials.end),
                 )
             })
             .collect()
     }
 
-    /// Simulates one grid chunk: trials `[lo, hi)` of the chunk whose
-    /// grid origin is `chunk_lo`, recording each trial's time and energy
-    /// into `sketches` when given (per-attempt loop only). Returns the
-    /// folded summary plus the chunk's plain-integer obs accumulator.
-    /// Allocation-free per pattern: outcomes fold straight into SoA
-    /// `Stats` accumulators and integer totals.
+    /// Simulates one grid chunk — trials `[lo, hi)` of the chunk whose
+    /// grid origin is `chunk_lo` — under every config of `sampler`:
+    /// the one place a sampler is driven. Returns one summary per config
+    /// plus the chunk's plain-integer obs accumulator. The per-attempt
+    /// loop also records each trial's time and energy into the worker's
+    /// sketches, when it has them, and its events into `trace`, when
+    /// given. Allocation-free per pattern: outcomes fold straight into
+    /// SoA `Stats` accumulators and integer totals.
     fn run_chunk(
-        &self,
         sampler: &Sampler,
+        seed: u64,
         (chunk_lo, lo, hi): (u64, u64, u64),
-        mut sketches: Option<&mut [HistogramSketch; 2]>,
-    ) -> (Summary, ChunkObs) {
+        worker: &mut Worker,
+        mut trace: Option<&mut TraceRecorder>,
+    ) -> (Vec<Summary>, ChunkObs) {
+        let stream = || SimRng::for_chunk(seed, chunk_lo / Self::CHUNK);
         match sampler {
-            Sampler::Fast(fp) => {
-                debug_assert!(sketches.is_none(), "the fast path records no sketches");
-                let stream = SimRng::for_chunk(self.seed, chunk_lo / Self::CHUNK);
-                Self::run_chunk_fast(fp, &mut UniformStream::new(stream), (chunk_lo, lo, hi))
+            Sampler::Fast(patterns) if patterns.len() == 1 => {
+                let draws = &mut UniformStream::new(stream());
+                let (s, obs) = Self::run_chunk_fast(&patterns[0], draws, (chunk_lo, lo, hi));
+                (vec![s], obs)
             }
-            Sampler::PerAttempt { law, schedule } => {
+            Sampler::Fast(patterns) => {
+                // Common random numbers: the chunk's stream is generated
+                // once and replayed for every config.
+                let slot = &mut worker.replay;
+                let draws = match slot {
+                    Some(draws) => {
+                        draws.reset(stream());
+                        draws
+                    }
+                    None => slot.insert(ReplayStream::new(stream())),
+                };
+                let mut obs = ChunkObs::default();
+                let summaries = patterns
+                    .iter()
+                    .map(|fp| {
+                        draws.rewind();
+                        let (s, o) = Self::run_chunk_fast(fp, draws, (chunk_lo, lo, hi));
+                        obs = std::mem::take(&mut obs).merge(o);
+                        s
+                    })
+                    .collect();
+                (summaries, obs)
+            }
+            Sampler::PerAttempt {
+                config,
+                silent,
+                schedule,
+            } => {
                 // Per-trial streams, derived in groups of `TRIAL_LANES`
                 // aligned on the absolute trial index: thread determinism
                 // and range-partition replay are automatic.
                 let mut s = Summary::default();
-                let mut obs = ChunkObs {
-                    trials: hi - lo,
-                    ..ChunkObs::default()
-                };
+                let mut obs = ChunkObs::default();
+                let dropped = trace.as_ref().map_or(0, |tr| tr.dropped());
                 let group_lo = lo - lo % TRIAL_LANES as u64;
                 for group in (group_lo..hi).step_by(TRIAL_LANES) {
-                    let trials = (group..).zip(SimRng::for_trials(self.seed, group));
+                    let trials = (group..).zip(SimRng::for_trials(seed, group));
                     for (_, mut rng) in trials.filter(|&(i, _)| i >= lo && i < hi) {
-                        let p = simulate_pattern_scenario(
-                            &self.config,
-                            *law,
-                            schedule.as_ref(),
-                            &mut rng,
-                        );
+                        let schedule = schedule.as_ref();
+                        // Two calls, so that the untraced one inlines
+                        // with its trace branches folded away.
+                        let p = match trace.as_deref_mut() {
+                            Some(tr) => {
+                                run_pattern(config, *silent, schedule, 1, &mut rng, Some(tr))
+                            }
+                            None => run_pattern(config, *silent, schedule, 1, &mut rng, None),
+                        };
                         s.push(&p);
-                        obs.totals.push(&p);
-                        obs.record_attempts(p.attempts, 1);
-                        if let Some([time, energy]) = sketches.as_deref_mut() {
+                        obs.push(&p);
+                        if let Some((_, [time, energy])) = &mut worker.sketches {
                             time.record_mut(p.time);
                             energy.record_mut(p.energy);
                         }
                     }
                 }
-                (s, obs)
+                s.dropped_events = trace.map_or(0, |tr| (tr.dropped() - dropped) as u64);
+                (vec![s], obs)
             }
         }
     }
@@ -476,18 +532,14 @@ impl MonteCarlo {
     /// The chunked fast-path hot loop: one draw per first-try success
     /// run, a bounded number per failed trial, over the grid chunk whose
     /// origin is `chunk_lo`, counting trials `[lo, hi)`. `draws` must be
-    /// at the chunk stream's first draw. The one loop behind both the
-    /// fast path of [`run`](Self::run) and [`run_common`](Self::run_common).
+    /// at the chunk stream's first draw.
     fn run_chunk_fast<D: Draws>(
         fp: &FastPattern,
         draws: &mut D,
         (chunk_lo, lo, hi): (u64, u64, u64),
     ) -> (Summary, ChunkObs) {
         let mut s = Summary::default();
-        let mut obs = ChunkObs {
-            trials: hi - lo,
-            ..ChunkObs::default()
-        };
+        let mut obs = ChunkObs::default();
         // Run-length batching: the count of consecutive trials
         // whose first attempt succeeds is geometric, so one
         // uniform samples the whole run (its identical outcomes
@@ -517,8 +569,7 @@ impl MonteCarlo {
                 let p = fp.sample_failed_first(draws);
                 if i >= lo {
                     failed.push(&p);
-                    obs.totals.push(&p);
-                    obs.record_attempts(p.attempts, 1);
+                    obs.push(&p);
                 }
                 i += 1;
             }
@@ -529,50 +580,96 @@ impl MonteCarlo {
         s.energy = Stats::repeated(ft.energy, first_try);
         s.attempts = Stats::repeated(1.0, first_try);
         s = s.merge(retried);
-        obs.totals.patterns += first_try;
-        obs.totals.attempts += first_try;
+        obs.patterns += first_try;
+        obs.attempts += first_try;
         obs.record_attempts(1, first_try);
         (s, obs)
     }
 
-    /// Simulates the grid chunks covering `[start, end)` in parallel,
-    /// folds them into `into` in chunk order and flushes the range's obs
-    /// totals into the global registry — the one chunk driver behind
-    /// every parallel `run*` entry. With `sketches`, every trial's time
-    /// and energy is also recorded there (through per-worker copies).
-    fn run_grid(
-        &self,
-        sampler: &Sampler,
-        into: Summary,
-        start: u64,
-        end: u64,
-        sketches: Option<&[HistogramSketch; 2]>,
-    ) -> Summary {
-        let chunks: Vec<(Summary, ChunkObs)> = Self::chunk_grid(start, end)
-            .into_par_iter()
-            .map_init(
-                || sketches.map(WorkerSketches::new),
-                |worker, chunk| {
-                    self.run_chunk(sampler, chunk, worker.as_mut().map(|w| &mut w.local))
-                },
-            )
-            .collect();
-        let (summary, obs) = chunks
-            .into_iter()
-            .fold((into, ChunkObs::default()), |(sa, oa), (sb, ob)| {
-                (sa.merge(sb), oa.merge(ob))
-            });
-        obs.flush();
-        summary
+    /// The one driver behind every entry point: simulates the grid
+    /// chunks covering `trials` under `sampler` and returns one summary
+    /// per config.
+    ///
+    /// Chunks run in waves: about a tenth of the range each with a
+    /// progress sink, at most `WAVE` chunks each for several configs,
+    /// else the whole range in one parallel call. Each wave's chunks map
+    /// in parallel (in order on this thread with a trace sink: one
+    /// recorder, events in trial order), and their results fold in chunk
+    /// order into the summaries and one `ChunkObs`, which is flushed
+    /// before progress is reported. The fold order never depends on the
+    /// wave length or the width, so neither do the bits.
+    fn drive(sampler: &Sampler, seed: u64, trials: Range<u64>, sinks: Sinks) -> Vec<Summary> {
+        let _timer = rexec_obs::span!("runner.run");
+        let started = Instant::now();
+        let total = trials.end.saturating_sub(trials.start);
+        let grid = Self::chunk_grid(trials);
+        let width = match sampler {
+            Sampler::Fast(patterns) => patterns.len(),
+            Sampler::PerAttempt { .. } => 1,
+        };
+        let wave_len = if sinks.progress.is_some() {
+            (total / 10).div_ceil(Self::CHUNK) as usize
+        } else if width > 1 {
+            grid.len().div_ceil(grid.len().div_ceil(Self::WAVE).max(1))
+        } else {
+            grid.len()
+        };
+        let (histograms, mut trace) = (sinks.histograms, sinks.trace);
+        let mut progress = sinks
+            .progress
+            .map(|report| (report, RollingWindow::new(10, 1.0)));
+        let mut summaries = vec![Summary::default(); width];
+        let mut done = 0;
+        for wave in grid.chunks(wave_len.max(1)) {
+            let wave_started = Instant::now();
+            let results: Vec<(Vec<Summary>, ChunkObs)> = match trace.as_deref_mut() {
+                Some(trace) => {
+                    let mut worker = Worker::new(histograms);
+                    wave.iter()
+                        .map(|&chunk| {
+                            Self::run_chunk(sampler, seed, chunk, &mut worker, Some(trace))
+                        })
+                        .collect()
+                }
+                None => wave
+                    .to_vec()
+                    .into_par_iter()
+                    .map_init(
+                        || Worker::new(histograms),
+                        |worker, chunk| Self::run_chunk(sampler, seed, chunk, worker, None),
+                    )
+                    .collect(),
+            };
+            let mut obs = ChunkObs::default();
+            for (chunk_summaries, chunk_obs) in results {
+                for (summary, s) in summaries.iter_mut().zip(chunk_summaries) {
+                    *summary = summary.merge(s);
+                }
+                obs = obs.merge(chunk_obs);
+            }
+            obs.flush();
+            done += wave.iter().map(|&(_, lo, hi)| hi - lo).sum::<u64>();
+            if let Some((report, window)) = &mut progress {
+                window.record(wave_started.elapsed().as_secs_f64());
+                window.publish(rexec_obs::global(), "runner.window");
+                report(done, total);
+            }
+        }
+        let secs = started.elapsed().as_secs_f64();
+        if secs > 0.0 {
+            rexec_obs::gauge!("runner.trials_per_sec").set((total * width as u64) as f64 / secs);
+        }
+        summaries
     }
 
-    /// Runs all replications in parallel and aggregates.
+    /// Runs all replications in parallel and aggregates:
+    /// [`run_with`](Self::run_with) over `0..trials` with no sinks.
     ///
     /// Instrumented: each worker fills a plain-integer `ChunkObs`
     /// (`runner.trials`, the `sim.*` totals, and the exact
     /// `runner.attempts_per_trial` histogram); the accumulators merge
     /// deterministically along the reduction and flush into the global
-    /// registry once, so the aggregates are identical for any
+    /// registry, so the aggregates are identical for any
     /// `RAYON_NUM_THREADS`. The wall-clock `runner.trials_per_sec` gauge
     /// is excluded from that guarantee.
     ///
@@ -580,88 +677,42 @@ impl MonteCarlo {
     /// [`EngineError::NeverCompletes`] for a degenerate config (before
     /// any trial runs).
     pub fn run(&self) -> Result<Summary, EngineError> {
-        let _timer = rexec_obs::span!("runner.run");
-        let started = std::time::Instant::now();
-        let summary = self.run_range(0, self.trials)?;
-        record_throughput(self.trials, started);
-        Ok(summary)
+        self.run_with(0..self.trials, Sinks::default())
     }
 
-    /// Like [`run`](Self::run), invoking `progress(done, total)` after
-    /// each slice of trials — for user-facing progress lines on long
-    /// runs. Slices are aligned to the parallel chunk size and every
-    /// chunk folds into the running summary in chunk order, so the
-    /// summary and all counter/histogram aggregates are bit-identical to
-    /// [`run`](Self::run)'s.
-    ///
-    /// Each slice's wall time also feeds a [`rexec_obs::RollingWindow`],
-    /// published after every slice as the `runner.window.p50` /
-    /// `runner.window.p99` (slice seconds) and `runner.window.per_sec`
-    /// (slices per second) gauges — a live latency/throughput view over
-    /// the last ~10 s of the run. Gauges are wall-clock and sit outside
-    /// the determinism guarantee.
-    ///
-    /// # Errors
-    /// [`EngineError::NeverCompletes`] for a degenerate config (before
-    /// any trial runs or progress is reported).
-    pub fn run_with_progress(
-        &self,
-        progress: &mut dyn FnMut(u64, u64),
-    ) -> Result<Summary, EngineError> {
-        let _timer = rexec_obs::span!("runner.run");
-        let started = std::time::Instant::now();
-        // ~10 progress slices, each a multiple of CHUNK trials.
-        let slice = (self.trials / 10)
-            .next_multiple_of(Self::CHUNK)
-            .max(Self::CHUNK);
-        let window = rexec_obs::RollingWindow::new(10, 1.0);
-        let mut summary = Summary::default();
-        let mut done = 0;
-        while done < self.trials {
-            let slice_started = std::time::Instant::now();
-            let end = (done + slice).min(self.trials);
-            summary = self.fold_range(summary, done, end)?;
-            done = end;
-            window.record(slice_started.elapsed().as_secs_f64());
-            window.publish(rexec_obs::global(), "runner.window");
-            progress(done, self.trials);
-        }
-        record_throughput(self.trials, started);
-        Ok(summary)
-    }
-
-    /// Runs trial indices `[start, end)` in parallel (empty ranges
-    /// return an empty [`Summary`] without touching the registry).
+    /// Runs trial indices `trials` in parallel, feeding the given
+    /// [`Sinks`]; histograms or a trace select the per-attempt loop
+    /// whatever the [`Engine`]. The engine is resolved first, so even
+    /// an empty range fails on a degenerate config; an empty range then
+    /// returns an empty [`Summary`] without touching the registry
+    /// counters.
     ///
     /// Chunks align to the absolute `CHUNK` grid and their results merge
     /// in chunk order, so for any `RAYON_NUM_THREADS` the summary is
-    /// bit-identical to a sequential evaluation, and any partition of
-    /// `0..trials` replays exactly the trials of a single
-    /// [`run`](Self::run): the per-attempt loop re-derives per-trial
-    /// streams, the fast path replays each partial chunk's stream prefix.
-    /// Gluing range summaries left-to-right is bit-identical to
-    /// [`run`](Self::run) when the splits are chunk-aligned and every
-    /// range after the first is a single chunk (the glue then replays
-    /// `run`'s exact left-fold); other partitions cover the same trials
-    /// but regroup the non-associative float merges, so their moments
-    /// agree only to ~1e-9 (counts and extremes stay exact).
+    /// bit-identical to a width-1 run, and any partition of `0..trials`
+    /// replays exactly the trials of a single [`run`](Self::run): the
+    /// per-attempt loop re-derives per-trial streams, the fast path
+    /// replays each partial chunk's stream prefix. Gluing range
+    /// summaries left-to-right is bit-identical to [`run`](Self::run)
+    /// when the splits are chunk-aligned and every range after the first
+    /// is a single chunk (the glue then replays `run`'s exact
+    /// left-fold); other partitions cover the same trials but regroup
+    /// the non-associative float merges, so their moments agree only to
+    /// ~1e-9 (counts and extremes stay exact). Sinks never change the
+    /// fold: a progress run's summary and flushed aggregates are
+    /// [`run`](Self::run)'s, a histogram or traced run's are those of an
+    /// [`Engine::Reference`] run.
     ///
     /// # Errors
     /// [`EngineError::NeverCompletes`] for a degenerate config — raised
     /// here at resolution, never from inside a rayon worker.
-    pub fn run_range(&self, start: u64, end: u64) -> Result<Summary, EngineError> {
-        self.fold_range(Summary::default(), start, end)
-    }
-
-    /// Folds trial indices `[start, end)` into `into`, chunk by chunk in
-    /// chunk order: folding consecutive chunk-aligned ranges into one
-    /// running summary replays [`run`](Self::run)'s left fold exactly.
-    fn fold_range(&self, into: Summary, start: u64, end: u64) -> Result<Summary, EngineError> {
-        if start >= end {
-            return Ok(into);
-        }
-        let sampler = self.resolve()?;
-        Ok(self.run_grid(&sampler, into, start, end, None))
+    pub fn run_with(&self, trials: Range<u64>, sinks: Sinks) -> Result<Summary, EngineError> {
+        let sampler = if sinks.histograms.is_some() || sinks.trace.is_some() {
+            self.per_attempt()?
+        } else {
+            self.resolve()?
+        };
+        Ok(Self::drive(&sampler, self.seed, trials, sinks).remove(0))
     }
 
     /// Trials per chunk: the RNG-stream and reduction granule.
@@ -686,151 +737,31 @@ impl MonteCarlo {
     /// the same chunk loop, and each config's chunk results merge in
     /// chunk order. The flushed `runner.*`/`sim.*` integer totals equal
     /// those of the separate runs. Chunks run in waves of at most
-    /// `WAVE`, folded before the next wave starts, so the live per-chunk
-    /// state stays near that of one [`run`](Self::run).
+    /// `WAVE`, so the live per-chunk state stays near that of one
+    /// [`run`](Self::run).
     ///
     /// # Errors
     /// The [`EngineError`] of the first config the fast path rejects
     /// ([`FastPattern::new`]), before any trial runs — also when
-    /// `trials` is 0, unlike [`run`](Self::run), which resolves nothing
-    /// for an empty run.
+    /// `trials` is 0.
     pub fn run_common(
         configs: &[SimConfig],
         trials: u64,
         seed: u64,
     ) -> Result<Vec<Summary>, EngineError> {
-        let _timer = rexec_obs::span!("runner.run");
-        let started = std::time::Instant::now();
         let patterns = configs
             .iter()
             .map(FastPattern::new)
             .collect::<Result<Vec<_>, _>>()?;
-        let mut summaries = vec![Summary::default(); configs.len()];
-        let grid = Self::chunk_grid(0, trials);
-        if grid.is_empty() || patterns.is_empty() {
-            return Ok(summaries);
+        if patterns.is_empty() {
+            return Ok(Vec::new());
         }
-        let wave_len = grid.len().div_ceil(grid.len().div_ceil(Self::WAVE));
-        let mut obs = ChunkObs::default();
-        for wave in grid.chunks(wave_len) {
-            let results: Vec<(Vec<Summary>, ChunkObs)> = wave
-                .to_vec()
-                .into_par_iter()
-                .map_init(
-                    || None,
-                    |slot: &mut Option<ReplayStream>, chunk| {
-                        let stream = SimRng::for_chunk(seed, chunk.0 / Self::CHUNK);
-                        let draws = match slot {
-                            Some(draws) => {
-                                draws.reset(stream);
-                                draws
-                            }
-                            None => slot.insert(ReplayStream::new(stream)),
-                        };
-                        let mut chunk_obs = ChunkObs::default();
-                        let chunk_summaries = patterns
-                            .iter()
-                            .map(|fp| {
-                                draws.rewind();
-                                let (s, o) = Self::run_chunk_fast(fp, draws, chunk);
-                                chunk_obs = std::mem::take(&mut chunk_obs).merge(o);
-                                s
-                            })
-                            .collect();
-                        (chunk_summaries, chunk_obs)
-                    },
-                )
-                .collect();
-            for (chunk_summaries, chunk_obs) in results {
-                for (summary, s) in summaries.iter_mut().zip(chunk_summaries) {
-                    *summary = summary.merge(s);
-                }
-                obs = obs.merge(chunk_obs);
-            }
-        }
-        obs.flush();
-        record_throughput(trials * configs.len() as u64, started);
-        Ok(summaries)
-    }
-
-    /// Runs all replications in parallel, additionally collecting full
-    /// time/energy distributions (1 % relative resolution from 1e-3 up).
-    /// Returns `(summary, time_sketch, energy_sketch)`.
-    ///
-    /// Always uses the per-attempt loop, whatever the [`Engine`]:
-    /// distribution studies want the historical bit-reproducible trial
-    /// streams (the configured law and schedule are honoured). The
-    /// summary and the published `runner.*`/`sim.*` aggregates are those
-    /// of an [`Engine::Reference`] [`run`](Self::run).
-    ///
-    /// # Errors
-    /// [`EngineError::NeverCompletes`] for a degenerate config.
-    pub fn run_with_histograms(
-        &self,
-    ) -> Result<(Summary, HistogramSketch, HistogramSketch), EngineError> {
-        let sampler = self.per_attempt()?;
-        let sketch = || HistogramSketch::new(1e-3, 0.01, OUTCOME_SKETCH_MAX);
-        let sketches = [sketch(), sketch()];
-        let summary = self.run_grid(
-            &sampler,
-            Summary::default(),
-            0,
-            self.trials,
-            Some(&sketches),
-        );
-        let [time, energy] = sketches;
-        Ok((summary, time, energy))
-    }
-
-    /// Runs sequentially — no thread pool, same chunk grid. The summary
-    /// *and* the flushed obs aggregates are bit-identical to
-    /// [`run`](Self::run) at any thread count (the baseline the
-    /// determinism tests and the tracked bench compare against).
-    ///
-    /// # Errors
-    /// [`EngineError::NeverCompletes`] for a degenerate config.
-    pub fn run_sequential(&self) -> Result<Summary, EngineError> {
-        let sampler = self.resolve()?;
-        let mut summary = Summary::default();
-        let mut obs = ChunkObs::default();
-        for chunk in Self::chunk_grid(0, self.trials) {
-            let (s, o) = self.run_chunk(&sampler, chunk, None);
-            summary = summary.merge(s);
-            obs = obs.merge(o);
-        }
-        obs.flush();
-        Ok(summary)
-    }
-
-    /// Runs sequentially while recording every trial's events into one
-    /// bounded trace (at most `capacity` events; the rest are counted as
-    /// dropped and surfaced in [`Summary::dropped_events`]).
-    ///
-    /// Always uses the per-attempt loop: the fast path never
-    /// materializes events.
-    ///
-    /// # Errors
-    /// [`EngineError::NeverCompletes`] for a degenerate config.
-    pub fn run_with_trace(&self, capacity: usize) -> Result<(Summary, TraceRecorder), EngineError> {
-        ensure_completes(&self.config, self.law, self.schedule.as_ref())?;
-        let mut recorder = TraceRecorder::new(capacity);
-        let mut s = Summary::default();
-        let mut totals = Totals::default();
-        for i in 0..self.trials {
-            let mut rng = SimRng::for_trial(self.seed, i);
-            let p = simulate_pattern_scenario_traced(
-                &self.config,
-                self.law,
-                self.schedule.as_ref(),
-                &mut rng,
-                Some(&mut recorder),
-            );
-            s.push(&p);
-            totals.push(&p);
-        }
-        s.dropped_events = recorder.dropped() as u64;
-        totals.flush();
-        Ok((s, recorder))
+        Ok(Self::drive(
+            &Sampler::Fast(patterns),
+            seed,
+            0..trials,
+            Sinks::default(),
+        ))
     }
 
     /// Runs and compares the sampled means against analytic expectations.
@@ -907,6 +838,62 @@ mod tests {
         .unwrap()
     }
 
+    /// Runs `mc` at `RAYON_NUM_THREADS=1`, where the pool maps every
+    /// chunk in order on the calling thread (the lock keeps this file's
+    /// width-1 runs from restoring each other's setting).
+    fn width_one_run(mc: &MonteCarlo) -> Summary {
+        static WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = WIDTH
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let ambient = std::env::var_os("RAYON_NUM_THREADS");
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let summary = mc.run();
+        match ambient {
+            Some(width) => std::env::set_var("RAYON_NUM_THREADS", width),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
+        }
+        summary.unwrap()
+    }
+
+    fn range(mc: &MonteCarlo, trials: Range<u64>) -> Result<Summary, EngineError> {
+        mc.run_with(trials, Sinks::default())
+    }
+
+    /// A run over every trial with outcome histograms.
+    fn with_histograms(
+        mc: &MonteCarlo,
+    ) -> Result<(Summary, HistogramSketch, HistogramSketch), EngineError> {
+        let sketches = outcome_sketches();
+        let histograms = Some(&sketches);
+        let summary = mc.run_with(
+            0..mc.trials,
+            Sinks {
+                histograms,
+                ..Sinks::default()
+            },
+        )?;
+        let [time, energy] = sketches;
+        Ok((summary, time, energy))
+    }
+
+    /// A run over every trial traced into a recorder of `capacity`.
+    fn with_trace(
+        mc: &MonteCarlo,
+        capacity: usize,
+    ) -> Result<(Summary, TraceRecorder), EngineError> {
+        let mut recorder = TraceRecorder::new(capacity);
+        let trace = Some(&mut recorder);
+        let summary = mc.run_with(
+            0..mc.trials,
+            Sinks {
+                trace,
+                ..Sinks::default()
+            },
+        )?;
+        Ok((summary, recorder))
+    }
+
     fn mixed_config() -> SimConfig {
         let m = silent_model(1e-4);
         SimConfig {
@@ -923,7 +910,7 @@ mod tests {
             for engine in [Engine::Reference, Engine::FastPath, Engine::Auto] {
                 let mc = MonteCarlo::new(cfg, 2000, 42).with_engine(engine);
                 let par = mc.run().unwrap();
-                let seq = mc.run_sequential().unwrap();
+                let seq = width_one_run(&mc);
                 // Same chunk grid, same per-chunk streams, in-order merge:
                 // parallel and sequential runs are bit-identical.
                 assert_eq!(par, seq, "engine {engine:?}");
@@ -977,14 +964,19 @@ mod tests {
                 matches!(mc.run(), Err(EngineError::NeverCompletes { .. })),
                 "engine {engine:?}"
             );
-            assert!(mc.run_sequential().is_err(), "engine {engine:?}");
-            assert!(mc.run_range(0, 8).is_err(), "engine {engine:?}");
+            // Resolution comes first, so even an empty range refuses.
+            assert!(range(&mc, 0..0).is_err(), "engine {engine:?}");
+            assert!(range(&mc, 0..8).is_err(), "engine {engine:?}");
             assert!(mc.validate(1.0, 1.0, 3.0).is_err(), "engine {engine:?}");
-            assert!(mc.run_with_progress(&mut |_, _| {}).is_err());
+            let sinks = Sinks {
+                progress: Some(&mut |_, _| {}),
+                ..Sinks::default()
+            };
+            assert!(mc.run_with(0..16, sinks).is_err());
         }
         let mc = MonteCarlo::new(cfg, 16, 1);
-        assert!(mc.run_with_histograms().is_err());
-        assert!(mc.run_with_trace(64).is_err());
+        assert!(with_histograms(&mc).is_err());
+        assert!(with_trace(&mc, 64).is_err());
         // Degenerate mixed configs are rejected the same way.
         let mixed = SimConfig {
             rates: rexec_core::ErrorRates::new(0.5, 0.5).unwrap(),
@@ -1003,7 +995,7 @@ mod tests {
         for engine in [Engine::Reference, Engine::FastPath] {
             let mc = MonteCarlo::new(cfg, 1000, 5).with_engine(engine);
             for start in [0, 100, 256, 1000] {
-                let s = mc.run_range(start, start).unwrap();
+                let s = range(&mc, start..start).unwrap();
                 assert_eq!(s, Summary::default(), "engine {engine:?} start {start}");
                 assert_eq!(s.time.count(), 0);
             }
@@ -1019,7 +1011,7 @@ mod tests {
             let whole = mc.run().unwrap();
             let mut glued = Summary::default();
             for i in 0..40 {
-                let one = mc.run_range(i, i + 1).unwrap();
+                let one = range(&mc, i..i + 1).unwrap();
                 assert_eq!(one.time.count(), 1, "engine {engine:?} trial {i}");
                 glued = glued.merge(one);
             }
@@ -1047,11 +1039,10 @@ mod tests {
         for engine in [Engine::Reference, Engine::FastPath] {
             let mc = MonteCarlo::new(cfg, 1000, 21).with_engine(engine);
             let whole = mc.run().unwrap();
-            let glued = mc
-                .run_range(0, 512)
+            let glued = range(&mc, 0..512)
                 .unwrap()
-                .merge(mc.run_range(512, 768).unwrap())
-                .merge(mc.run_range(768, 1000).unwrap());
+                .merge(range(&mc, 512..768).unwrap())
+                .merge(range(&mc, 768..1000).unwrap());
             assert_eq!(glued, whole, "engine {engine:?}");
         }
     }
@@ -1070,11 +1061,10 @@ mod tests {
                 let whole = mc.run().unwrap();
                 // Splits inside chunks: the fast path must replay stream
                 // prefixes so trial outcomes are identical.
-                let glued = mc
-                    .run_range(0, 100)
+                let glued = range(&mc, 0..100)
                     .unwrap()
-                    .merge(mc.run_range(100, 300).unwrap())
-                    .merge(mc.run_range(300, 700).unwrap());
+                    .merge(range(&mc, 100..300).unwrap())
+                    .merge(range(&mc, 300..700).unwrap());
                 assert_eq!(glued.time.count(), whole.time.count());
                 assert_eq!(glued.time.min(), whole.time.min());
                 assert_eq!(glued.time.max(), whole.time.max());
@@ -1091,8 +1081,12 @@ mod tests {
         let m = silent_model(1e-4);
         let cfg = SimConfig::from_silent_model(&m, 2764.0, 0.4, 0.8);
         let mut slices = 0;
+        let sinks = Sinks {
+            progress: Some(&mut |_, _| slices += 1),
+            ..Sinks::default()
+        };
         MonteCarlo::new(cfg, 2000, 4)
-            .run_with_progress(&mut |_, _| slices += 1)
+            .run_with(0..2000, sinks)
             .unwrap();
         assert!(slices > 0);
         // Every slice publishes the rolling-window gauges; the run just
@@ -1107,7 +1101,7 @@ mod tests {
         let m = silent_model(1e-4);
         let cfg = SimConfig::from_silent_model(&m, 2764.0, 0.4, 0.8);
         let mc = MonteCarlo::new(cfg, 5000, 42);
-        let (summary, th, eh) = mc.run_with_histograms().unwrap();
+        let (summary, th, eh) = with_histograms(&mc).unwrap();
         // Same chunk driver and per-trial streams as a reference run.
         let reference = mc.clone().with_engine(Engine::Reference).run().unwrap();
         assert_eq!(summary, reference);
@@ -1216,7 +1210,7 @@ mod tests {
         ];
         for mc in variants {
             let par = mc.run().unwrap();
-            let seq = mc.run_sequential().unwrap();
+            let seq = width_one_run(&mc);
             assert_eq!(par, seq, "law {:?} schedule {:?}", mc.law, mc.schedule);
         }
     }
@@ -1269,19 +1263,19 @@ mod tests {
         let m = silent_model(5e-4);
         let cfg = SimConfig::from_silent_model(&m, 2764.0, 0.4, 0.8);
         let mc = MonteCarlo::new(cfg, 2000, 3).with_law(weibull());
-        let (summary, th, _eh) = mc.run_with_histograms().unwrap();
+        let (summary, th, _eh) = with_histograms(&mc).unwrap();
         assert_eq!(th.count(), summary.time.count());
         // Same per-trial streams as run(): identical summaries.
         assert_eq!(summary.time.mean(), mc.run().unwrap().time.mean());
-        let (traced, recorder) = mc.run_with_trace(1 << 16).unwrap();
+        let (traced, recorder) = with_trace(&mc, 1 << 16).unwrap();
         assert_eq!(traced.time.count(), 2000);
         assert!(!recorder.events().is_empty());
         // Degenerate scenario configs are rejected up front, not mid-run.
         let bad = SimConfig::from_silent_model(&silent_model(1.0), 700.0, 1.0, 1.0);
         let bad_mc = MonteCarlo::new(bad, 16, 1).with_law(weibull());
         assert!(bad_mc.run().is_err());
-        assert!(bad_mc.run_with_histograms().is_err());
-        assert!(bad_mc.run_with_trace(64).is_err());
+        assert!(with_histograms(&bad_mc).is_err());
+        assert!(with_trace(&bad_mc, 64).is_err());
     }
 
     #[test]

@@ -21,7 +21,8 @@ use rexec_core::ErrorLaw;
 /// [`MAX_ATTEMPTS`](crate::engine::MAX_ATTEMPTS) failed executions.
 pub fn simulate_pattern_segmented(cfg: &SimConfig, q: u32, rng: &mut SimRng) -> PatternOutcome {
     assert!(q >= 1, "need at least one verification per pattern");
-    run_pattern(cfg, ErrorLaw::Exponential, None, q, rng, None)
+    let law = ErrorLaw::Exponential.prepare(cfg.rates.silent);
+    run_pattern(cfg, law, None, q, rng, None)
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //!
 //! Any attempt law the runner can drive (the fast path on silent-only
 //! and mixed configs, and the per-attempt loop under Weibull,
-//! lognormal, or a re-execution speed schedule) must keep `run`,
-//! `run_sequential`, and any chunk-respecting composition of
-//! `run_range` **byte-identical** regardless of the rayon pool size.
+//! lognormal, or a re-execution speed schedule) must keep `run` and
+//! any chunk-respecting composition of `run_with` ranges
+//! **byte-identical** regardless of the rayon pool size.
 //! The scenario samplers draw per-trial ChaCha streams where the fast
 //! path draws per-chunk ones, but both fold on the same absolute chunk
 //! grid, so the same gluing rules apply; this test is what keeps that
@@ -20,7 +20,7 @@ use rexec_core::{
     ErrorLaw, ErrorRates, MixedModel, PowerModel, ResilienceCosts, SilentModel, SpeedSchedule,
 };
 use rexec_sim::engine::SimConfig;
-use rexec_sim::runner::{MonteCarlo, Summary};
+use rexec_sim::runner::{outcome_sketches, MonteCarlo, Sinks, Summary};
 
 fn silent_cfg() -> SimConfig {
     let model = SilentModel::new(
@@ -48,21 +48,28 @@ fn bytes(s: &Summary) -> String {
 }
 
 /// Asserts the full determinism contract for one configured driver:
-/// sequential baseline == parallel run at 1/2/7 threads == chunk-aligned
-/// `run_range` glue, all at the byte level, and `run_with_histograms`
-/// (per-worker sketches folded into one pair) returns the same summary
+/// width-1 baseline == parallel run at 1/2/7 threads == chunk-aligned
+/// `run_with` range glue, all at the byte level, and a run with outcome
+/// histograms (per-worker sketches folded into one pair) returns the same summary
 /// and the same sketches at every thread count. Generic over however
 /// the `MonteCarlo` was built, so every sampler and law (and any future
 /// one) is checked by the same code path.
 fn assert_determinism_contract(label: &str, mc: &MonteCarlo) {
     const TRIALS: u64 = 5000;
-    let baseline = bytes(&mc.run_sequential().unwrap());
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let baseline = bytes(&mc.run().unwrap());
     let mut histograms = None;
 
     for threads in ["1", "2", "7"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
 
-        let (summary, time, energy) = mc.run_with_histograms().unwrap();
+        let sketches = outcome_sketches();
+        let sinks = Sinks {
+            histograms: Some(&sketches),
+            ..Sinks::default()
+        };
+        let summary = mc.run_with(0..TRIALS, sinks).unwrap();
+        let [time, energy] = sketches;
         assert_eq!(time.count(), TRIALS);
         let this = (bytes(&summary), time, energy);
         match &histograms {
@@ -83,20 +90,20 @@ fn assert_determinism_contract(label: &str, mc: &MonteCarlo) {
         let parallel = bytes(&mc.run().unwrap());
         assert_eq!(
             parallel, baseline,
-            "[{label}] run() diverged from run_sequential() at {threads} threads"
+            "[{label}] run() diverged from the width-1 run at {threads} threads"
         );
 
         // Chunk-aligned left-to-right glue: every range after the first
         // is chunk-sized, so the merge replays run()'s exact left-fold.
         let glued = mc
-            .run_range(0, 4608)
+            .run_with(0..4608, Sinks::default())
             .unwrap()
-            .merge(mc.run_range(4608, 4864).unwrap())
-            .merge(mc.run_range(4864, TRIALS).unwrap());
+            .merge(mc.run_with(4608..4864, Sinks::default()).unwrap())
+            .merge(mc.run_with(4864..TRIALS, Sinks::default()).unwrap());
         assert_eq!(
             bytes(&glued),
             baseline,
-            "[{label}] chunk-aligned run_range glue diverged at {threads} threads"
+            "[{label}] chunk-aligned range glue diverged at {threads} threads"
         );
     }
     std::env::remove_var("RAYON_NUM_THREADS");

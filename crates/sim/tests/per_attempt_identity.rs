@@ -1,23 +1,24 @@
 //! The per-attempt loop against its plain-loop oracle: one
 //! `SimRng::for_trial` stream per trial, pushed into a `Summary` per
-//! 256-trial grid chunk, the chunks merged in order — and, for
-//! `run_with_histograms`, every trial recorded with
+//! 256-trial grid chunk, the chunks merged in order — and, for a run
+//! with outcome histograms, every trial recorded with
 //! `HistogramSketch::record`. The runner derives its trial streams
 //! sixteen at a time and records into worker-local sketches without
 //! atomics; neither may change a single bit of any result, at any
 //! thread count or range partition.
 //!
-//! Everything lives in one `#[test]` because `RAYON_NUM_THREADS` is
-//! process-global state — parallel test functions mutating it would
-//! race.
+//! The width sweep lives in one `#[test]` because `RAYON_NUM_THREADS`
+//! is process-global state — parallel test functions mutating it would
+//! race. A traced run maps its chunks on the calling thread whatever the
+//! width, so its own test is free to run beside it.
 
 use rexec_core::{
     ErrorLaw, ErrorRates, MixedModel, PowerModel, ResilienceCosts, SilentModel, SpeedSchedule,
 };
 use rexec_obs::HistogramSketch;
-use rexec_sim::engine::{simulate_pattern_scenario, SimConfig};
-use rexec_sim::runner::{Engine, MonteCarlo, Summary};
-use rexec_sim::SimRng;
+use rexec_sim::engine::{simulate_pattern_scenario, simulate_pattern_traced, SimConfig};
+use rexec_sim::runner::{outcome_sketches, Engine, MonteCarlo, Sinks, Summary};
+use rexec_sim::{SimRng, TraceRecorder};
 
 const TRIALS: u64 = 1200;
 const SEED: u64 = 2024;
@@ -72,7 +73,7 @@ fn oracle(mc: &MonteCarlo, start: u64, end: u64, sketches: &[HistogramSketch; 2]
     total
 }
 
-/// The outcome sketches `run_with_histograms` builds.
+/// The outcome sketches a run with histograms records into.
 fn outcome_sketch() -> HistogramSketch {
     HistogramSketch::new(1e-3, 0.01, 1e12)
 }
@@ -118,25 +119,66 @@ fn per_attempt_loop_replays_one_stream_per_trial_bit_for_bit() {
         // Starts in the middle of a 16-trial group and of a chunk.
         let partial = bytes(&oracle(mc, 5, 1003, &unused));
 
-        assert_eq!(
-            bytes(&mc.run_sequential().unwrap()),
-            whole,
-            "[{label}] run_sequential"
-        );
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        assert_eq!(bytes(&mc.run().unwrap()), whole, "[{label}] width-1 run");
         for threads in ["1", "2", "3"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
             let at = format!("{label} at {threads} threads");
             assert_eq!(bytes(&mc.run().unwrap()), whole, "[{at}] run");
             assert_eq!(
-                bytes(&mc.run_range(5, 1003).unwrap()),
+                bytes(&mc.run_with(5..1003, Sinks::default()).unwrap()),
                 partial,
-                "[{at}] run_range(5, 1003)"
+                "[{at}] run_with(5..1003)"
             );
-            let (summary, time, energy) = mc.run_with_histograms().unwrap();
-            assert_eq!(bytes(&summary), whole, "[{at}] run_with_histograms");
+            let recorded = outcome_sketches();
+            let sinks = Sinks {
+                histograms: Some(&recorded),
+                ..Sinks::default()
+            };
+            let summary = mc.run_with(0..TRIALS, sinks).unwrap();
+            let [time, energy] = recorded;
+            assert_eq!(bytes(&summary), whole, "[{at}] run with histograms");
             assert_same_sketch(&format!("{at} time"), &time, &sketches[0]);
             assert_same_sketch(&format!("{at} energy"), &energy, &sketches[1]);
         }
         std::env::remove_var("RAYON_NUM_THREADS");
     }
+}
+
+#[test]
+fn a_traced_run_truncates_like_one_recorder_over_the_trials_in_order() {
+    // 600 trials: two full chunks and a partial one, so truncation has
+    // to carry across chunk boundaries.
+    const TRACED: u64 = 600;
+    let mc = MonteCarlo::new(mixed_cfg(), TRACED, SEED);
+    let oracle = |capacity: usize| {
+        let mut recorder = TraceRecorder::new(capacity);
+        for i in 0..TRACED {
+            let mut rng = SimRng::for_trial(SEED, i);
+            simulate_pattern_traced(&mc.config, &mut rng, Some(&mut recorder));
+        }
+        recorder
+    };
+    let capacity = oracle(usize::MAX).events().len() / 2;
+    let want = oracle(capacity);
+    assert!(want.dropped() > 0, "the capacity must truncate");
+
+    let mut recorder = TraceRecorder::new(capacity);
+    let sinks = Sinks {
+        trace: Some(&mut recorder),
+        ..Sinks::default()
+    };
+    let summary = mc.run_with(0..TRACED, sinks).unwrap();
+    assert_eq!(recorder.events(), want.events());
+    assert_eq!(recorder.dropped(), want.dropped());
+    assert_eq!(summary.dropped_events, want.dropped() as u64);
+    // The trace changes nothing else: the summary is a reference run's.
+    let reference = mc.with_engine(Engine::Reference).run().unwrap();
+    assert_eq!(
+        bytes(&Summary {
+            dropped_events: 0,
+            ..summary
+        }),
+        bytes(&reference)
+    );
 }

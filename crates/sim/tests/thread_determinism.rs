@@ -3,10 +3,10 @@
 //!
 //! The fast path draws through chunked, buffered RNG streams with
 //! batched log transforms; this test pins the contract that none of
-//! that batching is observable: `run`, `run_sequential`,
-//! `run_with_progress` and any chunk-respecting composition of
-//! `run_range` produce **byte-identical serialized summaries** (and identical flushed counter aggregates)
-//! whether the pool has 1, 2, or 7 workers.
+//! that batching is observable: `run`, `run_with` with a progress sink
+//! and any chunk-respecting composition of `run_with` ranges produce
+//! **byte-identical serialized summaries** (and identical flushed
+//! counter aggregates) whether the pool has 1, 2, or 7 workers.
 //!
 //! Everything lives in one `#[test]` because `RAYON_NUM_THREADS` is
 //! process-global state — parallel test functions mutating it would
@@ -15,7 +15,7 @@
 
 use rexec_core::{ErrorRates, MixedModel, PowerModel, ResilienceCosts, SilentModel};
 use rexec_sim::engine::SimConfig;
-use rexec_sim::runner::{Engine, MonteCarlo};
+use rexec_sim::runner::{Engine, MonteCarlo, Sinks};
 
 fn silent_cfg() -> SimConfig {
     let model = SilentModel::new(
@@ -50,8 +50,11 @@ fn summaries_are_byte_identical_across_thread_counts() {
     for cfg in [silent_cfg(), mixed_cfg()] {
         let mc = MonteCarlo::new(cfg, TRIALS, 2024).with_engine(Engine::FastPath);
 
-        // Sequential baseline, no pool involved.
-        let baseline = bytes(&mc.run_sequential().unwrap());
+        // Width-1 baseline: the pool maps every chunk in order on the
+        // calling thread.
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let full = mc.run().unwrap();
+        let baseline = bytes(&full);
 
         for threads in ["1", "2", "7"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
@@ -59,7 +62,7 @@ fn summaries_are_byte_identical_across_thread_counts() {
             let parallel = bytes(&mc.run().unwrap());
             assert_eq!(
                 parallel, baseline,
-                "run() diverged from run_sequential() at {threads} threads"
+                "run() diverged from the width-1 run at {threads} threads"
             );
 
             // Progress slices (512 trials here) fold each chunk into the
@@ -68,15 +71,21 @@ fn summaries_are_byte_identical_across_thread_counts() {
             for engine in [Engine::FastPath, Engine::Reference] {
                 let mc = MonteCarlo::new(cfg, TRIALS, 2024).with_engine(engine);
                 let mut last = 0;
-                let progress = mc.run_with_progress(&mut |done, total| {
-                    assert!(done > last && total == TRIALS);
-                    last = done;
-                });
+                let progress = mc.run_with(
+                    0..TRIALS,
+                    Sinks {
+                        progress: Some(&mut |done, total| {
+                            assert!(done > last && total == TRIALS);
+                            last = done;
+                        }),
+                        ..Sinks::default()
+                    },
+                );
                 assert_eq!(last, TRIALS);
                 assert_eq!(
                     bytes(&progress.unwrap()),
                     bytes(&mc.run().unwrap()),
-                    "{engine:?} run_with_progress() diverged at {threads} threads"
+                    "{engine:?} progress run diverged at {threads} threads"
                 );
             }
 
@@ -85,14 +94,14 @@ fn summaries_are_byte_identical_across_thread_counts() {
             // every range after the first be one 256-trial chunk (the
             // glue then replays `run`'s exact left-fold).
             let glued = mc
-                .run_range(0, 4608)
+                .run_with(0..4608, Sinks::default())
                 .unwrap()
-                .merge(mc.run_range(4608, 4864).unwrap())
-                .merge(mc.run_range(4864, TRIALS).unwrap());
+                .merge(mc.run_with(4608..4864, Sinks::default()).unwrap())
+                .merge(mc.run_with(4864..TRIALS, Sinks::default()).unwrap());
             assert_eq!(
                 bytes(&glued),
                 baseline,
-                "chunk-aligned run_range glue diverged at {threads} threads"
+                "chunk-aligned range glue diverged at {threads} threads"
             );
 
             // A partition that splits *inside* chunks still covers the
@@ -100,10 +109,9 @@ fn summaries_are_byte_identical_across_thread_counts() {
             // merge in a different tree shape, so check the exact
             // fields: counts and extremes are bit-exact, means agree to
             // a relative 1e-9 (the runner's documented bound).
-            let a = mc.run_range(0, 777).unwrap();
-            let b = mc.run_range(777, TRIALS).unwrap();
+            let a = mc.run_with(0..777, Sinks::default()).unwrap();
+            let b = mc.run_with(777..TRIALS, Sinks::default()).unwrap();
             let split = a.merge(b);
-            let full = mc.run_sequential().unwrap();
             assert_eq!(split.time.count(), full.time.count());
             assert_eq!(split.time.min().to_bits(), full.time.min().to_bits());
             assert_eq!(split.time.max().to_bits(), full.time.max().to_bits());
@@ -128,8 +136,5 @@ fn fastpath_summary_matches_itself_from_clean_process_state() {
     // seeded drivers must serialize identically even when other tests
     // in this binary have already exercised the obs registry.
     let mc = MonteCarlo::new(mixed_cfg(), 1024, 7).with_engine(Engine::FastPath);
-    assert_eq!(
-        bytes(&mc.run_sequential().unwrap()),
-        bytes(&mc.run_sequential().unwrap())
-    );
+    assert_eq!(bytes(&mc.run().unwrap()), bytes(&mc.run().unwrap()));
 }

@@ -8,10 +8,13 @@ use crate::series::to_csv;
 use crate::table_rho::rho_table;
 use rexec_core::prelude::*;
 use rexec_harness::HarnessError;
+use rexec_obs::HistogramSketch;
 use rexec_platforms::{all_configurations, configuration, ConfigId, Configuration};
 use rexec_platforms::{PlatformId, ProcessorId};
+use rexec_sim::runner::outcome_sketches;
 use rexec_sim::{
-    render_timeline, Engine, MonteCarlo, SimConfig, SimRng, TraceRecorder, ValidationReport,
+    render_timeline, Engine, EngineError, MonteCarlo, SimConfig, SimRng, Sinks, Summary,
+    TraceRecorder, ValidationReport,
 };
 use std::fmt::Write as _;
 
@@ -591,6 +594,19 @@ fn run_monte_carlo_mixed(seed: u64) -> ExperimentResult {
     }
 }
 
+/// Runs every trial of `mc` with outcome histograms, keeping the time
+/// sketch that X-laws reads its sampled p99 from.
+fn with_time_sketch(mc: MonteCarlo) -> Result<(Summary, HistogramSketch), EngineError> {
+    let sketches = outcome_sketches();
+    let sinks = Sinks {
+        histograms: Some(&sketches),
+        ..Sinks::default()
+    };
+    let summary = mc.run_with(0..mc.trials, sinks)?;
+    let [time, _] = sketches;
+    Ok((summary, time))
+}
+
 fn run_laws(seed: u64) -> ExperimentResult {
     let trials: u64 = 40_000;
     let z = 3.29;
@@ -635,8 +651,8 @@ fn run_laws(seed: u64) -> ExperimentResult {
         );
         let [p99_lo, p99, p99_hi] = q_bracket.map(|q| sm.quantile_time(w, q));
         match run {
-            Ok((summary, th, _)) => {
-                let (summary, th): (rexec_sim::Summary, rexec_obs::HistogramSketch) = (summary, th);
+            Ok((summary, th)) => {
+                let (summary, th): (Summary, HistogramSketch) = (summary, th);
                 let p99_s = th.quantile(q99).unwrap_or(f64::NAN);
                 let ok = (summary.time.mean() - te).abs() <= z * summary.time.std_dev() / n.sqrt()
                     && (summary.energy.mean() - ee).abs()
@@ -680,9 +696,7 @@ fn run_laws(seed: u64) -> ExperimentResult {
         ("lognormal s=1", ErrorLaw::LogNormal { sigma: 1.0 }),
     ] {
         let cfg = SimConfig::from_silent_model(&m, w, s1, s2);
-        let run = MonteCarlo::new(cfg, trials, seed)
-            .with_law(law)
-            .run_with_histograms();
+        let run = with_time_sketch(MonteCarlo::new(cfg, trials, seed).with_law(law));
         let sm = ScheduleModel::new(m, SpeedSchedule::two_speed(s1, s2).unwrap()).with_law(law);
         all_ok &= law_row(&mut t, &mut csv, name, &sm, run);
     }
@@ -691,9 +705,10 @@ fn run_laws(seed: u64) -> ExperimentResult {
     // generalized-geometric closed forms of ScheduleModel.
     let schedule = SpeedSchedule::new(s1, vec![0.6, 1.0]).unwrap();
     let sm = ScheduleModel::new(m, schedule.clone());
-    let run = MonteCarlo::new(SimConfig::from_silent_model(&m, w, s1, 1.0), trials, seed)
-        .with_schedule(schedule)
-        .run_with_histograms();
+    let run = with_time_sketch(
+        MonteCarlo::new(SimConfig::from_silent_model(&m, w, s1, 1.0), trials, seed)
+            .with_schedule(schedule),
+    );
     all_ok &= law_row(&mut t, &mut csv, "schedule (0.4,0.6,1)", &sm, run);
 
     // CRN sanity anchor: Weibull with shape 1 *is* the exponential law,
@@ -730,11 +745,11 @@ fn run_laws(seed: u64) -> ExperimentResult {
                 sol.schedule.sigma1,
                 sol.schedule.settled(),
             );
-            let run = MonteCarlo::new(cfg, trials, seed)
-                .with_schedule(sol.schedule.clone())
-                .run_with_histograms();
+            let run = with_time_sketch(
+                MonteCarlo::new(cfg, trials, seed).with_schedule(sol.schedule.clone()),
+            );
             match run {
-                Ok((_, th, _)) => {
+                Ok((_, th)) => {
                     let p99 = th.quantile(0.99).unwrap_or(f64::NAN) / sol.w_opt;
                     // 1% histogram resolution + discrete attempt grid.
                     let ok = p99 <= rho * 1.02;

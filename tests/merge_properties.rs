@@ -83,7 +83,7 @@ proptest! {
     /// integers, so a merge of shards equals single-pass recording
     /// bit-for-bit — counts, extremes and every quantile. Checked for the
     /// registry's default sketch and for the (1e-3, 1 %, 1e12) sketch
-    /// `MonteCarlo::run_with_histograms` records outcomes into.
+    /// `runner::outcome_sketches` makes for outcome histograms.
     #[test]
     fn histogram_merge_of_shards_equals_single_pass(
         values in arb_values(),
@@ -166,7 +166,7 @@ proptest! {
 
     /// `HistogramSketch::merge_from` is associative:
     /// `(a ∪ b) ∪ c == a ∪ (b ∪ c)`, so the fold order of per-worker
-    /// sketches (`MonteCarlo::run_with_histograms`) cannot change the
+    /// sketches (a `MonteCarlo::run_with` histogram sink) cannot change the
     /// aggregate.
     #[test]
     fn shard_merge_is_associative(

@@ -15,7 +15,7 @@
 //! process-global registry.
 
 use rexec::obs::{self, global};
-use rexec::sim::{MonteCarlo, SimConfig};
+use rexec::sim::{MonteCarlo, SimConfig, Sinks};
 use rexec_cli::args::Args;
 use rexec_cli::run::execute;
 use rexec_harness::{FaultPlan, RetryPolicy};
@@ -142,8 +142,12 @@ fn every_emitted_metric_is_catalogued() {
     .unwrap();
     assert!(execute(&args).unwrap().feasible);
 
+    let sinks = Sinks {
+        progress: Some(&mut |_, _| {}),
+        ..Sinks::default()
+    };
     MonteCarlo::new(sim_config(), 2048, 7)
-        .run_with_progress(&mut |_, _| {})
+        .run_with(0..2048, sinks)
         .unwrap();
 
     let dir = std::env::temp_dir().join(format!("rexec-metric-catalogue-{}", std::process::id()));

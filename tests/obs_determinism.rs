@@ -9,7 +9,7 @@
 //! which must not race with a concurrently running sibling test.
 
 use rexec::obs;
-use rexec::sim::{Engine, MonteCarlo, SimConfig};
+use rexec::sim::{Engine, MonteCarlo, SimConfig, Sinks, TraceRecorder};
 use rexec_cli::args::Args;
 use rexec_cli::run::execute;
 
@@ -78,8 +78,12 @@ fn aggregates_are_byte_identical_across_thread_counts() {
     // Progress-sliced runs flush the same totals as plain runs.
     let run_progress = || {
         let mut ticks = 0;
+        let sinks = Sinks {
+            progress: Some(&mut |_, _| ticks += 1),
+            ..Sinks::default()
+        };
         MonteCarlo::new(sim_config(), 4096, 42)
-            .run_with_progress(&mut |_, _| ticks += 1)
+            .run_with(0..4096, sinks)
             .unwrap();
         assert!(ticks > 0);
     };
@@ -87,7 +91,7 @@ fn aggregates_are_byte_identical_across_thread_counts() {
     let sliced = deterministic_snapshot("4", run_progress);
     assert_eq!(
         plain, sliced,
-        "run_with_progress must flush identical aggregates"
+        "progress runs must flush identical aggregates"
     );
 
     // The runner now flushes the `sim.*` counters once per trial chunk
@@ -132,4 +136,21 @@ fn aggregates_are_byte_identical_across_thread_counts() {
     assert_eq!(fail_stop, 0);
     assert!(silent > 0, "inflated λ must produce retries");
     assert_eq!(attempts, patterns + silent);
+
+    // A traced run flushes like every other run: `runner.trials` and the
+    // attempts histogram move with `sim.patterns`, not just the `sim.*`
+    // totals.
+    obs::reset();
+    let mut recorder = TraceRecorder::new(64);
+    let sinks = Sinks {
+        trace: Some(&mut recorder),
+        ..Sinks::default()
+    };
+    MonteCarlo::new(sim_config(), 600, 9)
+        .run_with(0..600, sinks)
+        .unwrap();
+    let g = obs::global();
+    assert_eq!(g.counter("sim.patterns").get(), 600);
+    assert_eq!(g.counter("runner.trials").get(), 600);
+    assert_eq!(g.sketch("runner.attempts_per_trial").count(), 600);
 }

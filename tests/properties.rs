@@ -284,7 +284,7 @@ proptest! {
 
     /// Histogram quantiles are monotone and bracketed by the extremes —
     /// for the registry's default sketch and for the (1e-3, 1 %, 1e12)
-    /// sketch `MonteCarlo::run_with_histograms` records outcomes into.
+    /// sketch `runner::outcome_sketches` makes for outcome histograms.
     #[test]
     fn histogram_quantiles_are_monotone(
         values in proptest::collection::vec(1e-2..1e6f64, 10..500),

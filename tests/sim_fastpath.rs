@@ -62,7 +62,8 @@ fn fast_path_is_bit_identical_and_statistically_exact() {
     // trial, so it exercises the stream-replay discipline hardest.
     for (label, c, seed) in [("silent", cfg, 77u64), ("mixed", mixed_config(), 78)] {
         let mc = MonteCarlo::new(c, 20_000, seed).with_engine(Engine::FastPath);
-        let baseline = mc.run_sequential().unwrap();
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let baseline = mc.run().unwrap();
         for threads in ["1", "2", "4"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
             assert_eq!(
@@ -139,16 +140,16 @@ fn mixed_fast_path_matches_reference_and_propositions_4_and_5() {
 #[test]
 fn mixed_run_range_splits_glue_back_to_the_whole_run() {
     // The mixed sampler consumes a variable number of draws per failed
-    // trial, so unaligned `run_range` splits only stay identical because
+    // trial, so unaligned `run_with` range splits only stay identical because
     // partial chunks replay their RNG stream prefix from the grid
     // origin.
     let mc = MonteCarlo::new(mixed_config(), 5_000, 909).with_engine(Engine::FastPath);
     let whole = mc.run().unwrap();
     for cut in [1u64, 255, 256, 1000, 4099] {
         let glued = mc
-            .run_range(0, cut)
+            .run_with(0..cut, Sinks::default())
             .unwrap()
-            .merge(mc.run_range(cut, 5_000).unwrap());
+            .merge(mc.run_with(cut..5_000, Sinks::default()).unwrap());
         assert_eq!(glued.time.count(), whole.time.count());
         assert_eq!(glued.time.min(), whole.time.min());
         assert_eq!(glued.time.max(), whole.time.max());
@@ -181,7 +182,7 @@ fn degenerate_config_returns_err_instead_of_panicking() {
     for engine in [Engine::Auto, Engine::FastPath, Engine::Reference] {
         let mc = MonteCarlo::new(bad, 100, 5).with_engine(engine);
         assert!(mc.run().is_err(), "{engine:?} accepted a degenerate config");
-        assert!(mc.run_sequential().is_err());
-        assert!(mc.run_range(0, 10).is_err());
+        assert!(mc.run_with(0..0, Sinks::default()).is_err());
+        assert!(mc.run_with(0..10, Sinks::default()).is_err());
     }
 }
