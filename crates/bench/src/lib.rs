@@ -1,22 +1,16 @@
 //! # rexec-bench
 //!
-//! Criterion benchmark harness: **one bench target per paper artifact**
-//! (see DESIGN.md §5 for the experiment index):
+//! The library half of the `rexec-bench` binary, the workspace's only
+//! bench harness (there is no Criterion and no `cargo bench` target):
 //!
-//! | bench target            | paper artifact                              |
-//! |-------------------------|---------------------------------------------|
-//! | `tables`                | §4.2 tables (ρ = 8, 3, 1.775, 1.4)          |
-//! | `figures_atlas_crusoe`  | Figures 2–7 (Atlas/Crusoe sweeps)           |
-//! | `figures_all_configs`   | Figures 8–14 (seven per-config panels)      |
-//! | `theorem2`              | §5.3 Theorem 2 + §5.2 validity window       |
-//! | `solver`                | O(K²) solver micro-benchmarks               |
-//! | `simulator`             | Monte Carlo engine + Figure 1 traces        |
+//! * fixtures for its stages: the paper configurations [`hera_xscale`]
+//!   (the §4.2 tables) and [`atlas_crusoe`] (Figures 2–7), and
+//!   [`synthetic_solver`] with a `K`-speed set for scaling stages;
+//! * [`stats`]: the median/IQR summaries behind `--repeat N` and the
+//!   noise-band gate of `rexec-bench compare`.
 //!
-//! Each bench regenerates its artifact (with correctness assertions, so a
-//! regression in the reproduction fails the bench run) and reports the
-//! time to do so.
-//!
-//! This library exposes the shared fixtures.
+//! The stages themselves, and what each one times, are listed in the
+//! binary's own documentation (`src/bin/rexec_bench.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

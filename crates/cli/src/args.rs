@@ -1,6 +1,12 @@
 //! Argument parsing for `rexec-plan` (no external CLI dependency).
+//!
+//! [`Args::parse`] looks the plan-query flags up in [`FIELDS`], the
+//! table the wire scanner also reads: a flag is `--` plus the wire key
+//! with `_` turned into `-`, and `--config` aliases `--platform`. Only
+//! the other options have arms here; [`USAGE`] is written by hand.
 
-use crate::spec::{check_positive, PlanSpec, SpecError};
+use crate::spec::{check_positive, PlanSpec, Slot, SpecError, FIELDS};
+use rexec_harness::FaultPlan;
 use std::fmt;
 
 /// Parsed command-line arguments.
@@ -32,7 +38,7 @@ pub struct Args {
     pub trace_jsonl: Option<String>,
     /// Deterministic fault injection for artifact writes (crash-recovery
     /// testing; defaults to no faults).
-    pub fault_plan: rexec_harness::FaultPlan,
+    pub fault_plan: FaultPlan,
     /// Print progress lines to stderr (solver stats, Monte Carlo slices).
     pub verbose: bool,
     /// Print usage and exit.
@@ -188,7 +194,7 @@ OBSERVABILITY:
                       as JSON Lines (one event per line)
   --verbose           progress lines on stderr (solver stats, Monte Carlo)
   --fault-plan SPEC   deterministic fault injection for artifact writes
-                      (fail-write=N, corrupt-artifact=N, seed=S)
+                      (fail-write=N)
   --help              this text
 ";
 
@@ -211,6 +217,29 @@ fn take_parsed<T: std::str::FromStr>(
     parse_value(opt, &take_value(args, opt)?)
 }
 
+/// Parses `--fault-plan`. `rexec-plan` writes single files, so only
+/// `fail-write` can fire: corruptions, kills and the corruption seed
+/// act on `experiments`' sealed units.
+fn parse_fault_plan(option: &str, value: String) -> Result<FaultPlan, ParseError> {
+    let lifecycle = value
+        .split(',')
+        .filter_map(|part| Some(part.split_once('=')?.0.trim()))
+        .find(|&key| key != "fail-write");
+    let reason = match (FaultPlan::parse(&value), lifecycle) {
+        (Ok(plan), None) => return Ok(plan),
+        (Err(e), _) => e.to_string(),
+        (Ok(_), Some(key)) => {
+            format!("`{key}` applies only to `experiments`; rexec-plan takes fail-write=N")
+        }
+    };
+    let option = option.to_string();
+    Err(ParseError::InvalidValue {
+        option,
+        value,
+        reason,
+    })
+}
+
 impl Args {
     /// Parses a raw argument list (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ParseError> {
@@ -221,44 +250,39 @@ impl Args {
                 "--help" | "-h" => out.help = true,
                 "--one-speed" => out.compare_one_speed = true,
                 "--verbose" => out.verbose = true,
-                "--platform" | "--config" => out.spec.platform = Some(take_value(&mut it, &a)?),
                 "--metrics" => out.metrics = Some(take_value(&mut it, &a)?),
                 "--metrics-prom" => out.metrics_prom = Some(take_value(&mut it, &a)?),
                 "--trace-chrome" => out.trace_chrome = Some(take_value(&mut it, &a)?),
                 "--trace-jsonl" => out.trace_jsonl = Some(take_value(&mut it, &a)?),
                 "--fault-plan" => {
                     let v = take_value(&mut it, &a)?;
-                    out.fault_plan = rexec_harness::FaultPlan::parse(&v).map_err(|e| {
-                        ParseError::InvalidValue {
-                            option: a.clone(),
-                            value: v,
-                            reason: e.to_string(),
-                        }
-                    })?;
+                    out.fault_plan = parse_fault_plan(&a, v)?;
                 }
-                "--processor" => out.spec.processor = Some(take_value(&mut it, &a)?),
-                "--lambda" => out.spec.lambda = Some(take_parsed(&mut it, &a)?),
-                "--checkpoint" => out.spec.checkpoint = Some(take_parsed(&mut it, &a)?),
-                "--verification" => out.spec.verification = Some(take_parsed(&mut it, &a)?),
-                "--recovery" => out.spec.recovery = Some(take_parsed(&mut it, &a)?),
-                "--kappa" => out.spec.kappa = Some(take_parsed(&mut it, &a)?),
-                "--pidle" => out.spec.pidle = Some(take_parsed(&mut it, &a)?),
-                "--pio" => out.spec.pio = Some(take_parsed(&mut it, &a)?),
-                "--rho" => out.spec.rho = Some(take_parsed(&mut it, &a)?),
-                "--law" => out.spec.law = Some(take_value(&mut it, &a)?),
-                "--shape" => out.spec.shape = Some(take_parsed(&mut it, &a)?),
-                "--quantile" => out.spec.quantile = Some(take_parsed(&mut it, &a)?),
-                "--schedule-depth" => out.spec.schedule_depth = Some(take_parsed(&mut it, &a)?),
                 "--wbase" => out.w_base = Some(take_parsed(&mut it, &a)?),
                 "--validate" => out.validate = take_parsed(&mut it, &a)?,
                 "--pareto" => out.pareto = Some(take_parsed(&mut it, &a)?),
-                "--speeds" => {
+                other => {
+                    let flag = if other == "--config" {
+                        "--platform"
+                    } else {
+                        other
+                    };
+                    let Some(field) = FIELDS.iter().find(|f| option_name(f.key) == flag) else {
+                        return Err(ParseError::UnknownOption(other.to_string()));
+                    };
                     let v = take_value(&mut it, &a)?;
-                    let speeds: Result<Vec<f64>, _> =
-                        v.split(',').map(|s| parse_value(&a, s.trim())).collect();
-                    out.spec.speeds = Some(speeds?);
+                    let spec = &mut out.spec;
+                    match field.slot {
+                        Slot::Number(slot) => *slot(spec) = Some(parse_value(&a, &v)?),
+                        Slot::Text(slot) => *slot(spec) = Some(v),
+                        Slot::Speeds(slot) => {
+                            let speeds: Result<Vec<f64>, _> =
+                                v.split(',').map(|s| parse_value(&a, s.trim())).collect();
+                            *slot(spec) = Some(speeds?);
+                        }
+                        Slot::Depth(slot) => *slot(spec) = Some(parse_value(&a, &v)?),
+                    }
                 }
-                other => return Err(ParseError::UnknownOption(other.to_string())),
             }
         }
         out.validate_domains()?;
@@ -413,9 +437,12 @@ mod tests {
 
     #[test]
     fn fault_plan_parses_and_rejects_bad_specs() {
-        let a = parse(&["--fault-plan", "fail-write=2,seed=9"]).unwrap();
+        let a = parse(&["--fault-plan", "fail-write=2"]).unwrap();
         assert_eq!(a.fault_plan.fail_write, Some(2));
-        assert_eq!(a.fault_plan.seed, 9);
+        // Lifecycle faults and their seed only fire in `experiments`.
+        assert_invalid(&["--fault-plan", "fail-write=2,seed=9"], "--fault-plan");
+        assert_invalid(&["--fault-plan", "corrupt-artifact=1"], "--fault-plan");
+        assert_invalid(&["--fault-plan", "kill-after-unit=1"], "--fault-plan");
         assert_invalid(&["--fault-plan", "explode=1"], "--fault-plan");
         assert_invalid(&["--fault-plan", "fail-write=0"], "--fault-plan");
         assert!(USAGE.contains("--fault-plan"));

@@ -4,8 +4,10 @@
 //! `rexec-serve` wire protocol validate and resolve queries through the
 //! **same** code path and cannot drift.
 //!
-//! Field names here are the *wire* names (`lambda`, `pidle`, …); the
-//! CLI maps them to `--lambda`, `--pidle`, … when reporting errors.
+//! [`FIELDS`] is the one list of plan-query fields, read by both the
+//! wire scanner and the CLI parser. Errors name a field by its wire key
+//! (`lambda`, `schedule_depth`, …); the CLI maps it to its flag
+//! (`--lambda`, `--schedule-depth`, …) when reporting.
 
 use rexec_core::{ErrorLaw, ModelError, PowerModel, ResilienceCosts, SilentModel, SpeedSet};
 use rexec_platforms::{Platform, PlatformId, Processor, ProcessorId};
@@ -53,6 +55,58 @@ pub struct PlanSpec {
     /// by ρ instead of the expectation.
     pub quantile: Option<f64>,
 }
+
+/// The [`PlanSpec`] slot a plan-query field fills, by the kind of value
+/// it takes.
+#[derive(Debug, Clone, Copy)]
+pub enum Slot {
+    /// A number (`f64`).
+    Number(fn(&mut PlanSpec) -> &mut Option<f64>),
+    /// A name.
+    Text(fn(&mut PlanSpec) -> &mut Option<String>),
+    /// A list of speeds: a JSON array of numbers, or `a,b,c` on the CLI.
+    Speeds(fn(&mut PlanSpec) -> &mut Option<Vec<f64>>),
+    /// A schedule depth: a small non-negative integer.
+    Depth(fn(&mut PlanSpec) -> &mut Option<u32>),
+}
+
+/// One plan-query field: its wire key and the slot its value fills.
+/// The CLI flag is `--` plus the key with `_` turned into `-`.
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// The wire key (`lambda`, `schedule_depth`, …).
+    pub key: &'static str,
+    /// Where a value of which kind goes.
+    pub slot: Slot,
+}
+
+impl Field {
+    const fn new(key: &'static str, slot: Slot) -> Field {
+        Field { key, slot }
+    }
+}
+
+/// Every [`PlanSpec`] field, in ascending key byte order, which is the
+/// order in which the wire reports a mistyped field. Both the wire
+/// scanner and the CLI parser read only this list, so a new field is one
+/// struct field, one row here and one usage line.
+pub const FIELDS: [Field; 15] = [
+    Field::new("checkpoint", Slot::Number(|s| &mut s.checkpoint)),
+    Field::new("kappa", Slot::Number(|s| &mut s.kappa)),
+    Field::new("lambda", Slot::Number(|s| &mut s.lambda)),
+    Field::new("law", Slot::Text(|s| &mut s.law)),
+    Field::new("pidle", Slot::Number(|s| &mut s.pidle)),
+    Field::new("pio", Slot::Number(|s| &mut s.pio)),
+    Field::new("platform", Slot::Text(|s| &mut s.platform)),
+    Field::new("processor", Slot::Text(|s| &mut s.processor)),
+    Field::new("quantile", Slot::Number(|s| &mut s.quantile)),
+    Field::new("recovery", Slot::Number(|s| &mut s.recovery)),
+    Field::new("rho", Slot::Number(|s| &mut s.rho)),
+    Field::new("schedule_depth", Slot::Depth(|s| &mut s.schedule_depth)),
+    Field::new("shape", Slot::Number(|s| &mut s.shape)),
+    Field::new("speeds", Slot::Speeds(|s| &mut s.speeds)),
+    Field::new("verification", Slot::Number(|s| &mut s.verification)),
+];
 
 /// What a [`PlanSpec`] resolves to: a validated model, the speed set,
 /// and the (defaulted) performance bound.
@@ -143,36 +197,35 @@ impl From<ModelError> for SpecError {
 /// Rejects NaN/±inf and non-positive values: rates, costs, speeds and
 /// the bound must be strictly positive real numbers.
 pub fn check_positive(field: &'static str, v: Option<f64>) -> Result<(), SpecError> {
-    match v {
-        Some(x) if !x.is_finite() => Err(SpecError::Invalid {
-            field,
-            value: x,
-            reason: "must be a finite number",
-        }),
-        Some(x) if x <= 0.0 => Err(SpecError::Invalid {
-            field,
-            value: x,
-            reason: "must be strictly positive",
-        }),
-        _ => Ok(()),
-    }
+    check_domain(field, v, |x| x > 0.0, "must be strictly positive")
 }
 
 /// Rejects NaN/±inf and negative values: powers and the recovery cost
 /// may be zero but not negative.
 pub fn check_non_negative(field: &'static str, v: Option<f64>) -> Result<(), SpecError> {
+    check_domain(field, v, |x| x >= 0.0, "must not be negative")
+}
+
+/// Rejects a non-finite value, then one `ok` refuses, with `reason`.
+fn check_domain(
+    field: &'static str,
+    v: Option<f64>,
+    ok: fn(f64) -> bool,
+    reason: &'static str,
+) -> Result<(), SpecError> {
     match v {
-        Some(x) if !x.is_finite() => Err(SpecError::Invalid {
-            field,
-            value: x,
-            reason: "must be a finite number",
-        }),
-        Some(x) if x < 0.0 => Err(SpecError::Invalid {
-            field,
-            value: x,
-            reason: "must not be negative",
-        }),
+        Some(x) if !x.is_finite() => Err(invalid(field, x, "must be a finite number")),
+        Some(x) if !ok(x) => Err(invalid(field, x, reason)),
         _ => Ok(()),
+    }
+}
+
+/// A domain-rule failure of `field`.
+fn invalid(field: &'static str, value: f64, reason: &'static str) -> SpecError {
+    SpecError::Invalid {
+        field,
+        value,
+        reason,
     }
 }
 
@@ -235,20 +288,13 @@ impl PlanSpec {
         if let Some(q) = self.quantile {
             check_positive("quantile", Some(q))?;
             if q >= 1.0 {
-                return Err(SpecError::Invalid {
-                    field: "quantile",
-                    value: q,
-                    reason: "must be strictly below 1",
-                });
+                return Err(invalid("quantile", q, "must be strictly below 1"));
             }
         }
         if let Some(d) = self.schedule_depth {
             if !(1..=MAX_SCHEDULE_DEPTH).contains(&d) {
-                return Err(SpecError::Invalid {
-                    field: "schedule_depth",
-                    value: f64::from(d),
-                    reason: "must be between 1 and 4",
-                });
+                let reason = "must be between 1 and 4";
+                return Err(invalid("schedule_depth", f64::from(d), reason));
             }
         }
         Ok(())
@@ -262,11 +308,8 @@ impl PlanSpec {
         let law = match self.law.as_deref().map(str::to_ascii_lowercase).as_deref() {
             None | Some("exponential") => {
                 if let Some(shape) = self.shape {
-                    return Err(SpecError::Invalid {
-                        field: "shape",
-                        value: shape,
-                        reason: "only meaningful with a weibull or lognormal law",
-                    });
+                    let reason = "only meaningful with a weibull or lognormal law";
+                    return Err(invalid("shape", shape, reason));
                 }
                 ErrorLaw::Exponential
             }
@@ -283,11 +326,9 @@ impl PlanSpec {
                 })
             }
         };
-        law.validate().map_err(|reason| SpecError::Invalid {
-            field: "shape",
-            value: self.shape.unwrap_or(f64::NAN),
-            reason,
-        })?;
+        let shape = self.shape.unwrap_or(f64::NAN);
+        law.validate()
+            .map_err(|reason| invalid("shape", shape, reason))?;
         Ok(law)
     }
 

@@ -1,6 +1,7 @@
 //! Every way `rexec-plan` rejects an invocation, pinned to the exact
 //! first stderr line and exit code: a parse-time domain error, a flag
-//! the parser does not know, and a spec the planner cannot resolve.
+//! the parser does not know, a fault `rexec-plan` cannot fire, and a
+//! spec the planner cannot resolve.
 
 use std::process::Command;
 
@@ -45,6 +46,20 @@ const CASES: &[(&[&str], &str, i32)] = &[
     ),
     (&["--rho"], "error: option --rho requires a value", 2),
     (&["--bogus"], "error: unknown option --bogus", 2),
+    (
+        &[
+            "--platform",
+            "hera",
+            "--processor",
+            "xscale",
+            "--fault-plan",
+            "corrupt-artifact=1,kill-after-unit=1,seed=3",
+        ],
+        "error: invalid value `corrupt-artifact=1,kill-after-unit=1,seed=3` for option \
+         --fault-plan: `corrupt-artifact` applies only to `experiments`; \
+         rexec-plan takes fail-write=N",
+        2,
+    ),
     (&["--platform", "mars"], "error: unknown name: mars", 2),
     (
         &["--lambda", "1e-5"],

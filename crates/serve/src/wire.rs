@@ -24,6 +24,12 @@
 //!    unescaping, decides: a mistyped field gets `bad_request`, an
 //!    unknown key gets `unknown_field`.
 //!
+//! The keys and the [`PlanSpec`] slot each fills come from
+//! [`FIELDS`], the field table `rexec-plan`'s argument parser also
+//! reads; `id` is the only key of the wire alone. The scanner dispatches
+//! on a row's value kind, never on a field, so a new table row needs no
+//! change here.
+//!
 //! A key given twice takes its last value. Numbers go through
 //! `serde::Number` (`as_f64`, `as_u64`) like every other JSON number in
 //! the workspace. `tests/wire_differential.rs` holds all of this against
@@ -40,7 +46,7 @@
 
 use crate::decimal;
 use crate::service::PlanAnswer;
-use rexec_cli::spec::{PlanSpec, SpecError};
+use rexec_cli::spec::{Field, PlanSpec, Slot, SpecError, FIELDS};
 use serde::Number;
 use std::borrow::Cow;
 
@@ -102,94 +108,21 @@ pub fn wire_error_from_spec(e: &SpecError) -> WireError {
 /// overflow.
 const MAX_DEPTH: usize = 128;
 
-/// The request fields, declared in ascending key byte order, which is
-/// the order in which field errors are reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Field {
-    Checkpoint,
-    Id,
-    Kappa,
-    Lambda,
-    Law,
-    Pidle,
-    Pio,
-    Platform,
-    Processor,
-    Quantile,
-    Recovery,
-    Rho,
-    ScheduleDepth,
-    Shape,
-    Speeds,
-    Verification,
+/// The error for a value of the wrong type; `in_array` marks a speed
+/// list holding a non-number.
+fn type_error(field: &Field, in_array: bool) -> WireError {
+    let key = field.key;
+    let msg = match field.slot {
+        Slot::Depth(_) => format!("field `{key}` must be a small non-negative integer"),
+        Slot::Speeds(_) if !in_array => format!("field `{key}` must be an array of numbers"),
+        Slot::Text(_) => format!("field `{key}` must be a string"),
+        _ => format!("field `{key}` must be a number"),
+    };
+    WireError::new(kind::BAD_REQUEST, msg)
 }
 
-impl Field {
-    const ALL: [Field; 16] = [
-        Field::Checkpoint,
-        Field::Id,
-        Field::Kappa,
-        Field::Lambda,
-        Field::Law,
-        Field::Pidle,
-        Field::Pio,
-        Field::Platform,
-        Field::Processor,
-        Field::Quantile,
-        Field::Recovery,
-        Field::Rho,
-        Field::ScheduleDepth,
-        Field::Shape,
-        Field::Speeds,
-        Field::Verification,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Field::Checkpoint => "checkpoint",
-            Field::Id => "id",
-            Field::Kappa => "kappa",
-            Field::Lambda => "lambda",
-            Field::Law => "law",
-            Field::Pidle => "pidle",
-            Field::Pio => "pio",
-            Field::Platform => "platform",
-            Field::Processor => "processor",
-            Field::Quantile => "quantile",
-            Field::Recovery => "recovery",
-            Field::Rho => "rho",
-            Field::ScheduleDepth => "schedule_depth",
-            Field::Shape => "shape",
-            Field::Speeds => "speeds",
-            Field::Verification => "verification",
-        }
-    }
-
-    fn from_key(key: &str) -> Option<Field> {
-        Field::ALL.into_iter().find(|f| f.name() == key)
-    }
-
-    fn bit(self) -> u32 {
-        1 << self as u32
-    }
-
-    /// The error for a value of the wrong type; `in_array` marks a
-    /// `speeds` array holding a non-number.
-    fn type_error(self, in_array: bool) -> WireError {
-        let msg = match self {
-            Field::Id => "field `id` must be a non-negative integer".to_string(),
-            Field::ScheduleDepth => {
-                "field `schedule_depth` must be a small non-negative integer".to_string()
-            }
-            Field::Speeds if !in_array => "field `speeds` must be an array of numbers".to_string(),
-            Field::Platform | Field::Processor | Field::Law => {
-                format!("field `{}` must be a string", self.name())
-            }
-            _ => format!("field `{}` must be a number", self.name()),
-        };
-        WireError::new(kind::BAD_REQUEST, msg)
-    }
-}
+// One bit of `Request::wrong` per field.
+const _: () = assert!(FIELDS.len() <= u32::BITS as usize);
 
 /// What one scan of a request line collected. Duplicate keys overwrite
 /// earlier ones, so the last occurrence of a field wins.
@@ -199,25 +132,21 @@ struct Request<'a> {
     is_object: bool,
     /// The last `id`, if it was a non-negative integer.
     id: Option<u64>,
+    /// The last `id` was not a non-negative integer.
+    bad_id: bool,
     /// Every well-typed field's last value.
     spec: PlanSpec,
-    /// One [`Field::bit`] per field whose last value had the wrong type.
+    /// Bit `i` is set when the last value of [`FIELDS`]`[i]` had the
+    /// wrong type.
     wrong: u32,
-    /// `speeds`' last value was an array with a non-number in it.
-    speeds_in_array: bool,
+    /// Bit `i` is set when that wrong value was an array holding a
+    /// non-number.
+    in_array: u32,
     /// The least unknown key.
     unknown: Option<Cow<'a, str>>,
 }
 
 impl Request<'_> {
-    fn mark(&mut self, field: Field, well_typed: bool) {
-        if well_typed {
-            self.wrong &= !field.bit();
-        } else {
-            self.wrong |= field.bit();
-        }
-    }
-
     /// Applies the request rules to a line that is valid JSON: a
     /// non-object is a bad request, then a bad `id`, then the first
     /// failing key in byte order (a mistyped field or an unknown key).
@@ -231,15 +160,17 @@ impl Request<'_> {
                 )),
             );
         }
-        if self.wrong & Field::Id.bit() != 0 {
-            return (None, Err(Field::Id.type_error(false)));
+        if self.bad_id {
+            let msg = "field `id` must be a non-negative integer";
+            return (None, Err(WireError::new(kind::BAD_REQUEST, msg)));
         }
         let unknown =
             |key: &str| WireError::new(kind::UNKNOWN_FIELD, format!("unknown field `{key}`"));
-        let first_wrong = Field::ALL.into_iter().find(|f| self.wrong & f.bit() != 0);
+        // FIELDS is in key byte order, so the lowest bit is the least key.
+        let first_wrong = (self.wrong != 0).then(|| self.wrong.trailing_zeros() as usize);
         let result = match (first_wrong, self.unknown) {
-            (Some(f), Some(key)) if *key < *f.name() => Err(unknown(&key)),
-            (Some(f), _) => Err(f.type_error(self.speeds_in_array)),
+            (Some(i), Some(key)) if *key < *FIELDS[i].key => Err(unknown(&key)),
+            (Some(i), _) => Err(type_error(&FIELDS[i], self.in_array >> i & 1 != 0)),
             (None, Some(key)) => Err(unknown(&key)),
             (None, None) => Ok(self.spec),
         };
@@ -310,7 +241,12 @@ impl<'a> Scanner<'a> {
 
     /// Scans one object member's value into `req`.
     fn member(&mut self, key: Cow<'a, str>, req: &mut Request<'a>) -> Syntax<()> {
-        let Some(field) = Field::from_key(&key) else {
+        if key == "id" {
+            req.id = self.number_or_skip()?.and_then(|n| n.as_u64());
+            req.bad_id = req.id.is_none();
+            return Ok(());
+        }
+        let Some(i) = FIELDS.iter().position(|f| f.key == key) else {
             self.value()?;
             if req.unknown.as_ref().is_none_or(|least| key < *least) {
                 req.unknown = Some(key);
@@ -318,26 +254,23 @@ impl<'a> Scanner<'a> {
             return Ok(());
         };
         let spec = &mut req.spec;
-        let well_typed = match field {
-            Field::Id => {
-                req.id = self.number_or_skip()?.and_then(|n| n.as_u64());
-                req.id.is_some()
-            }
-            Field::Platform | Field::Processor | Field::Law => {
-                let slot = match field {
-                    Field::Platform => &mut spec.platform,
-                    Field::Processor => &mut spec.processor,
-                    _ => &mut spec.law,
-                };
-                self.string_or_skip()?.map(|s| *slot = Some(s)).is_some()
-            }
-            Field::ScheduleDepth => self
+        let mut in_array = false;
+        let well_typed = match FIELDS[i].slot {
+            Slot::Number(slot) => self
+                .number_or_skip()?
+                .map(|n| *slot(spec) = Some(n.as_f64()))
+                .is_some(),
+            Slot::Text(slot) => self
+                .string_or_skip()?
+                .map(|s| *slot(spec) = Some(s))
+                .is_some(),
+            Slot::Depth(slot) => self
                 .number_or_skip()?
                 .and_then(|n| n.as_u64())
                 .and_then(|d| u32::try_from(d).ok())
-                .map(|d| spec.schedule_depth = Some(d))
+                .map(|d| *slot(spec) = Some(d))
                 .is_some(),
-            Field::Speeds if self.peek() == Some(b'[') => {
+            Slot::Speeds(slot) if self.peek() == Some(b'[') => {
                 let mut speeds = Vec::new();
                 let mut numbers = true;
                 self.array(|s| {
@@ -347,36 +280,20 @@ impl<'a> Scanner<'a> {
                     }
                     Ok(())
                 })?;
-                req.speeds_in_array = !numbers;
                 if numbers {
-                    spec.speeds = Some(speeds);
+                    *slot(spec) = Some(speeds);
                 }
+                in_array = !numbers;
                 numbers
             }
-            Field::Speeds => {
+            Slot::Speeds(_) => {
                 self.value()?;
-                req.speeds_in_array = false;
                 false
             }
-            _ => {
-                let slot = match field {
-                    Field::Checkpoint => &mut spec.checkpoint,
-                    Field::Kappa => &mut spec.kappa,
-                    Field::Lambda => &mut spec.lambda,
-                    Field::Pidle => &mut spec.pidle,
-                    Field::Pio => &mut spec.pio,
-                    Field::Quantile => &mut spec.quantile,
-                    Field::Recovery => &mut spec.recovery,
-                    Field::Rho => &mut spec.rho,
-                    Field::Shape => &mut spec.shape,
-                    _ => &mut spec.verification,
-                };
-                self.number_or_skip()?
-                    .map(|n| *slot = Some(n.as_f64()))
-                    .is_some()
-            }
         };
-        req.mark(field, well_typed);
+        let bit = 1 << i;
+        req.wrong = (req.wrong & !bit) | if well_typed { 0 } else { bit };
+        req.in_array = (req.in_array & !bit) | if in_array { bit } else { 0 };
         Ok(())
     }
 
@@ -692,12 +609,11 @@ mod tests {
 
     #[test]
     fn fields_are_declared_in_key_byte_order() {
-        for (i, f) in Field::ALL.into_iter().enumerate() {
-            assert_eq!(f as usize, i, "{f:?}");
-            assert_eq!(Field::from_key(f.name()), Some(f));
-        }
-        assert!(Field::ALL.windows(2).all(|w| w[0].name() < w[1].name()));
-        assert_eq!(Field::from_key("Rho"), None);
+        // `finish` blames the lowest wrong bit as the least failing key.
+        assert!(FIELDS.windows(2).all(|w| w[0].key < w[1].key));
+        assert!(FIELDS.iter().all(|f| f.key != "id"), "`id` is wire-only");
+        let (_, r) = parse_request(r#"{"Rho":1}"#);
+        assert_eq!(r.unwrap_err().kind, kind::UNKNOWN_FIELD);
     }
 
     #[test]
