@@ -6,7 +6,7 @@
 //! the other options have arms here; [`USAGE`] is written by hand.
 
 use crate::spec::{check_positive, PlanSpec, Slot, SpecError, FIELDS};
-use rexec_harness::FaultPlan;
+use rexec_harness::{FaultPlan, HarnessError};
 use std::fmt;
 
 /// Parsed command-line arguments.
@@ -221,16 +221,20 @@ fn take_parsed<T: std::str::FromStr>(
 /// `fail-write` can fire: corruptions, kills and the corruption seed
 /// act on `experiments`' sealed units.
 fn parse_fault_plan(option: &str, value: String) -> Result<FaultPlan, ParseError> {
-    let lifecycle = value
+    let other = value
         .split(',')
         .filter_map(|part| Some(part.split_once('=')?.0.trim()))
         .find(|&key| key != "fail-write");
-    let reason = match (FaultPlan::parse(&value), lifecycle) {
-        (Ok(plan), None) => return Ok(plan),
-        (Err(e), _) => e.to_string(),
-        (Ok(_), Some(key)) => {
+    let reason = match other {
+        None => match FaultPlan::parse(&value) {
+            Ok(plan) => return Ok(plan),
+            Err(HarnessError::InvalidArg { reason, .. }) => reason,
+            Err(e) => e.to_string(),
+        },
+        Some(key) if FaultPlan::KEYS.contains(&key) => {
             format!("`{key}` applies only to `experiments`; rexec-plan takes fail-write=N")
         }
+        Some(key) => format!("unknown key `{key}` (expected fail-write)"),
     };
     let option = option.to_string();
     Err(ParseError::InvalidValue {

@@ -60,6 +60,18 @@ const CASES: &[(&[&str], &str, i32)] = &[
          rexec-plan takes fail-write=N",
         2,
     ),
+    (
+        &["--fault-plan", "explode=1"],
+        "error: invalid value `explode=1` for option --fault-plan: \
+         unknown key `explode` (expected fail-write)",
+        2,
+    ),
+    (
+        &["--fault-plan", "fail-write=0"],
+        "error: invalid value `fail-write=0` for option --fault-plan: \
+         fail-write is 1-based; 0 never fires",
+        2,
+    ),
     (&["--platform", "mars"], "error: unknown name: mars", 2),
     (
         &["--lambda", "1e-5"],

@@ -25,6 +25,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// Every key [`parse`](Self::parse) accepts.
+    pub const KEYS: [&'static str; 4] =
+        ["fail-write", "corrupt-artifact", "kill-after-unit", "seed"];
+
     /// Parses a comma-separated spec, e.g.
     /// `fail-write=3,corrupt-artifact=2,kill-after-unit=5,seed=42`.
     /// Unknown keys are rejected, not ignored — a typo like

@@ -7,16 +7,26 @@
 //! never answers.
 //!
 //! Sharding bounds lock contention: a query locks exactly one shard,
-//! chosen by the key hash. Each shard is FIFO-bounded; eviction order
-//! is the shard's insertion order, so with a single writer the victim
-//! sequence is fully deterministic (pinned by a test in
-//! `service.rs`). Hash collisions are survivable by construction:
-//! buckets compare the full table params and ρ bits before declaring a
-//! hit, so a collision costs a compare, not a wrong plan.
+//! chosen by the key hash. Quantization clears the low mantissa bits of
+//! every hashed word, and an FNV word step carries low bits only into
+//! low bits, so the key's low bits are the same for every table with
+//! the same number of speeds; FNV's sparse prime also leaves its high
+//! bits nearly fixed across nearby ρ. The shard is therefore the high
+//! bits of the key times an odd constant, which every key bit reaches.
+//!
+//! Each shard stores its plans in a ring of at most its share of the
+//! capacity, in insertion order, plus an index from key hash to ring
+//! slot. Once the ring is full, an insert overwrites the oldest slot:
+//! eviction is FIFO per shard, so with a single writer the victim
+//! sequence is fully deterministic (pinned by a test in `service.rs`).
+//! A slot holds one plan: a probe compares the full table params and ρ
+//! bits before declaring a hit, and a second key that collides with a
+//! resident one on the 64-bit hash is left uncached — a collision costs
+//! a miss, never a wrong plan.
 
 use crate::quant::{plan_hash, TableParams};
 use rexec_core::BiCritSolution;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -32,7 +42,10 @@ pub struct CachedPlan {
     pub min_rho: Option<f64>,
 }
 
+/// One resident plan. `table` shares its speeds with the inserter's
+/// params, so a plan costs its fixed size and no heap block of its own.
 struct Entry {
+    key: u64,
     rho_bits: u64,
     table: TableParams,
     plan: CachedPlan,
@@ -40,10 +53,12 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
-    /// Key-hash → entries (len > 1 only under a 64-bit collision).
-    buckets: HashMap<u64, Vec<Entry>>,
-    /// Insertion order of key hashes — the FIFO eviction queue.
-    order: VecDeque<u64>,
+    /// Key hash → slot in `ring`.
+    index: HashMap<u64, usize>,
+    /// Resident plans in insertion order, rotated by `oldest` once full.
+    ring: Vec<Entry>,
+    /// The slot the next insert overwrites once the ring is full.
+    oldest: usize,
 }
 
 /// Monotonic cache counters (also mirrored into rexec-obs by the
@@ -82,22 +97,24 @@ impl PlanCache {
         }
     }
 
+    /// The shard of a key: the high bits of the key times an odd
+    /// constant, scaled to the shard count (multiply-shift).
     #[inline]
     fn shard_for(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
+        let mixed = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) as u128;
+        &self.shards[((mixed * self.shards.len() as u128) >> 64) as usize]
     }
 
     /// Looks up the plan for `(table, ρ)`; counts a hit or a miss.
     pub fn get(&self, table: &TableParams, table_hash: u64, rho: f64) -> Option<CachedPlan> {
         let key = plan_hash(table_hash, rho);
-        let rho_bits = rho.to_bits();
         let shard = self.shard_for(key).lock().expect("cache shard poisoned");
-        let hit = shard.buckets.get(&key).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|e| e.rho_bits == rho_bits && e.table.same(table))
-                .map(|e| e.plan.clone())
-        });
+        let hit = shard
+            .index
+            .get(&key)
+            .map(|&slot| &shard.ring[slot])
+            .filter(|e| e.rho_bits == rho.to_bits() && e.table.same(table))
+            .map(|e| e.plan.clone());
         drop(shard);
         match hit {
             Some(plan) => {
@@ -111,39 +128,36 @@ impl PlanCache {
         }
     }
 
-    /// Inserts the plan for `(table, ρ)` unless an entry already exists
-    /// (concurrent solvers of the same key insert identical values, so
-    /// first-wins keeps the FIFO queue duplicate-free). Evicts the
-    /// shard's oldest entry when over capacity.
+    /// Inserts the plan for `(table, ρ)` unless its key hash is already
+    /// resident: either the same key (concurrent solvers of one key
+    /// insert identical values, so first-wins keeps the ring
+    /// duplicate-free) or a colliding one, which stays uncached. Over
+    /// capacity, the new plan takes the shard's oldest slot.
     pub fn insert(&self, table: &TableParams, table_hash: u64, rho: f64, plan: CachedPlan) {
         let key = plan_hash(table_hash, rho);
-        let rho_bits = rho.to_bits();
-        let mut shard = self.shard_for(key).lock().expect("cache shard poisoned");
-        let bucket = shard.buckets.entry(key).or_default();
-        if bucket
-            .iter()
-            .any(|e| e.rho_bits == rho_bits && e.table.same(table))
-        {
+        let mut guard = self.shard_for(key).lock().expect("cache shard poisoned");
+        let shard = &mut *guard;
+        if shard.index.contains_key(&key) {
             return;
         }
-        bucket.push(Entry {
-            rho_bits,
+        let entry = Entry {
+            key,
+            rho_bits: rho.to_bits(),
             table: table.clone(),
             plan,
-        });
-        shard.order.push_back(key);
-        while shard.order.len() > self.shard_cap {
-            let victim = shard.order.pop_front().expect("order non-empty over cap");
-            if let Some(bucket) = shard.buckets.get_mut(&victim) {
-                if !bucket.is_empty() {
-                    bucket.remove(0);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                if bucket.is_empty() {
-                    shard.buckets.remove(&victim);
-                }
-            }
-        }
+        };
+        let slot = if shard.ring.len() < self.shard_cap {
+            shard.ring.push(entry);
+            shard.ring.len() - 1
+        } else {
+            let slot = shard.oldest;
+            shard.oldest = (slot + 1) % self.shard_cap;
+            let victim = std::mem::replace(&mut shard.ring[slot], entry);
+            shard.index.remove(&victim.key);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            slot
+        };
+        shard.index.insert(key, slot);
     }
 
     /// Counter snapshot.
@@ -155,12 +169,11 @@ impl PlanCache {
         }
     }
 
-    /// Number of cached plans (test/diagnostic use; takes every shard
-    /// lock).
+    /// Number of cached plans (takes every shard lock).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").order.len())
+            .map(|s| s.lock().expect("cache shard poisoned").ring.len())
             .sum()
     }
 
@@ -175,14 +188,17 @@ mod tests {
     use super::*;
     use rexec_core::{PowerModel, ResilienceCosts, SilentModel, SpeedSet};
 
-    fn table(lambda: f64) -> TableParams {
-        let model = SilentModel::new(
+    fn model(lambda: f64) -> SilentModel {
+        SilentModel::new(
             lambda,
             ResilienceCosts::new(300.0, 15.4, 300.0).unwrap(),
             PowerModel::new(1550.0, 60.0, 5.23).unwrap(),
         )
-        .unwrap();
-        TableParams::new(&model, &SpeedSet::new(vec![0.15, 1.0]).unwrap())
+        .unwrap()
+    }
+
+    fn table(lambda: f64) -> TableParams {
+        TableParams::new(&model(lambda), &SpeedSet::new(vec![0.15, 1.0]).unwrap())
     }
 
     fn plan(tag: f64) -> CachedPlan {
@@ -249,5 +265,35 @@ mod tests {
         cache.insert(&b, b.hash64(), 3.0, plan(2.0));
         assert_eq!(cache.get(&a, a.hash64(), 3.0).unwrap().min_rho, Some(1.0));
         assert_eq!(cache.get(&b, b.hash64(), 3.0).unwrap().min_rho, Some(2.0));
+    }
+
+    #[test]
+    fn one_table_fills_every_shard_to_capacity() {
+        // Quantization leaves the low key bits equal for every plan of a
+        // K-speed table; picking the shard from them sent every plan to
+        // one shard and capped the cache at 4,096 plans.
+        let speeds: Vec<f64> = (0..20).map(|i| 0.15 + 0.85 * i as f64 / 19.0).collect();
+        let t = TableParams::new(&model(3.38e-6), &SpeedSet::new(speeds).unwrap());
+        let h = t.hash64();
+        let cache = PlanCache::new(65_536, 16);
+        let mut rho = 1.5;
+        let mut fill = |n: usize| {
+            for _ in 0..n {
+                cache.insert(&t, h, rho, plan(rho));
+                rho = crate::quant::quantize(rho * (1.0 + 1e-7));
+            }
+        };
+        // As many plans as slots: hashing spreads them over the shards,
+        // not exactly evenly, so a few shards evict before the others
+        // fill. Under 1 % of the plans may be evicted.
+        fill(65_536);
+        for shard in cache.shards.iter() {
+            let len = shard.lock().unwrap().ring.len();
+            assert!((4_000..=4_096).contains(&len), "shard holds {len} plans");
+        }
+        assert!(cache.stats().evictions < 65_536 / 100);
+        // A fill past capacity leaves every shard at its share.
+        fill(14_464);
+        assert_eq!(cache.len(), 65_536);
     }
 }

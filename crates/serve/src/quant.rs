@@ -15,6 +15,7 @@
 
 use rexec_core::{BiCritSolver, PowerModel, ResilienceCosts, SilentModel, SpeedSet};
 use rexec_harness::Digest;
+use std::sync::Arc;
 
 /// Low mantissa bits dropped by [`quantize`]: 2^-26 relative step.
 pub const MANTISSA_DROP_BITS: u32 = 26;
@@ -84,17 +85,24 @@ pub struct TableParams {
     pub p_idle: f64,
     /// I/O power Pio (mW), quantized.
     pub p_io: f64,
-    /// Sorted, deduplicated, quantized speed set.
-    pub speeds: Vec<f64>,
+    /// Sorted, deduplicated, quantized speed set, shared by every clone
+    /// (each cached plan holds its table's params, not a copy of them).
+    pub speeds: Arc<[f64]>,
 }
 
 impl TableParams {
     /// Canonicalizes a validated model: every scalar quantized, speeds
     /// re-deduplicated after quantization (two near-equal speeds may
-    /// land on the same grid point).
+    /// land on the same grid point). Quantization is monotone, so such
+    /// duplicates are adjacent, and rare enough to pay a second
+    /// allocation.
     pub fn new(model: &SilentModel, speeds: &SpeedSet) -> TableParams {
-        let mut qs: Vec<f64> = speeds.values().iter().copied().map(quantize).collect();
-        qs.dedup();
+        let mut qs: Arc<[f64]> = speeds.values().iter().copied().map(quantize).collect();
+        if qs.windows(2).any(|w| w[0] == w[1]) {
+            let mut deduped = qs.to_vec();
+            deduped.dedup();
+            qs = deduped.into();
+        }
         TableParams {
             lambda: quantize(model.lambda),
             checkpoint: quantize(model.costs.checkpoint),
@@ -121,14 +129,17 @@ impl TableParams {
 
     /// Fast 64-bit FNV-1a over the parameter words — the cache-shard
     /// and bucket key. Lookups additionally compare the full params, so
-    /// a hash collision can never return a wrong plan.
+    /// a hash collision can never return a wrong plan. Quantized words
+    /// have their low [`MANTISSA_DROP_BITS`] bits clear and an FNV step
+    /// carries low bits only into low bits, so the hash's low bits
+    /// depend on the speed count alone.
     pub fn hash64(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for w in self.scalar_words() {
             h = fnv_word(h, w);
         }
         h = fnv_word(h, self.speeds.len() as u64);
-        for &s in &self.speeds {
+        for &s in self.speeds.iter() {
             h = fnv_word(h, s.to_bits());
         }
         h
@@ -144,7 +155,7 @@ impl TableParams {
             d.update(&w.to_le_bytes());
         }
         d.update(&(self.speeds.len() as u64).to_le_bytes());
-        for &s in &self.speeds {
+        for &s in self.speeds.iter() {
             d.update(&s.to_bits().to_le_bytes());
         }
         d.finish()
@@ -157,7 +168,7 @@ impl TableParams {
             && self
                 .speeds
                 .iter()
-                .zip(&other.speeds)
+                .zip(other.speeds.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
@@ -175,12 +186,14 @@ impl TableParams {
         )
         .expect("quantization preserves model validity");
         let speeds =
-            SpeedSet::new(self.speeds.clone()).expect("quantization preserves speed validity");
+            SpeedSet::new(self.speeds.to_vec()).expect("quantization preserves speed validity");
         BiCritSolver::new(model, speeds)
     }
 }
 
-/// Mixes a table hash with a quantized ρ into the plan-cache key hash.
+/// Mixes a table hash with a quantized ρ into the plan-cache key hash
+/// (its low bits, like the table hash's, depend on the speed count
+/// alone).
 #[inline]
 pub fn plan_hash(table_hash: u64, rho: f64) -> u64 {
     fnv_word(table_hash, rho.to_bits())
@@ -305,6 +318,19 @@ mod tests {
     }
 
     #[test]
+    fn speeds_that_meet_on_the_grid_are_deduplicated() {
+        let model = SilentModel::new(
+            3.38e-6,
+            ResilienceCosts::new(300.0, 15.4, 300.0).unwrap(),
+            PowerModel::new(1550.0, 60.0, 5.23).unwrap(),
+        )
+        .unwrap();
+        let speeds = SpeedSet::new(vec![0.5, 0.5 * (1.0 + 1e-12), 1.0]).unwrap();
+        let t = TableParams::new(&model, &speeds);
+        assert_eq!(&t.speeds[..], &[quantize(0.5), 1.0]);
+    }
+
+    #[test]
     fn digest_uses_the_harness_format() {
         let d = table(3.38e-6).digest();
         assert!(d.starts_with("fnv1a:") && d.len() == "fnv1a:".len() + 16);
@@ -315,7 +341,7 @@ mod tests {
         let t = table(3.38e-6);
         let solver = t.to_solver();
         assert_eq!(solver.model().lambda, t.lambda);
-        assert_eq!(solver.speeds().values(), t.speeds.as_slice());
+        assert_eq!(solver.speeds().values(), &t.speeds[..]);
     }
 
     #[test]

@@ -533,6 +533,7 @@ fn publish_metrics(inner: &Arc<Inner>) {
         gauge!("serve.cache.hit_rate").set(cache.hits as f64 / lookups as f64);
     }
     gauge!("serve.cache.evictions").set(cache.evictions as f64);
+    gauge!("serve.cache.plans").set(inner.service.cached_plans() as f64);
 }
 
 /// SIGINT/SIGTERM → drain-and-exit for the daemon binary. The handler

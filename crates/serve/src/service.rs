@@ -201,7 +201,7 @@ impl PlanService {
         let entry = self.solver_entry(&query.table, query.table_hash);
         let plan = self.solve_one(&entry, query.rho);
         if let Some(cache) = &self.cache {
-            cache.insert(&query.table, query.table_hash, query.rho, plan.clone());
+            cache.insert(&entry.table, entry.hash, query.rho, plan.clone());
         }
         Self::answer_from(plan, query.rho)
     }
@@ -235,7 +235,10 @@ impl PlanService {
             if self.cache.is_some() {
                 counter!("serve.cache.misses").incr();
             }
-            let group = match groups.iter().position(|(e, _)| e.hash == q.table_hash) {
+            let group = match groups
+                .iter()
+                .position(|(e, _)| e.hash == q.table_hash && e.table.same(&q.table))
+            {
                 Some(g) => g,
                 None => {
                     groups.push((self.solver_entry(&q.table, q.table_hash), Vec::new()));
@@ -282,12 +285,7 @@ impl PlanService {
                         solution,
                         min_rho,
                     };
-                    cache.insert(
-                        &queries[i].table,
-                        queries[i].table_hash,
-                        queries[i].rho,
-                        plan,
-                    );
+                    cache.insert(&entry.table, entry.hash, queries[i].rho, plan);
                 }
             }
         }
@@ -386,6 +384,71 @@ mod tests {
         for (a, b) in batched.iter().zip(&again) {
             assert_eq!(a.solution, b.solution);
         }
+    }
+
+    #[test]
+    fn batch_separates_tables_with_equal_hashes() {
+        // A query whose table hash equals another table's (forged here;
+        // only 38 bits of `hash64` vary) must be solved with its own
+        // table, not grouped with the other's solver.
+        let svc = service();
+        let hera = svc.resolve(&spec("hera", 3.0)).unwrap();
+        let forged = Query {
+            table_hash: hera.table_hash,
+            ..svc.resolve(&spec("atlas", 3.0)).unwrap()
+        };
+        let reference = PlanService::new(ServiceConfig {
+            plan_cache_capacity: 0,
+            ..ServiceConfig::default()
+        });
+        let expected = reference.plan(&forged);
+        assert_ne!(expected.digest, reference.plan(&hera).digest);
+        let mut batched = Vec::new();
+        svc.plan_batch(&[hera.clone(), forged.clone()], &mut batched);
+        let later = svc.plan(&forged);
+        for answer in [&batched[1], &later] {
+            assert_eq!(answer.digest, expected.digest);
+            assert_eq!(answer.solution, expected.solution);
+            assert_eq!(answer.min_rho, expected.min_rho);
+        }
+    }
+
+    #[test]
+    fn replayed_fresh_queries_over_many_tables_all_hit() {
+        // 16 custom K = 20 tables, 10,000 distinct ρ: the default cache
+        // holds them all, so the replay is answered without a solve.
+        let svc = service();
+        let table = |t: usize| PlanSpec {
+            lambda: Some(3.38e-6 * (1.0 + t as f64 / 16.0)),
+            checkpoint: Some(300.0),
+            verification: Some(15.4),
+            recovery: Some(300.0),
+            kappa: Some(1550.0),
+            pidle: Some(60.0),
+            pio: Some(5.23),
+            speeds: Some((0..20).map(|i| 0.15 + 0.85 * i as f64 / 19.0).collect()),
+            ..PlanSpec::default()
+        };
+        let queries: Vec<Query> = (0..10_000)
+            .map(|i| {
+                let s = PlanSpec {
+                    rho: Some(1.5 + i as f64 * 1e-4),
+                    ..table(i % 16)
+                };
+                svc.resolve(&s).unwrap()
+            })
+            .collect();
+        let mut answers = Vec::new();
+        for chunk in queries.chunks(100) {
+            svc.plan_batch(chunk, &mut answers);
+        }
+        assert_eq!(svc.cached_plans(), 10_000);
+        for chunk in queries.chunks(100) {
+            svc.plan_batch(chunk, &mut answers);
+        }
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (10_000, 10_000));
+        assert_eq!(stats.evictions, 0);
     }
 
     #[test]
