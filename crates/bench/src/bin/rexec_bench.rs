@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! rexec-bench [--quick] [--repeat N] [--out PATH] [--no-history]
-//! rexec-bench compare BASELINE CURRENT [--iqr-band K] [--min-pct P]
+//! rexec-bench compare BASELINE CURRENT
 //!
 //!   --quick       CI-sized workloads (seconds, not minutes)
 //!   --repeat N    run the whole suite N times; report per-stage
@@ -14,157 +14,194 @@
 //!   --no-history  skip appending this run to BENCH_history.jsonl
 //!
 //!   compare       read two reports and flag stages whose current
-//!                 median is more than K× the wider IQR *and* more
-//!                 than P% above the baseline median (defaults K = 3,
-//!                 P = 5); exits 1 when any stage regressed
+//!                 median is more than 3× the wider IQR *and* more
+//!                 than 5% above the baseline median; exits 1 when any
+//!                 stage regressed
 //! ```
 //!
-//! Stages:
+//! The stages, one table of which is in EXPERIMENTS.md ("Benchmark
+//! baseline"): **solver** (`paper_k5`, `synthetic_k20`: the batched
+//! `solve_many` kernel against the per-point `solve` loop and the table
+//! build), **sweep** and **heatmap** (the paper-grid figures, the §4.2
+//! ρ-tables, a λ × ρ map), **serve** (the planning-service core,
+//! batched and cached against one scalar solve per query), **wire**
+//! (request parsing and answer rendering, hot and cold request shapes
+//! as sides), **simulator** (the reference engine against the fast path
+//! at width 1 and over rayon, on a silent and a mixed config; the
+//! Weibull reference and X-laws' histogram call; the Theorem 2 grid on
+//! common random numbers against separate runs), **obs** (the fast path
+//! with spans and timeline on against off) and **check** (the
+//! crash-consistency model check).
 //!
-//! * **solver** — candidate-table build time, per-point `solve` vs the
-//!   batched `solve_many` over a ρ grid (paper K = 5 and synthetic
-//!   K = 20), reported as solves/sec with the batched speedup;
-//! * **sweep** — the six Atlas/Crusoe paper-grid figure sweeps and the
-//!   §4.2 ρ-tables, reported as points/sec;
-//! * **heatmap** — a λ × ρ map, reported as cells/sec;
-//! * **simulator** — Monte Carlo pattern replication, reported as
-//!   patterns/sec in three sub-stages: `sim_reference` (per-attempt
-//!   loop at width 1), `sim_fastpath` (geometric sampling at width 1,
-//!   with its speedup over the reference), and `sim_fastpath_parallel`
-//!   (rayon fast path, asserted bit-identical to the width-1 fast
-//!   path); the same trio runs again on a mixed
-//!   fail-stop + silent config as `sim_mixed_reference`,
-//!   `sim_mixed_fastpath` and `sim_mixed_fastpath_parallel`;
-//!   `sim_weibull_reference` (per-attempt loop at width 1 under a
-//!   Weibull 0.7 law) and `sim_laws_histograms` (X-laws' Weibull row:
-//!   the same law with a histogram sink, every trial recorded into the
-//!   outcome sketches); and `sim_crn_grid`, the simulated
-//!   Theorem 2 grid of X-mc-mixed run on common random numbers
-//!   (`MonteCarlo::run_common`, asserted bit-identical to separate
-//!   runs) with its `speedup_vs_separate`;
-//! * **serve** — the planning-service core on a deterministic mixed
-//!   hit/miss query stream over paper and synthetic K = 20 tables:
-//!   `serve_unbatched` (plan cache off, one scalar solve per query —
-//!   the one-query-per-solve baseline) and `serve_batched` (plan cache
-//!   on, `plan_batch` over the zero-allocation SoA kernel), reported as
-//!   queries/sec with `speedup_vs_unbatched` and the observed
-//!   `hit_rate`; CI's full mode gates `serve_batched` at ≥ 1M
-//!   queries/sec and ≥ 3× the unbatched baseline;
-//! * **wire** — `wire_parse`: `parse_request` alone over hot (named
-//!   paper table) and cold (explicit K = 20 table) request lines,
-//!   reported as lines/sec with each shape's rate as an extra; the
-//!   serve stages above never parse a line; `wire_render`:
-//!   `render_answer` alone over the answers to the same two shapes,
-//!   reported as answers/sec with each shape's rate as an extra;
-//! * **obs** — `obs_overhead`: the `sim_fastpath` workload with span
-//!   timing *and* the span timeline fully enabled vs fully disabled;
-//!   its `overhead_pct` extra records the observability tax on the
-//!   hottest loop (CI asserts it stays under 2%).
-//!
-//! Within one suite pass every stage still repeats its workload a few
-//! times and keeps the *best* wall time (least-noise estimator for a
-//! single pass); `--repeat` then takes the median of those best times
+//! Every stage is timed by one loop, [`rounds`]: in each round every
+//! side of the stage runs once, in ABBA order, so the machine's drift
+//! weighs on every side alike. A side whose single call is far under a
+//! millisecond makes a constant number of calls per round and is
+//! reported per call. Within one pass a stage's wall time is the median
+//! of its rounds; `--repeat` takes the median and quartiles of those
 //! across passes, which is what `compare` and `BENCH_history.jsonl`
-//! track.
+//! track. Every other side's median is written the same way, as
+//! `{side}_wall_secs`. Every ratio (`batched_speedup`,
+//! `speedup_vs_reference`, `speedup_vs_separate`,
+//! `speedup_vs_unbatched`, `overhead_pct`) is the median of the
+//! per-round paired ratios pooled over every pass, written with its
+//! sign-test 95 % interval as `{ratio}_ci: [lo, hi]`. The remaining
+//! extras are facts about the workload (`patterns_total`, `hit_rate`,
+//! the model check's counts); a run whose passes disagree on one fails.
 
 #![forbid(unsafe_code)]
 
-use rexec_bench::stats::{median_sorted, quartiles_sorted, regressions, sorted, StageSample};
-use rexec_bench::{atlas_crusoe, hera_xscale, synthetic_solver};
+use rexec_bench::stats::{
+    median_sorted, quartiles_sorted, regressions, sign_test_interval, sorted, StageSample,
+};
+use rexec_bench::{atlas_crusoe, hera_xscale, rounds, synthetic_solver};
 use rexec_sim::runner::outcome_sketches;
 use rexec_sim::{Engine, MonteCarlo, SimConfig, Sinks, Summary};
 use rexec_sweep::figure::{lambda_hi_for, sweep_figure_paper_grid, SweepParam};
 use rexec_sweep::{rho_table, Grid, Heatmap};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// `compare`'s default noise band: a regression must exceed this many
-/// IQRs ...
+/// `compare`'s noise band: a regression must exceed this many IQRs ...
 const IQR_BAND: f64 = 3.0;
 /// ... and this percentage of the baseline median.
 const MIN_PCT: f64 = 5.0;
 
-/// One measured stage: robust wall-time summary plus throughput.
+/// One stage as one suite pass measured it.
 struct StageResult {
     stage: &'static str,
     name: &'static str,
-    /// Median (across `--repeat` passes) of the best wall time per pass
-    /// (seconds). For a single pass this is just the best wall time.
-    wall_secs: f64,
-    /// First quartile of the per-pass wall times.
-    q1_secs: f64,
-    /// Third quartile of the per-pass wall times.
-    q3_secs: f64,
-    /// How many suite passes the summary aggregates.
-    repeats: u64,
-    /// Work items processed per repetition (points, cells, solves...).
+    /// Work items per call of the stage's workload (points, solves...).
     items: u64,
     /// What `items` counts.
     unit: &'static str,
-    /// Stage-specific extras (e.g. the batched-vs-per-point speedup).
-    extra: BTreeMap<String, Value>,
+    /// Seconds per call, one per round.
+    rounds: Vec<f64>,
+    /// The other sides timed in the same rounds.
+    sides: Vec<Side>,
+    /// Facts about the workload that every pass must reproduce exactly.
+    facts: BTreeMap<String, Value>,
+}
+
+/// A side timed in the same rounds as its stage, reported as
+/// `{name}_wall_secs`, and the ratio of the stage to it if it is the
+/// side the stage is compared against.
+struct Side {
+    name: &'static str,
+    rounds: Vec<f64>,
+    ratio: Option<Ratio>,
+}
+
+/// A paired ratio's report key and its value for one round, given the
+/// stage's and the side's seconds.
+type Ratio = (&'static str, fn(f64, f64) -> f64);
+
+/// How many times faster than its side the stage ran.
+fn speedup(stage_secs: f64, side_secs: f64) -> f64 {
+    finite_ratio(side_secs, stage_secs)
+}
+
+/// How many percent slower than its side the stage ran.
+fn overhead_pct(stage_secs: f64, side_secs: f64) -> f64 {
+    (finite_ratio(stage_secs, side_secs) - 1.0) * 100.0
 }
 
 impl StageResult {
-    /// A single-pass result: quartiles degenerate to the measured time.
-    fn single(
-        stage: &'static str,
-        name: &'static str,
-        wall_secs: f64,
-        items: u64,
-        unit: &'static str,
-        extra: BTreeMap<String, Value>,
-    ) -> StageResult {
+    fn new(stage: &'static str, name: &'static str, unit: &'static str) -> StageResult {
         StageResult {
             stage,
             name,
-            wall_secs,
-            q1_secs: wall_secs,
-            q3_secs: wall_secs,
-            repeats: 1,
-            items,
+            items: 0,
             unit,
-            extra,
+            rounds: vec![],
+            sides: vec![],
+            facts: BTreeMap::new(),
         }
     }
 
+    /// The stage's own seconds per call of `items` work items.
+    fn timed(mut self, items: u64, rounds: Vec<f64>) -> StageResult {
+        (self.items, self.rounds) = (items, rounds);
+        self
+    }
+
+    fn side(mut self, name: &'static str, rounds: Vec<f64>, ratio: Option<Ratio>) -> StageResult {
+        self.sides.push(Side {
+            name,
+            rounds,
+            ratio,
+        });
+        self
+    }
+
+    fn fact(mut self, key: &str, value: impl Serialize) -> StageResult {
+        self.facts.insert(key.to_string(), value.to_value());
+        self
+    }
+}
+
+/// One report row: a stage folded over every suite pass.
+struct Row<'a> {
+    /// The first pass's result, for the names, items and facts.
+    first: &'a StageResult,
+    repeats: u64,
+    /// `(q1, median, q3)` of the per-pass median seconds.
+    wall: (f64, f64, f64),
+    /// Each side's name and median over passes of its per-pass median.
+    sides: Vec<(&'static str, f64)>,
+    /// The compared side's ratio: its key, the median of the per-round
+    /// ratios pooled over every pass, and their sign-test interval.
+    ratio: Option<PairedRatio>,
+}
+
+type PairedRatio = (&'static str, f64, Option<(f64, f64)>);
+
+/// What a ratio's `_ci` reads when its rounds are too few for one.
+const NO_INTERVAL: &str = "none: fewer than 6 rounds";
+
+impl Row<'_> {
     /// Items per second from the median wall time; 0 for a zero-duration
     /// stage so the JSON report never contains `inf`/NaN (which
     /// downstream parsers misread).
     fn per_sec(&self) -> f64 {
-        finite_ratio(self.items as f64, self.wall_secs)
+        finite_ratio(self.first.items as f64, self.wall.1)
     }
 
-    /// Minimum detectable effect: the smallest slowdown, in percent of
-    /// the median, that `compare` at its default band flags against a
-    /// run with this stage's spread.
-    fn mde_pct(&self) -> f64 {
-        let band = IQR_BAND * finite_ratio(self.q3_secs - self.q1_secs, self.wall_secs);
-        (band * 100.0).max(MIN_PCT)
+    fn iqr_secs(&self) -> f64 {
+        self.wall.2 - self.wall.0
     }
 
     fn to_value(&self) -> Value {
+        let s = self.first;
+        // Minimum detectable effect: the smallest slowdown, in percent
+        // of the median, that `compare` flags against a run with this
+        // stage's spread.
+        let mde_pct = (IQR_BAND * finite_ratio(self.iqr_secs(), self.wall.1) * 100.0).max(MIN_PCT);
         let mut m = BTreeMap::new();
-        m.insert("stage".to_string(), self.stage.to_value());
-        m.insert("name".to_string(), self.name.to_value());
-        m.insert("wall_secs".to_string(), self.wall_secs.to_value());
-        m.insert("wall_q1_secs".to_string(), self.q1_secs.to_value());
-        m.insert("wall_q3_secs".to_string(), self.q3_secs.to_value());
-        m.insert(
-            "wall_iqr_secs".to_string(),
-            (self.q3_secs - self.q1_secs).to_value(),
-        );
-        m.insert("mde_pct".to_string(), self.mde_pct().to_value());
+        m.insert("stage".to_string(), s.stage.to_value());
+        m.insert("name".to_string(), s.name.to_value());
+        m.insert("wall_secs".to_string(), self.wall.1.to_value());
+        m.insert("wall_q1_secs".to_string(), self.wall.0.to_value());
+        m.insert("wall_q3_secs".to_string(), self.wall.2.to_value());
+        m.insert("wall_iqr_secs".to_string(), self.iqr_secs().to_value());
+        m.insert("mde_pct".to_string(), mde_pct.to_value());
         m.insert("repeats".to_string(), self.repeats.to_value());
-        m.insert("items".to_string(), self.items.to_value());
-        m.insert("unit".to_string(), self.unit.to_value());
-        m.insert(format!("{}_per_sec", self.unit), self.per_sec().to_value());
-        for (k, v) in &self.extra {
-            m.insert(k.clone(), v.clone());
+        m.insert("items".to_string(), s.items.to_value());
+        m.insert("unit".to_string(), s.unit.to_value());
+        m.insert(format!("{}_per_sec", s.unit), self.per_sec().to_value());
+        for (side, secs) in &self.sides {
+            m.insert(format!("{side}_wall_secs"), secs.to_value());
         }
+        if let Some((key, median, ci)) = self.ratio {
+            m.insert(key.to_string(), median.to_value());
+            let ci = ci.map_or(NO_INTERVAL.to_value(), |(lo, hi)| vec![lo, hi].to_value());
+            m.insert(format!("{key}_ci"), ci);
+        }
+        m.extend(s.facts.clone());
         Value::Object(m)
     }
 }
@@ -185,114 +222,87 @@ fn finite_ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Runs `work` `reps` times and returns the best wall time in seconds.
-fn best_of<R>(reps: usize, mut work: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let r = work();
-        best = best.min(t.elapsed().as_secs_f64());
-        std::hint::black_box(r);
-    }
-    best
-}
-
 fn solver_stages(quick: bool, out: &mut Vec<StageResult>) {
-    let reps = if quick { 5 } else { 30 };
+    let n = if quick { 6 } else { 30 };
     // The paper's ρ sweep grid: 51 points over [1.0, 3.5].
-    let rho_grid = Grid::linear(1.0, 3.5, 51);
-    let rhos = rho_grid.values().to_vec();
+    let rhos = Grid::linear(1.0, 3.5, 51).values().to_vec();
 
-    for (name, k) in [("paper_k5", 5usize), ("synthetic_k20", 20)] {
+    // A grid or a table build takes microseconds, so each call makes
+    // `calls` solves of the grid or builds.
+    for (name, k, calls) in [("paper_k5", 5usize, 200), ("synthetic_k20", 20, 40)] {
         let solver = if k == 5 {
             hera_xscale().solver().expect("valid configuration")
         } else {
             synthetic_solver(k).expect("valid synthetic model")
         };
-
         let model = *solver.model();
         let speeds = solver.speeds().clone();
-        let build_secs = best_of(reps, || {
-            rexec_core::BiCritSolver::new(model, speeds.clone())
-        });
-
-        let per_point_secs = best_of(reps, || {
-            rhos.iter()
-                .map(|&rho| solver.solve(rho))
-                .filter(Option::is_some)
-                .count()
-        });
-        let batched_secs = best_of(reps, || solver.solve_many(&rhos));
-
-        let mut extra = BTreeMap::new();
-        extra.insert("table_build_secs".to_string(), build_secs.to_value());
-        extra.insert("per_point_wall_secs".to_string(), per_point_secs.to_value());
-        extra.insert(
-            "batched_speedup".to_string(),
-            finite_ratio(per_point_secs, batched_secs).to_value(),
+        let [build, per_point, batched] = rounds(
+            n,
+            [
+                (calls, &mut || {
+                    black_box(rexec_core::BiCritSolver::new(model, speeds.clone()));
+                }),
+                (calls, &mut || {
+                    black_box(rhos.iter().filter_map(|&rho| solver.solve(rho)).count());
+                }),
+                (calls, &mut || {
+                    black_box(solver.solve_many(&rhos));
+                }),
+            ],
         );
-        out.push(StageResult::single(
-            "solver",
-            name,
-            batched_secs,
-            rhos.len() as u64,
-            "solves",
-            extra,
-        ));
+        out.push(
+            StageResult::new("solver", name, "solves")
+                .timed(rhos.len() as u64, batched)
+                .side("table_build", build, None)
+                .side("per_point", per_point, Some(("batched_speedup", speedup))),
+        );
     }
 }
 
 fn sweep_stages(quick: bool, out: &mut Vec<StageResult>) {
-    let reps = if quick { 2 } else { 10 };
+    let n = if quick { 3 } else { 10 };
     let cfg = atlas_crusoe();
     let lambda_hi = lambda_hi_for(&cfg);
-
     let mut points = 0u64;
-    let figure_secs = best_of(reps, || {
-        points = 0;
-        for param in SweepParam::ALL {
-            let s = sweep_figure_paper_grid(&cfg, param, lambda_hi);
-            points += s.points.len() as u64;
-        }
-    });
-    out.push(StageResult::single(
-        "sweep",
-        "figures_atlas_crusoe",
-        figure_secs,
-        points,
-        "points",
-        BTreeMap::new(),
-    ));
+    let [figures] = rounds(
+        n,
+        [(1, &mut || {
+            points = SweepParam::ALL
+                .into_iter()
+                .map(|param| sweep_figure_paper_grid(&cfg, param, lambda_hi).points.len() as u64)
+                .sum();
+        })],
+    );
+    out.push(StageResult::new("sweep", "figures_atlas_crusoe", "points").timed(points, figures));
 
+    // The four §4.2 tables take tens of microseconds: 50 calls a round.
     let hera = hera_xscale();
     let mut rows = 0u64;
-    let table_secs = best_of(reps, || {
-        rows = 0;
-        for rho in rexec_sweep::table_rho::PAPER_RHOS {
-            rows += rho_table(&hera, rho).rows.len() as u64;
-        }
-    });
-    out.push(StageResult::single(
-        "sweep",
-        "tables_rho",
-        table_secs,
-        rows,
-        "rows",
-        BTreeMap::new(),
-    ));
+    let [tables] = rounds(
+        n,
+        [(50, &mut || {
+            rows = rexec_sweep::table_rho::PAPER_RHOS
+                .into_iter()
+                .map(|rho| rho_table(&hera, rho).rows.len() as u64)
+                .sum();
+        })],
+    );
+    out.push(StageResult::new("sweep", "tables_rho", "rows").timed(rows, tables));
 
     let (nl, nr) = if quick { (8, 20) } else { (16, 40) };
     let lambdas = Grid::log(1e-6, 2e-3, nl);
     let rhos = Grid::linear(1.1, 8.0, nr);
-    let heatmap_secs = best_of(reps, || Heatmap::compute(&hera, &lambdas, &rhos));
-    out.push(StageResult::single(
-        "heatmap",
-        "hera_xscale_lambda_rho",
-        heatmap_secs,
-        (nl * nr) as u64,
-        "cells",
-        BTreeMap::new(),
-    ));
+    let [heatmap] = rounds(
+        n,
+        [(4, &mut || {
+            black_box(Heatmap::compute(&hera, &lambdas, &rhos));
+        })],
+    );
+    out.push(
+        StageResult::new("heatmap", "hera_xscale_lambda_rho", "cells")
+            .timed((nl * nr) as u64, heatmap),
+    );
 }
 
 /// Runs `work` at `RAYON_NUM_THREADS=1`, where the pool maps every
@@ -310,90 +320,71 @@ fn at_width_one<R>(work: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Benches one config through the reference engine and the fast path
-/// at width 1, and the parallel fast path (asserted bit-identical to
-/// the width-1 one), pushing the three named stages.
+/// Benches one config through the single-thread reference engine (the
+/// bit-reproducible per-attempt loop), the fast path at width 1, and
+/// the fast path over rayon, whose Summary must stay bit-identical to
+/// the width-1 one (chunked RNG streams + order-preserving reduction).
+/// Both fast sides make `fast_calls` runs a round, and both are
+/// compared against the reference.
 fn simulator_trio(
     quick: bool,
     out: &mut Vec<StageResult>,
     cfg: SimConfig,
     names: [&'static str; 3],
+    fast_calls: u32,
 ) {
-    let reps = if quick { 2 } else { 5 };
+    let n = if quick { 6 } else { 30 };
     let trials: u64 = if quick { 4_000 } else { 40_000 };
-
-    // Single-thread reference engine: the bit-reproducible per-attempt
-    // loop, the baseline the fast path's speedup is measured against.
     let reference = MonteCarlo::new(cfg, trials, 2024).with_engine(Engine::Reference);
-    let ref_secs =
-        at_width_one(|| best_of(reps, || reference.run().expect("benchmark config is valid")));
-    out.push(StageResult::single(
-        "simulator",
-        names[0],
-        ref_secs,
-        trials,
-        "patterns",
-        BTreeMap::new(),
-    ));
-
-    // Single-thread closed-form fast path over the same config and seed.
     let fast = MonteCarlo::new(cfg, trials, 2024).with_engine(Engine::FastPath);
-    let fast_secs =
-        at_width_one(|| best_of(reps, || fast.run().expect("benchmark config is valid")));
-    let mut extra = BTreeMap::new();
-    extra.insert(
-        "speedup_vs_reference".to_string(),
-        finite_ratio(ref_secs, fast_secs).to_value(),
+    let run = |mc: &MonteCarlo| mc.run().expect("benchmark config is valid");
+    let patterns = rexec_obs::global().counter("sim.patterns");
+    let (mut seq_summary, mut par_summary) = (Summary::default(), Summary::default());
+    let mut par_patterns = 0;
+    let [ref_secs, seq_secs, par_secs] = rounds(
+        n,
+        [
+            (1, &mut || {
+                black_box(at_width_one(|| run(&reference)));
+            }),
+            (fast_calls, &mut || {
+                seq_summary = at_width_one(|| run(&fast))
+            }),
+            (fast_calls, &mut || {
+                let before = patterns.get();
+                par_summary = run(&fast);
+                par_patterns += patterns.get() - before;
+            }),
+        ],
     );
-    out.push(StageResult::single(
-        "simulator",
-        names[1],
-        fast_secs,
-        trials,
-        "patterns",
-        extra,
-    ));
-
-    // Multi-thread fast path; its Summary must stay bit-identical to the
-    // width-1 run (chunked RNG streams + order-preserving reduction).
-    let seq_summary = at_width_one(|| fast.run()).expect("benchmark config is valid");
-    let before = rexec_obs::global().counter("sim.patterns").get();
-    let mut par_summary = Summary::default();
-    let par_secs = best_of(reps, || {
-        par_summary = fast.run().expect("benchmark config is valid");
-    });
-    let patterns = rexec_obs::global().counter("sim.patterns").get() - before;
     assert_eq!(
         par_summary, seq_summary,
         "parallel fast path diverged from the width-1 fast path"
     );
-    let mut extra = BTreeMap::new();
-    extra.insert("patterns_total".to_string(), patterns.to_value());
-    extra.insert(
-        "speedup_vs_reference".to_string(),
-        finite_ratio(ref_secs, par_secs).to_value(),
-    );
-    out.push(StageResult::single(
-        "simulator",
-        names[2],
-        par_secs,
-        trials,
-        "patterns",
-        extra,
+    let sim = |name| StageResult::new("simulator", name, "patterns");
+    let vs_reference: Option<Ratio> = Some(("speedup_vs_reference", speedup));
+    out.push(sim(names[0]).timed(trials, ref_secs.clone()));
+    out.push(sim(names[1]).timed(trials, seq_secs).side(
+        "reference",
+        ref_secs.clone(),
+        vs_reference,
     ));
+    out.push(
+        sim(names[2])
+            .timed(trials, par_secs)
+            .side("reference", ref_secs, vs_reference)
+            .fact("patterns_total", par_patterns),
+    );
 }
 
 fn simulator_stage(quick: bool, out: &mut Vec<StageResult>) {
     let model = hera_xscale().silent_model().expect("valid configuration");
     // The ρ = 3 optimum (σ1 = σ2 = 0.4, Wopt ≈ 2764) with a fast
-    // re-execution speed, so the two-speed path is exercised.
+    // re-execution speed, so the two-speed path is exercised. A silent
+    // fast-path run takes under 0.1 ms.
     let silent_cfg = SimConfig::from_silent_model(&model, 2764.0, 0.4, 0.8);
-    simulator_trio(
-        quick,
-        out,
-        silent_cfg,
-        ["sim_reference", "sim_fastpath", "sim_fastpath_parallel"],
-    );
+    let names = ["sim_reference", "sim_fastpath", "sim_fastpath_parallel"];
+    simulator_trio(quick, out, silent_cfg, names, 16);
 
     // Mixed fail-stop + silent errors at §5 rates: exercises the
     // three-way categorical fast path instead of the geometric one.
@@ -403,114 +394,100 @@ fn simulator_stage(quick: bool, out: &mut Vec<StageResult>) {
         model.power,
     );
     let mixed_cfg = SimConfig::from_mixed_model(&mm, 3000.0, 0.6, 1.0);
-    simulator_trio(
-        quick,
-        out,
-        mixed_cfg,
-        [
-            "sim_mixed_reference",
-            "sim_mixed_fastpath",
-            "sim_mixed_fastpath_parallel",
-        ],
-    );
+    let names = [
+        "sim_mixed_reference",
+        "sim_mixed_fastpath",
+        "sim_mixed_fastpath_parallel",
+    ];
+    simulator_trio(quick, out, mixed_cfg, names, 2);
 
     // Non-memoryless law through the per-attempt scenario engine: the
     // reference-path cost of Weibull inter-error draws (inverse-survival
     // powf per attempt instead of one exp log), tracked from day one so
     // law-scenario regressions show up in BENCH_history.jsonl.
-    let reps = if quick { 2 } else { 5 };
+    let n = if quick { 6 } else { 30 };
     let trials: u64 = if quick { 4_000 } else { 40_000 };
-    let weibull = MonteCarlo::new(silent_cfg, trials, 2024)
-        .with_law(rexec_core::ErrorLaw::Weibull { shape: 0.7 });
-    let weibull_secs =
-        at_width_one(|| best_of(reps, || weibull.run().expect("benchmark config is valid")));
-    out.push(StageResult::single(
-        "simulator",
-        "sim_weibull_reference",
-        weibull_secs,
-        trials,
-        "patterns",
-        BTreeMap::new(),
-    ));
+    let weibull_law = rexec_core::ErrorLaw::Weibull { shape: 0.7 };
+    let weibull = MonteCarlo::new(silent_cfg, trials, 2024).with_law(weibull_law);
+    let run = |mc: &MonteCarlo| mc.run().expect("benchmark config is valid");
+    let [weibull_secs] = rounds(
+        n,
+        [(1, &mut || {
+            black_box(at_width_one(|| run(&weibull)));
+        })],
+    );
+    let sim = |name| StageResult::new("simulator", name, "patterns");
+    out.push(sim("sim_weibull_reference").timed(trials, weibull_secs));
 
     // X-laws' own call: the Weibull row of its table at the experiment's
     // λ, recording every trial's time and energy into the outcome
     // sketches (worker-local copies folded at the end).
     let laws_cfg = SimConfig::from_silent_model(&model.with_lambda(1e-4), 2764.0, 0.4, 0.8);
-    let laws = MonteCarlo::new(laws_cfg, trials, 2024)
-        .with_law(rexec_core::ErrorLaw::Weibull { shape: 0.7 });
-    let laws_secs = best_of(reps, || {
-        let sketches = outcome_sketches();
-        let sinks = Sinks {
-            histograms: Some(&sketches),
-            ..Sinks::default()
-        };
-        laws.run_with(0..trials, sinks)
-            .expect("benchmark config is valid")
-    });
-    out.push(StageResult::single(
-        "simulator",
-        "sim_laws_histograms",
-        laws_secs,
-        trials,
-        "patterns",
-        BTreeMap::new(),
-    ));
+    let laws = MonteCarlo::new(laws_cfg, trials, 2024).with_law(weibull_law);
+    let [laws_secs] = rounds(
+        n,
+        [(1, &mut || {
+            let sketches = outcome_sketches();
+            let sinks = Sinks {
+                histograms: Some(&sketches),
+                ..Sinks::default()
+            };
+            let summary = laws.run_with(0..trials, sinks);
+            black_box(summary.expect("benchmark config is valid"));
+        })],
+    );
+    out.push(sim("sim_laws_histograms").timed(trials, laws_secs));
 }
 
 /// The simulated Theorem 2 grid of X-mc-mixed (8 λ × 13 W fast-path
 /// configs) run both ways: one fast-path `run()` per config, and one
 /// `MonteCarlo::run_common` per λ, which generates each trial chunk's
 /// draws once for the λ's 13 configs. The two must agree bit for bit;
-/// `speedup_vs_separate` is the separate runs' wall time over the
-/// shared one's.
+/// `speedup_vs_separate` is the separate runs' time over the shared
+/// one's.
 fn sim_crn_grid_stage(quick: bool, out: &mut Vec<StageResult>) {
-    let reps = if quick { 2 } else { 5 };
+    let n = if quick { 3 } else { 10 };
     // Full mode runs the experiment's own trial count.
     let trials: u64 = if quick { 10_000 } else { 100_000 };
     let grid = rexec_sweep::experiments::theorem2_sim_grid(2024);
-    let mut separate = Vec::new();
-    let separate_secs = best_of(reps, || {
-        separate = grid
-            .iter()
-            .flat_map(|point| {
-                point.configs.iter().map(|&cfg| {
-                    MonteCarlo::new(cfg, trials, point.seed)
-                        .with_engine(Engine::FastPath)
-                        .run()
-                        .expect("benchmark config is valid")
-                })
-            })
-            .collect::<Vec<Summary>>();
-    });
-    let mut common = Vec::new();
-    let common_secs = best_of(reps, || {
-        common = grid
-            .iter()
-            .flat_map(|point| {
-                MonteCarlo::run_common(&point.configs, trials, point.seed)
-                    .expect("benchmark config is valid")
-            })
-            .collect::<Vec<Summary>>();
-    });
+    let (mut separate, mut common) = (Vec::new(), Vec::new());
+    let [separate_secs, common_secs] = rounds(
+        n,
+        [
+            (1, &mut || {
+                separate = grid
+                    .iter()
+                    .flat_map(|point| {
+                        point.configs.iter().map(|&cfg| {
+                            MonteCarlo::new(cfg, trials, point.seed)
+                                .with_engine(Engine::FastPath)
+                                .run()
+                                .expect("benchmark config is valid")
+                        })
+                    })
+                    .collect::<Vec<Summary>>();
+            }),
+            (1, &mut || {
+                common = grid
+                    .iter()
+                    .flat_map(|point| {
+                        MonteCarlo::run_common(&point.configs, trials, point.seed)
+                            .expect("benchmark config is valid")
+                    })
+                    .collect::<Vec<Summary>>();
+            }),
+        ],
+    );
     assert_eq!(
         common, separate,
         "run_common diverged from separate fast-path runs"
     );
-    let mut extra = BTreeMap::new();
-    extra.insert("separate_wall_secs".to_string(), separate_secs.to_value());
-    extra.insert(
-        "speedup_vs_separate".to_string(),
-        finite_ratio(separate_secs, common_secs).to_value(),
+    let vs_separate: Option<Ratio> = Some(("speedup_vs_separate", speedup));
+    out.push(
+        StageResult::new("simulator", "sim_crn_grid", "patterns")
+            .timed(separate.len() as u64 * trials, common_secs)
+            .side("separate", separate_secs, vs_separate),
     );
-    out.push(StageResult::single(
-        "simulator",
-        "sim_crn_grid",
-        common_secs,
-        separate.len() as u64 * trials,
-        "patterns",
-        extra,
-    ));
 }
 
 /// xorshift64* — the deterministic query-stream generator (the same one
@@ -586,12 +563,12 @@ fn serve_stream(tables: &[rexec_cli::PlanSpec], n: u64, pass: u64) -> Vec<rexec_
 /// 512-query batches). Both paths resolve specs inside the timed region
 /// — "queries/sec" means what the daemon's workers do per request, not
 /// just the solve. The batched stage measures steady state: the hot
-/// pool is warmed once, then every pass streams fresh miss ρ values so
+/// pool is warmed once, then every call streams fresh miss ρ values so
 /// the ~10% miss path stays in the measurement.
 fn serve_stages(quick: bool, out: &mut Vec<StageResult>) {
     use rexec_serve::{PlanService, ServiceConfig};
 
-    let reps = if quick { 3 } else { 5 };
+    let n_rounds = if quick { 3 } else { 8 };
     let n: u64 = if quick { 50_000 } else { 200_000 };
     let tables = serve_tables();
 
@@ -602,27 +579,6 @@ fn serve_stages(quick: bool, out: &mut Vec<StageResult>) {
         plan_cache_capacity: 0,
         ..ServiceConfig::default()
     });
-    let mut pass = 0u64;
-    let unbatched_secs = best_of(reps, || {
-        pass += 1;
-        let specs = serve_stream(&tables, n, pass);
-        let mut answered = 0u64;
-        for spec in &specs {
-            let query = baseline.resolve(spec).expect("bench stream is valid");
-            std::hint::black_box(baseline.plan(&query));
-            answered += 1;
-        }
-        answered
-    });
-    out.push(StageResult::single(
-        "serve",
-        "serve_unbatched",
-        unbatched_secs,
-        n,
-        "queries",
-        BTreeMap::new(),
-    ));
-
     // Cached + batched: warm the hot pool once, then measure steady
     // state (hits answered from the sharded cache, misses grouped per
     // table and solved through `solve_many_into`).
@@ -631,45 +587,48 @@ fn serve_stages(quick: bool, out: &mut Vec<StageResult>) {
         service.plan_spec(spec).expect("bench stream is valid");
     }
     let stats_before = service.cache_stats();
+    let (mut unbatched_pass, mut batched_pass) = (0, 0);
     let mut queries = Vec::with_capacity(512);
     let mut answers = Vec::with_capacity(512);
-    let batched_secs = best_of(reps, || {
-        pass += 1;
-        let specs = serve_stream(&tables, n, pass);
-        let mut answered = 0u64;
-        for chunk in specs.chunks(512) {
-            queries.clear();
-            queries.extend(
-                chunk
-                    .iter()
-                    .map(|s| service.resolve(s).expect("bench stream is valid")),
-            );
-            service.plan_batch(&queries, &mut answers);
-            answered += answers.len() as u64;
-            std::hint::black_box(&answers);
-        }
-        answered
-    });
+    let [unbatched, batched] = rounds(
+        n_rounds,
+        [
+            (1, &mut || {
+                unbatched_pass += 1;
+                for spec in &serve_stream(&tables, n, unbatched_pass) {
+                    let query = baseline.resolve(spec).expect("bench stream is valid");
+                    black_box(baseline.plan(&query));
+                }
+            }),
+            (1, &mut || {
+                batched_pass += 1;
+                for chunk in serve_stream(&tables, n, batched_pass).chunks(512) {
+                    let resolve = |s| service.resolve(s).expect("bench stream is valid");
+                    queries.clear();
+                    queries.extend(chunk.iter().map(resolve));
+                    service.plan_batch(&queries, &mut answers);
+                    black_box(&answers);
+                }
+            }),
+        ],
+    );
     let stats = service.cache_stats();
     let lookups = (stats.hits - stats_before.hits) + (stats.misses - stats_before.misses);
     let hit_rate = finite_ratio((stats.hits - stats_before.hits) as f64, lookups as f64);
 
-    let mut extra = BTreeMap::new();
-    extra.insert("batch_size".to_string(), 512u64.to_value());
-    extra.insert("hit_rate".to_string(), hit_rate.to_value());
-    extra.insert("unbatched_wall_secs".to_string(), unbatched_secs.to_value());
-    extra.insert(
-        "speedup_vs_unbatched".to_string(),
-        finite_ratio(unbatched_secs, batched_secs).to_value(),
+    let serve = |name| StageResult::new("serve", name, "queries");
+    out.push(serve("serve_unbatched").timed(n, unbatched.clone()));
+    out.push(
+        serve("serve_batched")
+            .timed(n, batched)
+            .side(
+                "unbatched",
+                unbatched,
+                Some(("speedup_vs_unbatched", speedup)),
+            )
+            .fact("batch_size", 512u64)
+            .fact("hit_rate", hit_rate),
     );
-    out.push(StageResult::single(
-        "serve",
-        "serve_batched",
-        batched_secs,
-        n,
-        "queries",
-        extra,
-    ));
 }
 
 /// Request lines in the two shapes the daemon sees: `hot` lines naming
@@ -718,9 +677,9 @@ fn wire_lines(hot: usize, cold: usize) -> (Vec<String>, Vec<String>) {
 
 /// Request-line parsing (`wire_parse`): `parse_request` over hot and
 /// cold request shapes, the daemon's JSON layer on its own. `items` is
-/// every line of one pass; the extras give each shape's lines/sec.
+/// every line of one call; each shape is a side of its own.
 fn wire_parse_stage(quick: bool, out: &mut Vec<StageResult>) {
-    let reps = if quick { 3 } else { 10 };
+    let n = if quick { 3 } else { 6 };
     let (hot, cold) = if quick {
         (20_000, 5_000)
     } else {
@@ -728,49 +687,50 @@ fn wire_parse_stage(quick: bool, out: &mut Vec<StageResult>) {
     };
     let (hot_lines, cold_lines) = wire_lines(hot, cold);
     let parse_all = |lines: &[String]| {
-        lines
+        let parsed = lines
             .iter()
-            .filter(|l| rexec_serve::parse_request(l).1.is_ok())
-            .count()
+            .filter(|l| rexec_serve::parse_request(l).1.is_ok());
+        assert_eq!(parsed.count(), lines.len(), "a bench line failed to parse");
     };
-    assert_eq!(
-        parse_all(&hot_lines),
-        hot,
-        "a hot bench line failed to parse"
+    let [hot_secs, cold_secs] = rounds(
+        n,
+        [
+            (1, &mut || parse_all(&hot_lines)),
+            (1, &mut || parse_all(&cold_lines)),
+        ],
     );
-    assert_eq!(
-        parse_all(&cold_lines),
-        cold,
-        "a cold bench line failed to parse"
-    );
-    let hot_secs = best_of(reps, || parse_all(&hot_lines));
-    let cold_secs = best_of(reps, || parse_all(&cold_lines));
-    let mut extra = BTreeMap::new();
-    extra.insert(
-        "hot_lines_per_sec".to_string(),
-        finite_ratio(hot as f64, hot_secs).to_value(),
-    );
-    extra.insert(
-        "cold_lines_per_sec".to_string(),
-        finite_ratio(cold as f64, cold_secs).to_value(),
-    );
-    out.push(StageResult::single(
-        "wire",
+    out.push(wire_stage(
         "wire_parse",
-        hot_secs + cold_secs,
-        (hot + cold) as u64,
+        hot + cold,
         "lines",
-        extra,
+        hot_secs,
+        cold_secs,
     ));
+}
+
+/// A wire stage timing its hot and cold request shapes as two sides:
+/// each round's time is the sum of the two.
+fn wire_stage(
+    name: &'static str,
+    items: usize,
+    unit: &'static str,
+    hot: Vec<f64>,
+    cold: Vec<f64>,
+) -> StageResult {
+    let both = hot.iter().zip(&cold).map(|(h, c)| h + c).collect();
+    StageResult::new("wire", name, unit)
+        .timed(items as u64, both)
+        .side("hot", hot, None)
+        .side("cold", cold, None)
 }
 
 /// Answer rendering (`wire_render`): `render_answer` over the answers
 /// to `wire_parse`'s hot and cold lines, planned once up front, the
 /// daemon's response layer on its own. `items` is every answer of one
-/// pass; the extras give each shape's answers/sec.
+/// call; each shape is a side of its own.
 fn wire_render_stage(quick: bool, out: &mut Vec<StageResult>) {
     use rexec_serve::{PlanAnswer, PlanService, ServiceConfig};
-    let reps = if quick { 3 } else { 10 };
+    let n = if quick { 3 } else { 6 };
     let (hot, cold) = if quick {
         (20_000, 5_000)
     } else {
@@ -792,33 +752,28 @@ fn wire_render_stage(quick: bool, out: &mut Vec<StageResult>) {
         ids.into_iter().zip(answers).collect::<Vec<_>>()
     };
     let (hot_answers, cold_answers) = (answer_all(&hot_lines), answer_all(&cold_lines));
-    let mut text = String::new();
-    let mut render_all = |answers: &[(Option<u64>, PlanAnswer)]| {
+    let render_all = |text: &mut String, answers: &[(Option<u64>, PlanAnswer)]| {
         text.clear();
         for (id, answer) in answers {
-            rexec_serve::render_answer(&mut text, *id, answer);
+            rexec_serve::render_answer(text, *id, answer);
             text.push('\n');
         }
-        text.len()
+        black_box(text.len());
     };
-    let hot_secs = best_of(reps, || render_all(&hot_answers));
-    let cold_secs = best_of(reps, || render_all(&cold_answers));
-    let mut extra = BTreeMap::new();
-    extra.insert(
-        "hot_answers_per_sec".to_string(),
-        finite_ratio(hot as f64, hot_secs).to_value(),
+    let (mut hot_text, mut cold_text) = (String::new(), String::new());
+    let [hot_secs, cold_secs] = rounds(
+        n,
+        [
+            (1, &mut || render_all(&mut hot_text, &hot_answers)),
+            (1, &mut || render_all(&mut cold_text, &cold_answers)),
+        ],
     );
-    extra.insert(
-        "cold_answers_per_sec".to_string(),
-        finite_ratio(cold as f64, cold_secs).to_value(),
-    );
-    out.push(StageResult::single(
-        "wire",
+    out.push(wire_stage(
         "wire_render",
-        hot_secs + cold_secs,
-        (hot + cold) as u64,
+        hot + cold,
         "answers",
-        extra,
+        hot_secs,
+        cold_secs,
     ));
 }
 
@@ -826,42 +781,37 @@ fn wire_render_stage(quick: bool, out: &mut Vec<StageResult>) {
 /// timing *and* the span timeline enabled, against the same workload
 /// with both disabled. The hot loop batches its metrics into per-chunk
 /// integer accumulators, so the toggles should only gate the per-run
-/// `runner.run` span — `overhead_pct` records how true that stays.
+/// `runner.run` span — `overhead_pct` records how true that stays. A
+/// negative `overhead_pct` is the machine's noise, reported as measured.
 fn obs_overhead_stage(quick: bool, out: &mut Vec<StageResult>) {
     let model = hera_xscale().silent_model().expect("valid configuration");
     let cfg = SimConfig::from_silent_model(&model, 2764.0, 0.4, 0.8);
     // Even in --quick this stage uses a sizeable workload: the overhead
     // ratio of two ~microsecond runs would be pure timer noise.
     let trials: u64 = if quick { 100_000 } else { 400_000 };
-    let reps = if quick { 5 } else { 7 };
+    let (n, calls) = if quick { (6, 1) } else { (30, 2) };
     let mc = MonteCarlo::new(cfg, trials, 2024).with_engine(Engine::FastPath);
-
-    rexec_obs::set_spans_enabled(false);
-    rexec_obs::set_timeline_enabled(false);
-    let off_secs = best_of(reps, || mc.run().expect("benchmark config is valid"));
-
-    rexec_obs::set_spans_enabled(true);
-    rexec_obs::set_timeline_enabled(true);
-    let on_secs = best_of(reps, || mc.run().expect("benchmark config is valid"));
+    let run_observed = |on: bool| {
+        rexec_obs::set_spans_enabled(on);
+        rexec_obs::set_timeline_enabled(on);
+        black_box(mc.run().expect("benchmark config is valid"));
+    };
+    let [off, on] = rounds(
+        n,
+        [
+            (calls, &mut || run_observed(false)),
+            (calls, &mut || run_observed(true)),
+        ],
+    );
     rexec_obs::set_spans_enabled(false);
     rexec_obs::set_timeline_enabled(false);
     // Free the timeline events the enabled runs accumulated.
     drop(rexec_obs::timeline_drain());
-
-    // Best-of-N noise can make the instrumented run *faster*; clamp at
-    // zero so the tracked number is the observability tax, not jitter.
-    let overhead_pct = (finite_ratio(on_secs, off_secs) - 1.0).max(0.0) * 100.0;
-    let mut extra = BTreeMap::new();
-    extra.insert("baseline_wall_secs".to_string(), off_secs.to_value());
-    extra.insert("overhead_pct".to_string(), overhead_pct.to_value());
-    out.push(StageResult::single(
-        "obs",
-        "obs_overhead",
-        on_secs,
-        trials,
-        "patterns",
-        extra,
-    ));
+    out.push(
+        StageResult::new("obs", "obs_overhead", "patterns")
+            .timed(trials, on)
+            .side("baseline", off, Some(("overhead_pct", overhead_pct))),
+    );
 }
 
 /// Crash-consistency model check as a benchmark stage: one exhaustive
@@ -875,35 +825,24 @@ fn model_check_stage(quick: bool, out: &mut Vec<StageResult>) {
         units: if quick { 3 } else { 4 },
         ..rexec_check::CheckConfig::default()
     };
-    let t = Instant::now();
-    let report = rexec_check::explore(&cfg);
-    let wall_secs = t.elapsed().as_secs_f64();
+    let mut report = None;
+    let [secs] = rounds(1, [(1, &mut || report = Some(rexec_check::explore(&cfg)))]);
+    let report = report.expect("one round ran");
     assert!(
         report.ok(),
         "model check found {} crash-consistency violation(s); first: {}",
         report.violations.len(),
         report.violations[0]
     );
-    let mut extra = BTreeMap::new();
-    extra.insert("fixture_units".to_string(), (cfg.units as u64).to_value());
-    extra.insert("storage_ops".to_string(), (report.ops as u64).to_value());
-    extra.insert(
-        "crash_states".to_string(),
-        (report.crash_states as u64).to_value(),
+    out.push(
+        StageResult::new("check", "model_check", "states")
+            .timed(report.states_explored() as u64, secs)
+            .fact("fixture_units", cfg.units as u64)
+            .fact("storage_ops", report.ops as u64)
+            .fact("crash_states", report.crash_states as u64)
+            .fact("corruption_states", report.corruption_states as u64)
+            .fact("violations", 0u64),
     );
-    extra.insert(
-        "corruption_states".to_string(),
-        (report.corruption_states as u64).to_value(),
-    );
-    extra.insert("violations".to_string(), 0u64.to_value());
-    out.push(StageResult::single(
-        "check",
-        "model_check",
-        wall_secs,
-        report.states_explored() as u64,
-        "states",
-        extra,
-    ));
 }
 
 /// One full pass over every stage, in report order.
@@ -921,64 +860,55 @@ fn run_suite(quick: bool) -> Vec<StageResult> {
     stages
 }
 
-/// Folds `--repeat` suite passes into one row per stage: median and
-/// quartiles of the per-pass wall times, median of numeric extras
-/// (exactly-equal integer extras stay integers).
-fn aggregate(mut passes: Vec<Vec<StageResult>>) -> Vec<StageResult> {
-    if passes.len() == 1 {
-        return passes.pop().expect("non-empty");
-    }
-    let n = passes.len() as u64;
-    let mut out = vec![];
-    for i in 0..passes[0].len() {
-        let walls = sorted(passes.iter().map(|p| p[i].wall_secs).collect());
-        let (q1, med, q3) = quartiles_sorted(&walls);
-        let proto = &passes[0][i];
-        debug_assert!(passes
-            .iter()
-            .all(|p| p[i].stage == proto.stage && p[i].name == proto.name));
-        let mut extra = BTreeMap::new();
-        for key in proto.extra.keys() {
-            let vals: Vec<&Value> = passes.iter().filter_map(|p| p[i].extra.get(key)).collect();
-            let ints: Vec<u64> = vals
-                .iter()
-                .filter_map(|v| match v {
-                    Value::Number(n) => n.as_u64(),
-                    _ => None,
-                })
+/// Folds the `--repeat` suite passes into one row per stage. A stage's
+/// wall time is the median and quartiles of its per-pass median round,
+/// a side's the median of its per-pass medians, and a ratio the median,
+/// with its sign-test interval, of the per-round ratios pooled over
+/// every pass. Fails when the passes disagree on a stage's workload:
+/// its name, items or facts.
+fn aggregate(passes: &[Vec<StageResult>]) -> Result<Vec<Row<'_>>, String> {
+    let median_of = |rounds: &[f64]| median_sorted(&sorted(rounds.to_vec()));
+    passes[0]
+        .iter()
+        .enumerate()
+        .map(|(i, first)| {
+            let runs: Vec<&StageResult> = passes.iter().map(|p| &p[i]).collect();
+            let same = |r: &&StageResult| {
+                (r.stage, r.name, r.items, &r.facts)
+                    == (first.stage, first.name, first.items, &first.facts)
+            };
+            if !runs.iter().all(same) {
+                let (stage, name) = (first.stage, first.name);
+                return Err(format!(
+                    "{stage}/{name}: the passes measured different workloads"
+                ));
+            }
+            let per_pass = |rounds: &dyn Fn(&StageResult) -> &[f64]| {
+                sorted(runs.iter().map(|r| median_of(rounds(r))).collect())
+            };
+            let side_median = |j: usize| median_sorted(&per_pass(&|r| &r.sides[j].rounds));
+            let sides = (first.sides.iter().enumerate())
+                .map(|(j, side)| (side.name, side_median(j)))
                 .collect();
-            let merged = if ints.len() == vals.len() && ints.windows(2).all(|w| w[0] == w[1]) {
-                ints[0].to_value()
-            } else {
-                let nums = sorted(
-                    vals.iter()
-                        .filter_map(|v| match v {
-                            Value::Number(n) => Some(n.as_f64()),
-                            _ => None,
-                        })
+            let ratio = first.sides.iter().enumerate().find_map(|(j, side)| {
+                let (key, of) = side.ratio?;
+                let pooled = sorted(
+                    runs.iter()
+                        .flat_map(|r| r.rounds.iter().zip(&r.sides[j].rounds))
+                        .map(|(&stage, &side)| of(stage, side))
                         .collect(),
                 );
-                if nums.is_empty() {
-                    (*vals[0]).clone()
-                } else {
-                    median_sorted(&nums).to_value()
-                }
-            };
-            extra.insert(key.clone(), merged);
-        }
-        out.push(StageResult {
-            stage: proto.stage,
-            name: proto.name,
-            wall_secs: med,
-            q1_secs: q1,
-            q3_secs: q3,
-            repeats: n,
-            items: proto.items,
-            unit: proto.unit,
-            extra,
-        });
-    }
-    out
+                Some((key, median_sorted(&pooled), sign_test_interval(&pooled)))
+            });
+            Ok(Row {
+                first,
+                repeats: passes.len() as u64,
+                wall: quartiles_sorted(&per_pass(&|r| &r.rounds)),
+                sides,
+                ratio,
+            })
+        })
+        .collect()
 }
 
 fn die(msg: &str) -> ! {
@@ -993,9 +923,7 @@ fn unix_secs() -> u64 {
         .unwrap_or(0)
 }
 
-/// Extracts `"stage/name" → (median, IQR)` samples from a report file
-/// (both the current quartile schema and the older best-of schema, which
-/// has no IQR fields and gets a zero-width band).
+/// Extracts `"stage/name" → (median, IQR)` samples from a report file.
 fn load_samples(path: &Path) -> Vec<StageSample> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
@@ -1015,41 +943,22 @@ fn load_samples(path: &Path) -> Vec<StageSample> {
     stages
         .iter()
         .filter_map(|s| {
-            let key = format!("{}/{}", text_of(s.get("stage"))?, text_of(s.get("name"))?);
             Some(StageSample {
-                key,
+                key: format!("{}/{}", text_of(s.get("stage"))?, text_of(s.get("name"))?),
                 median_secs: num(s.get("wall_secs"))?,
-                iqr_secs: num(s.get("wall_iqr_secs")).unwrap_or(0.0),
+                iqr_secs: num(s.get("wall_iqr_secs"))?,
             })
         })
         .collect()
 }
 
-/// `rexec-bench compare BASELINE CURRENT [--iqr-band K] [--min-pct P]`.
+/// `rexec-bench compare BASELINE CURRENT`.
 fn run_compare(args: &[String]) -> ! {
-    let mut paths: Vec<PathBuf> = vec![];
-    let mut iqr_band = IQR_BAND;
-    let mut min_pct = MIN_PCT;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iqr-band" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) => iqr_band = k,
-                None => die("--iqr-band needs a number"),
-            },
-            "--min-pct" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(p) => min_pct = p,
-                None => die("--min-pct needs a number"),
-            },
-            other if !other.starts_with('-') => paths.push(PathBuf::from(other)),
-            other => die(&format!("unknown compare argument: {other}")),
-        }
-    }
-    let [base_path, cur_path] = paths.as_slice() else {
+    let [base_path, cur_path] = args else {
         die("compare needs exactly BASELINE and CURRENT report paths");
     };
-    let base = load_samples(base_path);
-    let cur = load_samples(cur_path);
+    let base = load_samples(Path::new(base_path));
+    let cur = load_samples(Path::new(cur_path));
     let shared = cur.iter().filter(|c| base.iter().any(|b| b.key == c.key));
     for c in shared.clone() {
         let b = base.iter().find(|b| b.key == c.key).expect("filtered");
@@ -1064,9 +973,9 @@ fn run_compare(args: &[String]) -> ! {
     if shared.count() == 0 {
         die("the two reports share no stages");
     }
-    let regs = regressions(&base, &cur, iqr_band, min_pct);
+    let regs = regressions(&base, &cur, IQR_BAND, MIN_PCT);
     if regs.is_empty() {
-        println!("no regressions beyond the noise band (>{iqr_band}x IQR and >{min_pct}%)");
+        println!("no regressions beyond the noise band (>{IQR_BAND}x IQR and >{MIN_PCT}%)");
         std::process::exit(0);
     }
     for r in &regs {
@@ -1125,7 +1034,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: rexec-bench [--quick] [--repeat N] [--out PATH] [--no-history]\n\
-                            rexec-bench compare BASELINE CURRENT [--iqr-band K] [--min-pct P]"
+                            rexec-bench compare BASELINE CURRENT"
                 );
                 return;
             }
@@ -1136,17 +1045,24 @@ fn main() {
     let started_unix = unix_secs();
     let run_started = Instant::now();
     let passes: Vec<Vec<StageResult>> = (0..repeat).map(|_| run_suite(quick)).collect();
-    let stages = aggregate(passes);
+    let stages = aggregate(&passes).unwrap_or_else(|e| die(&e));
 
     for s in &stages {
+        let ratio = match s.ratio {
+            Some((key, median, Some((lo, hi)))) => {
+                format!("  {key} {median:.2} [{lo:.2}, {hi:.2}]")
+            }
+            Some((key, median, None)) => format!("  {key} {median:.2} ({NO_INTERVAL})"),
+            None => String::new(),
+        };
         println!(
-            "[{:<9}] {:<28} {:>10.3} ms (iqr {:>8.3})  {:>12.0} {}/s",
-            s.stage,
-            s.name,
-            s.wall_secs * 1e3,
-            (s.q3_secs - s.q1_secs) * 1e3,
+            "[{:<9}] {:<28} {:>10.3} ms (iqr {:>8.3})  {:>12.0} {}/s{ratio}",
+            s.first.stage,
+            s.first.name,
+            s.wall.1 * 1e3,
+            s.iqr_secs() * 1e3,
             s.per_sec(),
-            s.unit
+            s.first.unit
         );
     }
 
@@ -1155,7 +1071,10 @@ fn main() {
     run.insert("version".to_string(), env!("CARGO_PKG_VERSION").to_value());
     run.insert("quick".to_string(), quick.to_value());
     run.insert("repeat".to_string(), (repeat as u64).to_value());
-    run.insert("threads".to_string(), (rayon_threads() as u64).to_value());
+    run.insert(
+        "threads".to_string(),
+        (rayon::current_num_threads() as u64).to_value(),
+    );
     run.insert("started_unix_secs".to_string(), started_unix.to_value());
     run.insert(
         "wall_secs".to_string(),
@@ -1166,7 +1085,7 @@ fn main() {
     doc.insert("run".to_string(), Value::Object(run));
     doc.insert(
         "stages".to_string(),
-        Value::Array(stages.iter().map(StageResult::to_value).collect()),
+        Value::Array(stages.iter().map(Row::to_value).collect()),
     );
     let doc = Value::Object(doc);
 
@@ -1180,14 +1099,67 @@ fn main() {
     }
 }
 
-/// Worker-thread count the parallel stages ran with.
-fn rayon_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::finite_ratio;
+    use super::*;
+
+    /// One pass of a stage compared against a side, with one fact.
+    fn pass(stage: Vec<f64>, side: Vec<f64>, hits: u64) -> Vec<StageResult> {
+        let ratio: Ratio = ("speedup_vs_unbatched", speedup);
+        vec![StageResult::new("serve", "serve_batched", "queries")
+            .timed(10, stage)
+            .side("unbatched", side, Some(ratio))
+            .fact("hits", hits)]
+    }
+
+    #[test]
+    fn pooled_ratio_is_the_median_of_every_rounds_ratio() {
+        // Per-round speedups 2, 3, 4 in one pass and 1, 5, 6, 8 in the
+        // other: pooled, their median is 4, and 7 samples give [min, max].
+        let passes = [
+            pass(vec![1.0, 1.0, 1.0], vec![2.0, 3.0, 4.0], 7),
+            pass(vec![2.0, 1.0, 0.5, 0.25], vec![2.0, 5.0, 3.0, 2.0], 7),
+        ];
+        let rows = aggregate(&passes).expect("the passes agree");
+        assert_eq!(
+            rows[0].ratio,
+            Some(("speedup_vs_unbatched", 4.0, Some((1.0, 8.0))))
+        );
+        // Wall times: per-pass medians 1 and 0.75; the side's 3 and 2.5.
+        assert_eq!(rows[0].wall, (0.8125, 0.875, 0.9375));
+        assert_eq!(rows[0].sides, vec![("unbatched", 2.75)]);
+        let row = rows[0].to_value();
+        assert_eq!(row.get("speedup_vs_unbatched"), Some(&4.0.to_value()));
+        assert_eq!(
+            row.get("speedup_vs_unbatched_ci"),
+            Some(&vec![1.0, 8.0].to_value())
+        );
+        assert_eq!(row.get("unbatched_wall_secs"), Some(&2.75.to_value()));
+        assert_eq!(row.get("hits"), Some(&7u64.to_value()));
+
+        // Five rounds have no 95 % interval, and the report says so.
+        let passes = [pass(vec![1.0; 5], vec![2.0; 5], 7)];
+        let rows = aggregate(&passes).expect("one pass");
+        assert_eq!(rows[0].ratio, Some(("speedup_vs_unbatched", 2.0, None)));
+        assert_eq!(
+            rows[0].to_value().get("speedup_vs_unbatched_ci"),
+            Some(&NO_INTERVAL.to_value())
+        );
+    }
+
+    #[test]
+    fn passes_that_disagree_on_a_fact_fail() {
+        let passes = [pass(vec![1.0], vec![2.0], 7), pass(vec![1.0], vec![2.0], 8)];
+        let err = aggregate(&passes).err().expect("the facts differ");
+        assert!(err.starts_with("serve/serve_batched:"), "{err}");
+    }
+
+    #[test]
+    fn overhead_is_the_percent_the_stage_ran_slower_than_its_side() {
+        assert!((overhead_pct(1.02, 1.0) - 2.0).abs() < 1e-9);
+        assert!(overhead_pct(0.99, 1.0) < 0.0, "not clamped at zero");
+        assert_eq!(speedup(0.5, 2.0), 4.0);
+    }
 
     #[test]
     fn finite_ratio_rejects_every_non_finite_quotient() {

@@ -6,8 +6,11 @@
 //! * fixtures for its stages: the paper configurations [`hera_xscale`]
 //!   (the §4.2 tables) and [`atlas_crusoe`] (Figures 2–7), and
 //!   [`synthetic_solver`] with a `K`-speed set for scaling stages;
-//! * [`stats`]: the median/IQR summaries behind `--repeat N` and the
-//!   noise-band gate of `rexec-bench compare`.
+//! * [`rounds`], the one timing loop: every stage times its sides in
+//!   interleaved rounds;
+//! * [`stats`]: the median/IQR summaries behind `--repeat N`, the
+//!   sign-test interval of a paired ratio, and the noise-band gate of
+//!   `rexec-bench compare`.
 //!
 //! The stages themselves, and what each one times, are listed in the
 //! binary's own documentation (`src/bin/rexec_bench.rs`).
@@ -16,6 +19,7 @@
 #![warn(missing_docs)]
 use rexec_core::{BiCritSolver, ModelError, SilentModel, SpeedSet};
 use rexec_platforms::{configuration, ConfigId, Configuration, PlatformId, ProcessorId};
+use std::time::Instant;
 
 /// The Hera/XScale configuration (the §4.2 tables).
 pub fn hera_xscale() -> Configuration {
@@ -43,6 +47,29 @@ pub fn synthetic_solver(k: usize) -> Result<BiCritSolver, ModelError> {
     Ok(BiCritSolver::new(model, SpeedSet::new(speeds)?))
 }
 
+/// Times up to three `sides` of a stage in `n` interleaved rounds. Each
+/// round calls every side's work its `(calls, work)` count of times, in
+/// forward order on even rounds and reversed order on odd ones (ABBA),
+/// so a drift in the machine's speed weighs on every side alike.
+/// Returns each side's seconds per call, one per round. A side whose
+/// single call is far shorter than a millisecond takes a `calls` count
+/// that brings it to about one.
+pub fn rounds<const S: usize>(n: usize, mut sides: [(u32, &mut dyn FnMut()); S]) -> [Vec<f64>; S] {
+    let mut secs: [Vec<f64>; S] = std::array::from_fn(|_| Vec::with_capacity(n));
+    for round in 0..n {
+        for i in 0..S {
+            let side = if round % 2 == 0 { i } else { S - 1 - i };
+            let (calls, work) = &mut sides[side];
+            let t = Instant::now();
+            for _ in 0..*calls {
+                work();
+            }
+            secs[side].push(t.elapsed().as_secs_f64() / f64::from(*calls));
+        }
+    }
+    secs
+}
+
 pub mod stats {
     //! Robust summaries for tracked benchmark runs.
     //!
@@ -52,7 +79,10 @@ pub mod stats {
     //! consistent location estimator under asymmetric OS noise, and the
     //! IQR gives `compare` a per-stage noise band so a regression has
     //! to clear the observed run-to-run spread, not an arbitrary
-    //! percentage, before CI flags it.
+    //! percentage, before CI flags it. A ratio of two sides timed in
+    //! the same rounds is the median of its per-round ratios, with the
+    //! sign test's distribution-free interval
+    //! ([`sign_test_interval`]).
 
     /// `xs` sorted ascending (NaNs sort last; the bench never emits
     /// them, but a corrupted report must not panic the comparator).
@@ -84,6 +114,28 @@ pub mod stats {
             quantile_sorted(sorted, 0.5),
             quantile_sorted(sorted, 0.75),
         )
+    }
+
+    /// The sign test's distribution-free 95 % interval for the median of
+    /// an ascending sample of `n`: the order statistics `x(k)` and
+    /// `x(n + 1 - k)` (1-based), with `k` the largest count for which
+    /// `P(B < k) <= 2.5 %`, `B ~ Binomial(n, 1/2)`. For 30 samples that
+    /// is the 10th and 21st. `None` below 6 samples, where even
+    /// `[min, max]` covers less than 95 %.
+    pub fn sign_test_interval(sorted: &[f64]) -> Option<(f64, f64)> {
+        let n = sorted.len();
+        // P(B = j), stepped in log space so that 2^-n cannot underflow.
+        let mut ln_pmf = n as f64 * 0.5f64.ln();
+        let (mut cdf, mut k) = (0.0, 0);
+        for j in 0..n {
+            cdf += ln_pmf.exp();
+            if cdf > 0.025 {
+                break;
+            }
+            k = j + 1;
+            ln_pmf += ((n - j) as f64 / (j + 1) as f64).ln();
+        }
+        (k > 0).then(|| (sorted[k - 1], sorted[n - k]))
     }
 
     /// One stage's robust timing summary, as stored in the report.
@@ -163,6 +215,43 @@ mod tests {
         let s = synthetic_solver(10).unwrap();
         assert_eq!(s.speeds().len(), 10);
         assert!(s.solve(3.0).is_some());
+    }
+
+    #[test]
+    fn rounds_run_their_sides_in_abba_order() {
+        let calls = std::cell::RefCell::new(String::new());
+        let [a, b, c] = rounds(
+            4,
+            [
+                (1, &mut || calls.borrow_mut().push('a')),
+                (2, &mut || calls.borrow_mut().push('b')),
+                (1, &mut || calls.borrow_mut().push('c')),
+            ],
+        );
+        assert_eq!(calls.into_inner(), "abbccbbaabbccbba");
+        assert!([a, b, c].iter().all(|secs| secs.len() == 4));
+    }
+
+    #[test]
+    fn sign_test_interval_takes_the_binomial_order_statistics() {
+        // 30 ratios: the interval is their 10th and 21st.
+        let ratios = sorted((1..=30).rev().map(f64::from).collect());
+        assert_eq!(sign_test_interval(&ratios), Some((10.0, 21.0)));
+        // 6 is the least count with a 95 % interval: [min, max].
+        assert_eq!(
+            sign_test_interval(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+            Some((1.0, 6.0))
+        );
+        // Below 6 there is none, so no number is reported.
+        for n in 0..6 {
+            let xs: Vec<f64> = (0..n).map(f64::from).collect();
+            assert_eq!(sign_test_interval(&xs), None, "{n} samples");
+        }
+        // Far past the point where 2^-n underflows, the interval still
+        // closes in on the median.
+        let many: Vec<f64> = (0..5000).map(f64::from).collect();
+        let (lo, hi) = sign_test_interval(&many).unwrap();
+        assert!(lo > 2400.0 && hi < 2600.0, "[{lo}, {hi}]");
     }
 
     #[test]

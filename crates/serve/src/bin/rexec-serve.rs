@@ -4,6 +4,7 @@
 //! through the batching, plan-caching service core, and drains
 //! gracefully on SIGTERM/ctrl-c.
 
+use rexec_serve::server::MAX_WORKERS;
 use rexec_serve::{ServeOptions, Server, ServiceConfig};
 
 const USAGE: &str = "\
@@ -14,8 +15,8 @@ USAGE:
 
 OPTIONS:
   --addr A            bind address (default 127.0.0.1:7464; port 0 = ephemeral)
-  --workers N         threads per connection; each reads, answers and
-                      writes its own batches in turn (default 2)
+  --workers N         threads per connection, 1 to 1024; each reads,
+                      answers and writes its own batches in turn (default 2)
   --cache-capacity N  plan-cache capacity in plans, 0 disables (default 65536)
   --drain-secs S      shutdown drain deadline (default 5)
   --metrics-prom PATH write Prometheus metrics exposition on shutdown
@@ -53,7 +54,12 @@ fn parse_args() -> ServeOptions {
                 std::process::exit(0)
             }
             "--addr" => opts.addr = value(&mut args, &arg),
-            "--workers" => opts.workers = parse(&value(&mut args, &arg), &arg),
+            "--workers" => {
+                opts.workers = parse(&value(&mut args, &arg), &arg);
+                if !(1..=MAX_WORKERS).contains(&opts.workers) {
+                    fail(&format!("--workers must be 1 to {MAX_WORKERS}"));
+                }
+            }
             "--cache-capacity" => {
                 service.plan_cache_capacity = parse(&value(&mut args, &arg), &arg)
             }

@@ -38,13 +38,18 @@ const MAX_LINE: usize = 64 * 1024;
 /// Bytes taken off the socket per read: the largest batch.
 const READ_BUF: usize = 64 * 1024;
 
+/// Most threads per connection [`Server::start`] accepts: each
+/// connection spawns `workers` threads, so an unbounded count would let
+/// one connection ask for any number.
+pub const MAX_WORKERS: usize = 1024;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Threads per connection; each reads, answers and writes its own
-    /// batches, taking turns with the others.
+    /// Threads per connection, 1 to [`MAX_WORKERS`]; each reads,
+    /// answers and writes its own batches, taking turns with the others.
     pub workers: usize,
     /// How long shutdown waits for open connections to reach EOF
     /// before abandoning their sockets.
@@ -156,8 +161,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spawns the accept loop.
+    /// Binds the listener and spawns the accept loop. Fails with
+    /// `InvalidInput`, before binding, when `workers` is outside 1 to
+    /// [`MAX_WORKERS`].
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
+        if !(1..=MAX_WORKERS).contains(&opts.workers) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("workers must be 1 to {MAX_WORKERS}, not {}", opts.workers),
+            ));
+        }
         let listener = TcpListener::bind(&opts.addr)?;
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
@@ -277,7 +290,7 @@ fn spawn_connection<'s>(scope: &'s Scope<'s, '_>, inner: &'s Inner, stream: TcpS
         turn_passed: Condvar::new(),
     });
     inner.open_conns().push(Arc::downgrade(&conn));
-    for _ in 0..inner.opts.workers.max(1) {
+    for _ in 0..inner.opts.workers {
         let conn = Arc::clone(&conn);
         let spawned = std::thread::Builder::new()
             .name("serve-conn".into())
